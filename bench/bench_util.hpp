@@ -36,18 +36,6 @@ inline double scale() {
 
 inline std::size_t threads() { return hap::experiment::env_threads(); }
 
-// HAP_BENCH_WARM (default 1) toggles the continuation engine — warm starts
-// plus adaptive truncation — in the solver benches; 0 solves every sweep
-// point cold on the worst-case box (the pre-continuation behaviour), which
-// is the baseline the engine is measured against.
-inline bool warm_starts() {
-    static const bool w = [] {
-        const char* env = std::getenv("HAP_BENCH_WARM");
-        return !(env && env[0] == '0' && env[1] == '\0');
-    }();
-    return w;
-}
-
 inline std::size_t replications() {
     static const std::size_t r = [] {
         const char* env = std::getenv("HAP_BENCH_REPS");

@@ -200,7 +200,7 @@ private:
 
 // Run the FIFO kernel with statically known arrival/service types (no
 // virtual dispatch in the inner loop). Byte-identical to simulate_queue()
-// on the same inputs; callers outside the queueing library (e.g. benches
+// on the same inputs; callers outside the queueing library (e.g. tests
 // pairing core::HapSource with sim::Exponential) can instantiate it
 // directly for type pairs the runtime dispatcher does not know.
 template <typename Arrivals, typename Service>

@@ -214,6 +214,31 @@ TEST(QueueSimDevirt, FiniteBufferByteIdentical) {
     expect_identical(devirt, simulate_queue_t(base_arr, base_svc, rng_b, opts));
 }
 
+TEST(QueueSimDevirt, HapSourceExponentialByteIdentical) {
+    // The dispatcher cannot name core::HapSource (queueing sits below core),
+    // so callers instantiate the template themselves; that instantiation must
+    // match the generic virtual loop draw for draw.
+    QueueSimOptions opts;
+    opts.horizon = 2e4;
+    opts.warmup = 1e3;
+    const HapParams params = HapParams::paper_baseline(17.0);
+    const Exponential svc(17.0);
+
+    HapSource a(params);
+    RandomStream rng_a(2024);
+    const QueueSimResult devirt = simulate_queue_t(a, svc, rng_a, opts);
+    EXPECT_GT(devirt.departures, 0u);
+
+    HapSource b(params);
+    RandomStream rng_b(2024);
+    hap::traffic::ArrivalProcess& base_arr = b;
+    const hap::sim::Distribution& base_svc = svc;
+    const QueueSimResult virt = simulate_queue_t(base_arr, base_svc, rng_b, opts);
+
+    expect_identical(devirt, virt);
+    for (int i = 0; i < 100; ++i) EXPECT_EQ(rng_a.uniform(), rng_b.uniform());
+}
+
 // --------------------------------------------------------------------------
 // "Events executed" counter semantics (both engines, aligned)
 
