@@ -166,13 +166,11 @@ std::vector<double> LumpedChain::solve_direct() const {
     using numerics::Matrix;
 
     // Bin the transitions into block-tridiagonal form by user level:
-    // a0 = up (x -> x+1), a1 = local (same x), a2 = down (x -> x-1).
-    std::vector<Matrix> a0(nlev), a1(nlev), a2(nlev);
-    for (std::size_t lev = 0; lev < nlev; ++lev) {
-        a1[lev] = Matrix(ny, ny, 0.0);
-        if (lev + 1 < nlev) a0[lev] = Matrix(ny, ny, 0.0);
-        if (lev > 0) a2[lev] = Matrix(ny, ny, 0.0);
-    }
+    // a1 = local (same x), a0 = up (x -> x+1), a2 = down (x -> x-1). A user
+    // move keeps y, so A0 and A2 are diagonal and are kept as vectors.
+    std::vector<Matrix> a1(nlev, Matrix(ny, ny, 0.0));
+    std::vector<std::vector<double>> a0(nlev, std::vector<double>(ny, 0.0));
+    std::vector<std::vector<double>> a2(nlev, std::vector<double>(ny, 0.0));
     for (std::size_t from = 0; from < ctmc_.num_states(); ++from) {
         const markov::Ctmc::OutEdges out = ctmc_.out_edges(from);
         const std::size_t lf = from / ny;
@@ -183,10 +181,12 @@ std::vector<double> LumpedChain::solve_direct() const {
             const std::size_t yt = to % ny;
             if (lt == lf) {
                 a1[lf](yf, yt) += out.rate[e];
+            } else if (yt != yf) {
+                return {};  // a user move that changes y: A0/A2 not diagonal
             } else if (lt == lf + 1) {
-                a0[lf](yf, yt) += out.rate[e];
+                a0[lf][yf] += out.rate[e];
             } else if (lf == lt + 1) {
-                a2[lf](yf, yt) += out.rate[e];
+                a2[lf][yf] += out.rate[e];
             } else {
                 return {};  // |dx| > 1: not block tridiagonal
             }
@@ -198,13 +198,24 @@ std::vector<double> LumpedChain::solve_direct() const {
 
     // Backward censoring: S_L = A1_L, then S_l = A1_l + R_l A2_{l+1} with
     // R_l = A0_l (-S_{l+1})^{-1}. The R matrices drive the forward pass
-    // pi_{l+1} = pi_l R_l; level 0 satisfies pi_0 S_0 = 0.
+    // pi_{l+1} = pi_l R_l; level 0 satisfies pi_0 S_0 = 0. With A0 and A2
+    // diagonal, R_l is the inverse with its rows scaled and R_l A2 is R_l
+    // with its columns scaled: one product per entry, the only nonzero term
+    // of the dense matrix products. A1 is added through Matrix's out-of-line
+    // +=, so each product is rounded before the add instead of being fused
+    // into a multiply-add, as in the dense form (the bytes are pinned by
+    // LumpedChainTest.DirectSolveBitEqualToDenseOracle*).
     std::vector<Matrix> rmat(nlev);
     Matrix s = a1[nlev - 1];
     try {
         for (std::size_t lev = nlev - 1; lev-- > 0;) {
-            rmat[lev] = a0[lev] * numerics::inverse(s * -1.0);
-            s = a1[lev] + rmat[lev] * a2[lev + 1];
+            Matrix& r = rmat[lev] = numerics::inverse(s * -1.0);
+            for (std::size_t i = 0; i < ny; ++i)
+                for (std::size_t j = 0; j < ny; ++j) r(i, j) *= a0[lev][i];
+            s = r;
+            for (std::size_t i = 0; i < ny; ++i)
+                for (std::size_t j = 0; j < ny; ++j) s(i, j) *= a2[lev + 1][j];
+            s += a1[lev];
         }
         // Left null vector of S_0 with unit mass: transpose and replace one
         // balance equation by the normalization row.

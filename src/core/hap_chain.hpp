@@ -57,8 +57,9 @@ public:
     // Exact (non-iterative) steady state by block-LU censoring along the
     // user dimension: the lumped chain is block tridiagonal in x (users
     // arrive and depart one at a time), so eliminating levels from x_hi
-    // downward costs nx solves of ny-by-ny systems — microseconds where
-    // Gauss-Seidel takes thousands of sweeps — and is accurate to roundoff.
+    // downward costs nx LU factorizations and inverses of ny-by-ny blocks
+    // (about 1.3 ms at 21 x 51 states, 43 ms at hapd's 30 x 155, where
+    // Gauss-Seidel takes thousands of sweeps) and is accurate to roundoff.
     // Returns an empty vector if the chain is not block tridiagonal or the
     // elimination degenerates numerically (callers fall back to solve()).
     std::vector<double> solve_direct() const;

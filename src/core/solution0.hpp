@@ -3,9 +3,11 @@
 // for homogeneous HAPs, followed by Little's law. This is the paper's exact
 // reference (it preserves the correlation between successive interarrivals
 // that Solutions 1/2 discard). The paper ran it for two weeks on a SUN-4/280;
-// here the balance equations are swept in place (symmetric Gauss-Seidel,
-// alternating directions) from a product-form initial guess, which converges
-// in seconds-to-minutes on current hardware.
+// here the balance equations are swept in place by line relaxation (Gauss-
+// Seidel over (x, y) lines, alternating directions, each z line solved
+// exactly), every line's mass pinned to the exactly solved modulating-chain
+// marginal after each sweep, starting from a geometric queue profile. That
+// converges in milliseconds to seconds on current hardware.
 #pragma once
 
 #include <cstddef>
@@ -21,8 +23,8 @@ namespace hap::core {
 // `Solution0Options::keep_state` and fed back through
 // `Solution0Options::warm`: a sweep driver hands each solve the previous
 // point's state so the iteration starts next to the new fixed point instead
-// of at the product-form guess (continuation). Boxes need not match — the
-// vector is zero-padded/cropped onto the new box before use.
+// of at the geometric cold-start profile (continuation). Boxes need not
+// match — the vector is zero-padded/cropped onto the new box before use.
 struct Solution0State {
     std::vector<double> pi;  // row-major ((x - x_lo) * ny + y) * nz + z
     std::size_t x_lo = 0;
@@ -87,7 +89,10 @@ struct [[nodiscard]] Solution0Result {
     double sigma = 0.0;           // arrival-rate-weighted P(arrival finds z > 0)
     double mean_users = 0.0;
     double mean_apps = 0.0;
-    double truncation_mass = 0.0; // probability on the x/y/z boundary shells
+    // Probability on the truncation shells: z == z_hi, plus y == y_hi and
+    // x == x_hi unless that face is the model's own max_apps / max_users
+    // (real blocking states) or users are pinned (x_lo == x_hi).
+    double truncation_mass = 0.0;
     double residual = 0.0;        // last relative change of (delay, E[z]) observed
     std::size_t states = 0;       // final box size
     std::size_t sweeps = 0;       // total sweeps, summed across adaptive boxes

@@ -132,27 +132,52 @@ std::vector<double> LuDecomposition::solve(const std::vector<double>& b) const {
     if (b.size() != n) throw std::invalid_argument("LU::solve: size mismatch");
     std::vector<double> x(n);
     for (std::size_t i = 0; i < n; ++i) x[i] = b[pivot_[i]];
-    // Forward substitution (unit lower triangle).
+    // Forward substitution (unit lower triangle). The multiply-adds are
+    // explicit fma so that solve(Matrix) below matches this bit for bit in
+    // every build, whatever the compiler's contraction choices.
     for (std::size_t i = 1; i < n; ++i)
-        for (std::size_t j = 0; j < i; ++j) x[i] -= lu_(i, j) * x[j];
+        for (std::size_t j = 0; j < i; ++j) x[i] = std::fma(-lu_(i, j), x[j], x[i]);
     // Back substitution.
     for (std::size_t ii = n; ii-- > 0;) {
-        for (std::size_t j = ii + 1; j < n; ++j) x[ii] -= lu_(ii, j) * x[j];
+        for (std::size_t j = ii + 1; j < n; ++j) x[ii] = std::fma(-lu_(ii, j), x[j], x[ii]);
         x[ii] /= lu_(ii, ii);
     }
     return x;
 }
 
+// Every right-hand side at once: each step of the vector solve above becomes
+// an axpy over a whole row of X, so column j of the result sees exactly the
+// operations solve(column j) would, in the same order — bit-identical — while
+// the inner loop runs over independent columns instead of one dependent chain.
 Matrix LuDecomposition::solve(const Matrix& b) const {
-    if (b.rows() != lu_.rows()) throw std::invalid_argument("LU::solve: shape mismatch");
-    Matrix out(b.rows(), b.cols());
-    std::vector<double> col(b.rows());
-    for (std::size_t j = 0; j < b.cols(); ++j) {
-        for (std::size_t i = 0; i < b.rows(); ++i) col[i] = b(i, j);
-        const std::vector<double> x = solve(col);
-        for (std::size_t i = 0; i < b.rows(); ++i) out(i, j) = x[i];
+    const std::size_t n = lu_.rows();
+    const std::size_t m = b.cols();
+    if (b.rows() != n) throw std::invalid_argument("LU::solve: shape mismatch");
+    Matrix x(n, m);
+    if (m == 0) return x;
+    for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t c = 0; c < m; ++c) x(i, c) = b(pivot_[i], c);
+    // Forward substitution (unit lower triangle).
+    for (std::size_t i = 1; i < n; ++i) {
+        double* xi = &x(i, 0);
+        for (std::size_t j = 0; j < i; ++j) {
+            const double l = lu_(i, j);
+            const double* xj = &x(j, 0);
+            for (std::size_t c = 0; c < m; ++c) xi[c] = std::fma(-l, xj[c], xi[c]);
+        }
     }
-    return out;
+    // Back substitution.
+    for (std::size_t ii = n; ii-- > 0;) {
+        double* xi = &x(ii, 0);
+        for (std::size_t j = ii + 1; j < n; ++j) {
+            const double u = lu_(ii, j);
+            const double* xj = &x(j, 0);
+            for (std::size_t c = 0; c < m; ++c) xi[c] = std::fma(-u, xj[c], xi[c]);
+        }
+        const double d = lu_(ii, ii);
+        for (std::size_t c = 0; c < m; ++c) xi[c] /= d;
+    }
+    return x;
 }
 
 Matrix LuDecomposition::inverse() const { return solve(Matrix::identity(lu_.rows())); }

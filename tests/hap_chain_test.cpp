@@ -2,9 +2,13 @@
 // steady states against the M/M/inf closed forms.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "core/hap_chain.hpp"
+#include "numerics/matrix.hpp"
 
 namespace {
 
@@ -196,6 +200,85 @@ TEST(LumpedChainTest, DirectSolveMatchesIterativeForPinnedUsers) {
     ASSERT_TRUE(iter.converged);
     for (std::size_t s = 0; s < chain.num_states(); ++s)
         EXPECT_NEAR(direct[s], iter.pi[s], 1e-9);
+}
+
+// Test oracle: solve_direct's censoring in its dense form, A0, A1 and A2 as
+// full blocks and R = A0 (-S)^-1, S = A1 + R A2 as matrix products.
+std::vector<double> dense_direct_solve(const LumpedChain& chain) {
+    using hap::numerics::Matrix;
+    const hap::markov::Ctmc& ctmc = chain.ctmc();
+    const std::size_t ny = chain.y_hi() + 1;
+    const std::size_t nlev = chain.x_hi() - chain.x_lo() + 1;
+    std::vector<Matrix> a0(nlev), a1(nlev), a2(nlev);
+    for (std::size_t lev = 0; lev < nlev; ++lev) {
+        a1[lev] = Matrix(ny, ny, 0.0);
+        if (lev + 1 < nlev) a0[lev] = Matrix(ny, ny, 0.0);
+        if (lev > 0) a2[lev] = Matrix(ny, ny, 0.0);
+    }
+    for (std::size_t from = 0; from < ctmc.num_states(); ++from) {
+        const hap::markov::Ctmc::OutEdges out = ctmc.out_edges(from);
+        const std::size_t lf = from / ny;
+        const std::size_t yf = from % ny;
+        for (std::size_t e = 0; e < out.count; ++e) {
+            const std::size_t lt = out.to[e] / ny;
+            const std::size_t yt = out.to[e] % ny;
+            Matrix& block = lt == lf ? a1[lf] : lt == lf + 1 ? a0[lf] : a2[lf];
+            block(yf, yt) += out.rate[e];
+        }
+    }
+    for (std::size_t lev = 0; lev < nlev; ++lev)
+        for (std::size_t y = 0; y < ny; ++y) a1[lev](y, y) -= ctmc.exit_rate(lev * ny + y);
+
+    std::vector<Matrix> rmat(nlev);
+    Matrix s = a1[nlev - 1];
+    for (std::size_t lev = nlev - 1; lev-- > 0;) {
+        rmat[lev] = a0[lev] * hap::numerics::inverse(s * -1.0);
+        s = a1[lev] + rmat[lev] * a2[lev + 1];
+    }
+    Matrix m = s.transposed();
+    for (std::size_t j = 0; j < ny; ++j) m(ny - 1, j) = 1.0;
+    std::vector<double> rhs(ny, 0.0);
+    rhs[ny - 1] = 1.0;
+    std::vector<double> level = hap::numerics::solve(m, rhs);
+    std::vector<double> pi(ctmc.num_states(), 0.0);
+    std::copy(level.begin(), level.end(), pi.begin());
+    for (std::size_t lev = 1; lev < nlev; ++lev) {
+        level = rmat[lev - 1].apply_left(level);
+        std::copy(level.begin(), level.end(), pi.begin() + lev * ny);
+    }
+    double total = 0.0;
+    for (double& v : pi) {
+        if (v < 0.0) v = 0.0;
+        total += v;
+    }
+    for (double& v : pi) v /= total;
+    return pi;
+}
+
+void expect_direct_solve_bit_equal(const LumpedChain& chain) {
+    const std::vector<double> got = chain.solve_direct();
+    const std::vector<double> want = dense_direct_solve(chain);
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)), 0);
+}
+
+TEST(LumpedChainTest, DirectSolveBitEqualToDenseOracle) {
+    const HapParams p = HapParams::paper_baseline(20.0);
+    ChainBounds b;
+    b.max_users = 12;
+    b.max_apps_total = 40;
+    expect_direct_solve_bit_equal(LumpedChain(p, b));
+}
+
+TEST(LumpedChainTest, DirectSolveBitEqualToDenseOraclePinnedUsers) {
+    const HapParams p = HapParams::two_level(0.1, 0.01, 0.1, 4.0);
+    expect_direct_solve_bit_equal(LumpedChain(p, ChainBounds::defaults_for(p)));
+}
+
+TEST(LumpedChainTest, DirectSolveBitEqualToDenseOracleUserBound) {
+    HapParams p = small_hap();
+    p.max_users = 4;
+    expect_direct_solve_bit_equal(LumpedChain(p, ChainBounds::defaults_for(p)));
 }
 
 TEST(LumpedChainTest, AdaptiveSolveMatchesStaticBounds) {

@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include "numerics/laplace.hpp"
 #include "numerics/matrix.hpp"
 #include "numerics/quadrature.hpp"
 #include "numerics/roots.hpp"
+#include "sim/rng.hpp"
 
 namespace {
 
@@ -88,6 +92,48 @@ TEST(Lu, InverseTimesSelfIsIdentity) {
 TEST(Lu, DetectsSingular) {
     Matrix a{{1, 2}, {2, 4}};
     EXPECT_THROW(LuDecomposition{a}, std::domain_error);
+}
+
+// solve(Matrix) runs the vector solve's steps as whole-row axpys over every
+// right-hand side; each column must come out bit for bit as solve(column).
+void expect_matrix_solve_matches_columns(const LuDecomposition& lu, const Matrix& b) {
+    const Matrix x = lu.solve(b);
+    ASSERT_EQ(x.rows(), b.rows());
+    ASSERT_EQ(x.cols(), b.cols());
+    for (std::size_t c = 0; c < b.cols(); ++c) {
+        std::vector<double> col(b.rows());
+        for (std::size_t r = 0; r < b.rows(); ++r) col[r] = b(r, c);
+        const std::vector<double> want = lu.solve(col);
+        for (std::size_t r = 0; r < b.rows(); ++r) {
+            const double got = x(r, c);
+            EXPECT_EQ(std::memcmp(&want[r], &got, sizeof(double)), 0)
+                << "row " << r << " col " << c;
+        }
+    }
+}
+
+Matrix seeded_matrix(std::size_t rows, std::size_t cols, std::uint64_t seed) {
+    hap::sim::RandomStream rng(seed);
+    Matrix m(rows, cols);
+    for (std::size_t r = 0; r < rows; ++r)
+        for (std::size_t c = 0; c < cols; ++c) m(r, c) = rng.uniform(-1.0, 1.0);
+    return m;
+}
+
+TEST(Lu, SolveMatrixBitEqualToColumnSolvesSquare) {
+    // A small leading diagonal forces row swaps in the factorization.
+    Matrix a = seeded_matrix(9, 9, 11);
+    for (std::size_t i = 0; i < 9; ++i) a(i, i) *= 1e-3;
+    const LuDecomposition lu(a);
+    expect_matrix_solve_matches_columns(lu, seeded_matrix(9, 9, 12));
+    expect_matrix_solve_matches_columns(lu, Matrix::identity(9));
+}
+
+TEST(Lu, SolveMatrixBitEqualToColumnSolvesRectangular) {
+    const LuDecomposition lu(seeded_matrix(7, 7, 21));
+    expect_matrix_solve_matches_columns(lu, seeded_matrix(7, 3, 22));
+    expect_matrix_solve_matches_columns(lu, seeded_matrix(7, 13, 23));
+    expect_matrix_solve_matches_columns(lu, seeded_matrix(7, 1, 24));
 }
 
 TEST(Lu, DeterminantWithPivoting) {

@@ -2,14 +2,131 @@
 // projection on the (x, y, z) lattice).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <vector>
+
 #include "core/hap.hpp"
+#include "core/lattice_sweep.hpp"
+#include "sim/rng.hpp"
 
 namespace {
 
 using namespace hap::core;
+using detail::LatticeGrid;
+using detail::LatticeRates;
 
 HapParams small_hap(double mu2 = 10.0) {
     return HapParams::homogeneous(0.4, 0.2, 0.5, 0.5, 1, 2.0, 1, mu2);
+}
+
+// Test oracle: the lexicographic line Gauss-Seidel sweep the wavefront
+// kernel replaced. Its source left multiply-add contraction to the compiler;
+// the std::fma calls mark where the shipped build (GCC, -O3 -march=native,
+// default -ffp-contract=fast) fused, and this file is compiled with
+// -ffp-contract=off, so the oracle pins those bytes under any compiler.
+// sweep_lattice must reproduce them exactly.
+void reference_sweep(const LatticeGrid& g, const LatticeRates& r, std::vector<double>& pi,
+                     bool forward) {
+    std::vector<double> cp(g.nz), rhs(g.nz);
+    const std::size_t xy_stride = g.ny * g.nz;
+    for (std::size_t xi = 0; xi < g.nx; ++xi) {
+        const std::size_t x = g.x_lo + (forward ? xi : g.nx - 1 - xi);
+        const double xd = static_cast<double>(x);
+        const std::size_t xoff = (x - g.x_lo) * xy_stride;
+        for (std::size_t yi = 0; yi < g.ny; ++yi) {
+            const std::size_t y = forward ? yi : g.ny - 1 - yi;
+            const double yd = static_cast<double>(y);
+            const double arr = yd * r.beta;
+
+            double* cur = pi.data() + xoff + y * g.nz;
+            const double* xlo = x > g.x_lo ? cur - xy_stride : nullptr;
+            const double* xhi = x < g.x_hi ? cur + xy_stride : nullptr;
+            const double* ylo = y > 0 ? cur - g.nz : nullptr;
+            const double* yhi = y < g.y_hi ? cur + g.nz : nullptr;
+
+            const double w_xlo = r.lambda;
+            const double w_xhi = (xd + 1.0) * r.mu;
+            const double w_ylo = xd * r.alpha;
+            const double w_yhi = (yd + 1.0) * r.mu1;
+            double out_base = yd * r.mu1;
+            if (r.dynamic_users) {
+                if (x < g.x_hi) out_base += r.lambda;
+                out_base = std::fma(xd, r.mu, out_base);
+            }
+            if (y < g.y_hi) out_base += w_ylo;
+
+            for (std::size_t z = 0; z < g.nz; ++z) {
+                double s = 0.0;
+                if (xlo) s = std::fma(w_xlo, xlo[z], s);
+                if (xhi) s = std::fma(w_xhi, xhi[z], s);
+                if (ylo) s = std::fma(w_ylo, ylo[z], s);
+                if (yhi) s = std::fma(w_yhi, yhi[z], s);
+                rhs[z] = s;
+            }
+
+            double b0 = out_base + (g.z_hi > 0 ? arr : 0.0);
+            if (b0 <= 0.0) b0 = 1.0;
+            cp[0] = -r.mu2 / b0;
+            rhs[0] /= b0;
+            for (std::size_t z = 1; z < g.nz; ++z) {
+                const double a = -arr;
+                double b = out_base + r.mu2 + (z < g.z_hi ? arr : 0.0);
+                const double denom = std::fma(-a, cp[z - 1], b);
+                const double c = (z < g.z_hi) ? -r.mu2 : 0.0;
+                cp[z] = c / denom;
+                rhs[z] = std::fma(-a, rhs[z - 1], rhs[z]) / denom;
+            }
+            cur[g.nz - 1] = rhs[g.nz - 1];
+            for (std::size_t z = g.nz - 1; z-- > 0;)
+                cur[z] = std::fma(-cp[z], cur[z + 1], rhs[z]);
+        }
+    }
+}
+
+struct Box {
+    std::size_t x_lo, x_hi, y_hi, z_hi;
+};
+
+// Six sweeps in each direction, alternating as solve_solution0 does, from the
+// same seeded positive lattice through both kernels: identical bytes.
+void expect_sweeps_identical(const Box& b, bool dynamic_users) {
+    const LatticeGrid g = detail::make_lattice_grid(b.x_lo, b.x_hi, b.y_hi, b.z_hi);
+    const LatticeRates r{dynamic_users, 0.4, 0.2, 0.5, 0.5, 2.0, 10.0};
+    hap::sim::RandomStream rng(0x5eed0000 + g.size());
+    std::vector<double> want(g.size());
+    for (double& v : want) v = rng.uniform(0.1, 1.0);
+    std::vector<double> got = want;
+    detail::LineWorkspace ws;
+    for (int s = 1; s <= 12; ++s) {
+        reference_sweep(g, r, want, s % 2 == 1);
+        detail::sweep_lattice(g, r, got, s % 2 == 1, ws);
+    }
+    EXPECT_EQ(std::memcmp(want.data(), got.data(), want.size() * sizeof(double)), 0)
+        << "box x " << b.x_lo << ".." << b.x_hi << " y_hi " << b.y_hi << " z_hi " << b.z_hi;
+}
+
+TEST(LatticeSweep, WavefrontMatchesLexicographicPinnedUsers) {
+    // nx = 1: every anti-diagonal holds a single line.
+    for (std::size_t z_hi : {0, 1, 30, 300}) expect_sweeps_identical({3, 3, 7, z_hi}, false);
+}
+
+TEST(LatticeSweep, WavefrontMatchesLexicographicSingleApp) {
+    // ny = 1, and the x_hi = 0 box whose (0, 0) line is an isolated state.
+    expect_sweeps_identical({0, 5, 0, 31}, true);
+    expect_sweeps_identical({0, 0, 5, 10}, true);
+}
+
+TEST(LatticeSweep, WavefrontMatchesLexicographicQueueLengths) {
+    for (std::size_t z_hi : {0, 1, 30, 300}) expect_sweeps_identical({0, 9, 12, z_hi}, true);
+}
+
+TEST(LatticeSweep, WavefrontMatchesLexicographicWideAndTall) {
+    // nx > ny and ny > nx; the longest anti-diagonals (13 and 21 lines) are
+    // not multiples of the lane width.
+    expect_sweeps_identical({0, 20, 12, 30}, true);
+    expect_sweeps_identical({0, 3, 25, 30}, true);
+    expect_sweeps_identical({0, 25, 20, 12}, true);
 }
 
 TEST(Solution0, RejectsUnsupportedShapes) {
@@ -35,6 +152,9 @@ TEST(Solution0, PinnedUserTwoLevelMatchesQbd) {
     ASSERT_TRUE(s3.qbd.stable);
     EXPECT_NEAR(s0.mean_delay, s3.qbd.mean_delay, 0.02 * s3.qbd.mean_delay);
     EXPECT_NEAR(s0.utilization, s3.qbd.utilization, 0.005);
+    // Pinned users: the x face is not a truncation shell (every state sits
+    // on it), so only the y and z shells count.
+    EXPECT_LT(s0.truncation_mass, 1e-3);
 }
 
 TEST(Solution0, ModulatingMarginalsAreExact) {
@@ -67,6 +187,9 @@ TEST(Solution0, AdmissionBoundsHonored) {
     cb.max_apps_total = 5;
     const auto s3 = solve_solution3(bounded, cb);
     EXPECT_NEAR(sb.mean_delay, s3.qbd.mean_delay, 0.02 * s3.qbd.mean_delay);
+    // x = 3 and y = 5 are the model's own blocking states, not truncation:
+    // only the z shell counts.
+    EXPECT_LT(sb.truncation_mass, 1e-6);
 }
 
 TEST(Solution0, DelayGrowsWithQueueBoundUnderHeavyTail) {
