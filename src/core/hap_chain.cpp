@@ -109,16 +109,10 @@ void LumpedChain::build(const HapParams& params) {
     const bool dynamic_users = params.permanent_users == 0;
 
     arrival_rates_.assign(num_states(), 0.0);
-    // Every transition moves x or y by exactly one, so the lattice is
-    // bipartite on (x + y) parity: a perfect red-black 2-coloring for the
-    // parallel Gauss-Seidel sweep (greedy coloring cannot be trusted to
-    // find it from the index order alone).
-    std::vector<std::uint32_t> parity(num_states());
     for (std::size_t x = x_lo_; x <= x_hi_; ++x) {
         for (std::size_t y = 0; y <= y_hi_; ++y) {
             const std::size_t s = index(x, y);
             arrival_rates_[s] = static_cast<double>(y) * per_instance;
-            parity[s] = static_cast<std::uint32_t>((x + y) & 1u);
             if (dynamic_users) {
                 if (x < x_hi_) ctmc_.add_transition(s, index(x + 1, y), lambda);
                 if (x > 0) ctmc_.add_transition(s, index(x - 1, y), static_cast<double>(x) * mu);
@@ -128,7 +122,6 @@ void LumpedChain::build(const HapParams& params) {
             if (y > 0) ctmc_.add_transition(s, index(x, y - 1), static_cast<double>(y) * mu1);
         }
     }
-    ctmc_.set_color_hint(std::move(parity));
     ctmc_.finalize();
 }
 
@@ -278,67 +271,6 @@ std::vector<double> LumpedChain::solve_direct() const {
     }
 }
 
-AdaptiveLumpedResult solve_lumped_adaptive(const HapParams& params, double trunc_tol,
-                                           const markov::SolveOptions& base) {
-    HAP_CHECK_FINITE(trunc_tol);
-    if (!(trunc_tol > 0.0))
-        throw std::invalid_argument("solve_lumped_adaptive: trunc_tol must be positive");
-    const ChainBounds cap = ChainBounds::defaults_for(params);
-    // Effective y ceiling: the mass-based default, further clamped by any
-    // admission bound the params impose (lumped_shape applies the same
-    // clamp, so growing past it would loop forever on an unchanged chain).
-    std::size_t y_cap = cap.max_apps_total;
-    if (params.max_apps > 0) y_cap = std::min(y_cap, params.max_apps);
-
-    AdaptiveLumpedResult out;
-    out.bounds = cap;
-    out.bounds.max_apps_total = std::min(y_cap, std::size_t{8});
-
-    std::vector<double> guess;
-    // One builder across every growth step: each rebuilt chain assembles
-    // through the same COO/scatter arenas instead of re-growing them.
-    markov::CsrBuilder arena;
-    while (true) {
-        const LumpedChain chain(params, out.bounds, arena);
-        markov::SolveOptions opts = base;
-        // Zero-padded previous solution: the bulk of the mass sits in the
-        // low-y states shared by both boxes, so the grown solve starts next
-        // to its fixed point.
-        if (!guess.empty()) {
-            guess.resize(chain.num_states(), 0.0);
-            opts.initial_guess = &guess;
-        }
-        out.solve = chain.solve(opts);
-
-        // x == x_hi counts toward the shell only when x is genuinely
-        // truncated (dynamic users): for permanent users x_lo == x_hi and
-        // every state would otherwise be "boundary".
-        const bool x_truncated = chain.x_hi() > chain.x_lo();
-        double shell = 0.0;
-        for (std::size_t s = 0; s < chain.num_states(); ++s) {
-            if ((x_truncated && chain.users_of(s) == chain.x_hi()) ||
-                chain.apps_of(s) == chain.y_hi())
-                shell += out.solve.pi[s];
-        }
-        out.shell_mass = shell;
-        const bool at_cap = chain.y_hi() >= y_cap;
-        if (!out.solve.converged || shell < trunc_tol || at_cap) return out;
-
-        // Grow y geometrically. The (x - x_lo) * (y_hi + 1) + y indexing
-        // means a grown box is a row-wise zero-pad of the old vector.
-        const std::size_t old_ny = chain.y_hi() + 1;
-        const std::size_t new_y = std::min(y_cap, chain.y_hi() * 2 + 1);
-        const std::size_t nx = chain.x_hi() - chain.x_lo() + 1;
-        guess.assign(nx * (new_y + 1), 0.0);
-        for (std::size_t xi = 0; xi < nx; ++xi)
-            for (std::size_t y = 0; y < old_ny; ++y)
-                guess[xi * (new_y + 1) + y] = out.solve.pi[xi * old_ny + y];
-        out.bounds.max_apps_total = new_y;
-        ++out.growth_steps;
-        if (obs::enabled()) obs::registry().add_counter("chain.box_growth_steps");
-    }
-}
-
 // ---------------------------------------------------------------------------
 // GeneralChain
 // ---------------------------------------------------------------------------
@@ -385,22 +317,14 @@ void GeneralChain::build(const HapParams& params) {
     const double mu = params.user_departure_rate;
 
     arrival_rates_.assign(num_states(), 0.0);
-    // Same bipartite structure as the lumped lattice, one dimension up:
-    // every transition changes exactly one coordinate by one, so coordinate-
-    // sum parity is a proper red-black 2-coloring.
-    std::vector<std::uint32_t> parity(num_states());
     std::vector<std::size_t> coords(l + 1, 0);  // [x, y_1..y_l]
     coords[0] = x_lo_;
     for (std::size_t s = 0; s < num_states(); ++s) {
         const double x = static_cast<double>(coords[0]);
         double rate = 0.0;
-        std::size_t coord_sum = coords[0];
-        for (std::size_t i = 0; i < l; ++i) {
+        for (std::size_t i = 0; i < l; ++i)
             rate += static_cast<double>(coords[i + 1]) * params.apps[i].total_message_rate();
-            coord_sum += coords[i + 1];
-        }
         arrival_rates_[s] = rate;
-        parity[s] = static_cast<std::uint32_t>(coord_sum & 1u);
 
         if (dynamic_users) {
             if (coords[0] < x_hi_) ctmc_.add_transition(s, s + radix_[0], lambda);
@@ -429,7 +353,6 @@ void GeneralChain::build(const HapParams& params) {
             c = base;
         }
     }
-    ctmc_.set_color_hint(std::move(parity));
     ctmc_.finalize();
 }
 

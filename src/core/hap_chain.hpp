@@ -5,7 +5,7 @@
 // solvers, and the traffic::Mmpp generator.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <vector>
 
 #include "core/hap_params.hpp"
@@ -34,7 +34,7 @@ class LumpedChain {
 public:
     LumpedChain(const HapParams& params, const ChainBounds& bounds);
     // Same, but assembling through a caller-owned CSR builder so repeated
-    // constructions (adaptive box growth) reuse its arenas across chains.
+    // constructions (Solution 0's box growth) reuse its arenas across chains.
     LumpedChain(const HapParams& params, const ChainBounds& bounds,
                 markov::CsrBuilder& builder);
 
@@ -103,22 +103,6 @@ private:
     std::vector<double> arrival_rates_;
     markov::Ctmc ctmc_;
 };
-
-// Continuation solve of the lumped modulating chain: start from a small y
-// box, solve, and grow it geometrically until the boundary-shell mass
-// (states with x == x_hi or y == y_hi) drops below `trunc_tol`, warm-starting
-// each grown box from the previous solution (zero-padded). The growth is
-// capped at ChainBounds::defaults_for, so the adaptive solve never exceeds
-// the worst-case static box.
-struct [[nodiscard]] AdaptiveLumpedResult {
-    markov::SolveResult solve;       // steady state on the final bounds
-    ChainBounds bounds;              // bounds actually used
-    std::size_t growth_steps = 0;
-    double shell_mass = 0.0;         // boundary-shell mass of the final solve
-};
-
-AdaptiveLumpedResult solve_lumped_adaptive(const HapParams& params, double trunc_tol,
-                                           const markov::SolveOptions& base = {});
 
 namespace detail {
 // Shared helper: dense generator from any finalized Ctmc.

@@ -357,8 +357,6 @@ Solution0Result solve_solution0(const HapParams& params, const Solution0Options&
             if (marginal.empty()) {
                 markov::SolveOptions mod_opts;
                 mod_opts.tol = mod_tol;
-                mod_opts.threads = opts.threads;
-                mod_opts.coloring = opts.coloring;
                 if (have_seed) {
                     mod_guess = line_sums(g, pi);
                     mod_opts.initial_guess = &mod_guess;

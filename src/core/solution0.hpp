@@ -15,7 +15,6 @@
 
 #include "core/budget.hpp"
 #include "core/hap_params.hpp"
-#include "markov/ctmc.hpp"
 
 namespace hap::core {
 
@@ -72,13 +71,6 @@ struct Solution0Options {
     // Gauss-Seidel path directly (the reverse of the normal
     // direct-with-iterative-fallback order).
     bool force_iterative_marginal = false;
-    // Worker threads and sweep-order policy for the modulating-chain
-    // Gauss-Seidel solve (markov::SolveOptions::threads / ::coloring):
-    // threads == 1 keeps the historical serial numerics; > 1 (or kColored)
-    // uses the red-black colored sweep, whose result is bit-identical at any
-    // thread count. 0 defers to HAP_BENCH_THREADS / hardware concurrency.
-    std::size_t threads = 1;
-    markov::ColoringMode coloring = markov::ColoringMode::kAuto;
 };
 
 struct [[nodiscard]] Solution0Result {

@@ -93,15 +93,11 @@ Json obs_metrics_json(const obs::MetricsSnapshot& snap) {
         tj.set("truncation", Json::integer(t.truncation));
         tj.set("wall_s", Json::number(t.wall_time_s));
         tj.set("converged", Json::boolean(t.converged));
-        // Sweep-kernel throughput and parallelism facts; emitted only when
-        // the solver reported them, so legacy records stay byte-identical.
+        // Sweep-kernel throughput; emitted only when the solver reported
+        // it, so records of solvers without a sweep loop stay unchanged.
         if (t.sweep_time_s > 0.0) tj.set("sweep_s", Json::number(t.sweep_time_s));
         if (t.states_per_sec > 0.0)
             tj.set("states_per_sec", Json::number(t.states_per_sec));
-        if (t.colors > 0)
-            tj.set("colors", Json::integer(static_cast<std::int64_t>(t.colors)));
-        if (t.threads > 0)
-            tj.set("threads", Json::integer(static_cast<std::int64_t>(t.threads)));
         solvers.add(std::move(tj));
     }
     block.set("solvers", std::move(solvers));

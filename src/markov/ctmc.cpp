@@ -11,7 +11,6 @@
 #include "core/contracts.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timer.hpp"
-#include "parallel/parallel_for.hpp"
 
 namespace hap::markov {
 
@@ -45,14 +44,6 @@ void Ctmc::add_transition(std::size_t from, std::size_t to, double rate) {
     exit_rates_[from] += rate;
 }
 
-void Ctmc::set_color_hint(std::vector<std::uint32_t> color_of) {
-    if (finalized_) throw std::logic_error("Ctmc: set_color_hint after finalize");
-    if (color_of.size() != n_)
-        throw std::invalid_argument("Ctmc: color hint size mismatch");
-    color_hint_ = std::move(color_of);
-    has_hint_ = true;
-}
-
 void Ctmc::finalize() {
     if (finalized_) return;
     CsrBuilder& b = builder();
@@ -61,12 +52,6 @@ void Ctmc::finalize() {
     // order: Gauss-Seidel then reads pi[from[k]] in ascending address order,
     // turning the inner product into mostly-sequential loads.
     b.transpose(out_, in_);
-    if (has_hint_) {
-        // A bad hint is a caller bug — validate now (throws), not at the
-        // first parallel solve.
-        coloring_ = color_from_hint(out_, std::move(color_hint_));
-        has_hint_ = false;
-    }
     finalized_ = true;
 }
 
@@ -97,12 +82,6 @@ const Csr& Ctmc::out_matrix() const {
 const Csr& Ctmc::in_matrix() const {
     if (!finalized_) throw std::logic_error("Ctmc: not finalized");
     return in_;
-}
-
-const Coloring& Ctmc::coloring() const {
-    if (!finalized_) throw std::logic_error("Ctmc: not finalized");
-    if (coloring_.empty()) coloring_ = color_greedy(out_, in_);
-    return coloring_;
 }
 
 namespace {
@@ -149,28 +128,23 @@ bool seed_iterate(std::vector<double>& pi, std::size_t n, const SolveOptions& op
     return false;
 }
 
-// Sweep-kernel bookkeeping threaded through the telemetry exits: start of
-// the iteration loop (for sweep_time_s / states_per_sec) plus the
-// deterministic parallelism facts (color count, thread knob).
-struct KernelStats {
-    std::chrono::steady_clock::time_point start{};
-    std::uint32_t colors = 0;
-    std::uint32_t threads = 0;
-};
+using Clock = std::chrono::steady_clock;
 
+// `loop_start` is the start of the iteration loop (for sweep_time_s /
+// states_per_sec); a default-constructed one means no loop ran.
 void record_solve(const char* solver, const SolveResult& res, std::size_t n,
-                  obs::ScopedTimer& timer, const KernelStats* kernel = nullptr);
+                  obs::ScopedTimer& timer, Clock::time_point loop_start = {});
 
 // The degenerate-mass exit shared by both solvers: mark non-converged,
 // surface an infinite residual, and leave a telemetry trail.
 void abort_degenerate(const char* solver, SolveResult& res, std::size_t iter,
                       std::size_t n, obs::ScopedTimer& timer,
-                      const KernelStats* kernel) {
+                      Clock::time_point loop_start) {
     res.iterations = iter;
     res.residual = std::numeric_limits<double>::infinity();
     res.converged = false;
     if (obs::enabled()) obs::registry().add_counter("ctmc.degenerate_mass");
-    record_solve(solver, res, n, timer, kernel);
+    record_solve(solver, res, n, timer, loop_start);
 }
 
 // The contraction ratio of two consecutive difference vectors,
@@ -246,6 +220,65 @@ bool aitken_extrapolate(const std::vector<double>& h0, const std::vector<double>
     return normalize(x);
 }
 
+// Aitken acceleration and its residual fuses, shared by both solvers. Call
+// on_check at every checked iterate that did not converge. Fuses:
+// extrapolation must keep the checked residual moving down. Two consecutive
+// non-improving checks after accepted extrapolations mean the slow modes
+// alias the scalar ratio estimate (nearly decomposable spectra do this); and
+// a long stretch with no new best residual catches the subtler limit cycle
+// where clustered slow modes trade the error back and forth — residual
+// oscillating, improving often enough to dodge the first fuse, converging
+// never. Either way acceleration is disabled and plain iteration finishes,
+// so the accelerated path can stall but never diverge. The history (three
+// previous checked iterates plus scratch) is allocated lazily.
+class Accelerator {
+public:
+    explicit Accelerator(bool on) : on_(on) {}
+
+    // `may_extrapolate` is false on the last budgeted iteration, whose
+    // iterate must stay the one the residual describes.
+    void on_check(SolveResult& res, bool may_extrapolate) {
+        if (on_ && res.accelerations > 0) {
+            if (res.residual >= prev_check_) {
+                if (++worse_checks_ >= 2) fuse();
+            } else {
+                worse_checks_ = 0;
+            }
+            if (on_ && ++checks_since_best_ >= 20) fuse();
+        }
+        if (res.residual < 0.99 * best_residual_) {
+            best_residual_ = res.residual;
+            checks_since_best_ = 0;
+        }
+        prev_check_ = res.residual;
+        if (!on_ || !may_extrapolate) return;
+        if (hist_ >= 3 && aitken_extrapolate(h0_, h1_, h2_, res.pi, scratch_)) {
+            ++res.accelerations;
+            hist_ = 0;  // extrapolated point starts a fresh sequence
+            if (obs::enabled()) obs::registry().add_counter("ctmc.accel_steps");
+        } else {
+            h0_.swap(h1_);
+            h1_.swap(h2_);
+            h2_ = res.pi;
+            if (hist_ < 3) ++hist_;
+        }
+    }
+
+private:
+    void fuse() {
+        on_ = false;
+        if (obs::enabled()) obs::registry().add_counter("ctmc.accel_fused");
+    }
+
+    bool on_;
+    std::vector<double> h0_, h1_, h2_, scratch_;
+    std::size_t hist_ = 0;
+    double prev_check_ = std::numeric_limits<double>::infinity();
+    std::size_t worse_checks_ = 0;
+    double best_residual_ = std::numeric_limits<double>::infinity();
+    std::size_t checks_since_best_ = 0;
+};
+
 // Converged steady-state output must be a probability vector; a solver that
 // diverged to NaN or negative mass fails here, not in the caller's tables.
 void check_distribution(const std::vector<double>& pi) {
@@ -253,7 +286,7 @@ void check_distribution(const std::vector<double>& pi) {
 }
 
 void record_solve(const char* solver, const SolveResult& res, std::size_t n,
-                  obs::ScopedTimer& timer, const KernelStats* kernel) {
+                  obs::ScopedTimer& timer, Clock::time_point loop_start) {
     if (!obs::enabled()) return;
     obs::SolverTelemetry t;
     t.solver = solver;
@@ -262,15 +295,12 @@ void record_solve(const char* solver, const SolveResult& res, std::size_t n,
     t.truncation = n;
     t.wall_time_s = timer.stop();
     t.converged = res.converged;
-    if (kernel != nullptr) {
-        const std::chrono::duration<double> loop =
-            std::chrono::steady_clock::now() - kernel->start;
+    if (loop_start != Clock::time_point{}) {
+        const std::chrono::duration<double> loop = Clock::now() - loop_start;
         t.sweep_time_s = loop.count();
         if (t.sweep_time_s > 0.0 && res.iterations > 0)
             t.states_per_sec = static_cast<double>(res.iterations) *
                                static_cast<double>(n) / t.sweep_time_s;
-        t.colors = kernel->colors;
-        t.threads = kernel->threads;
     }
     obs::registry().record_solver(std::move(t));
 }
@@ -299,12 +329,6 @@ double max_relative_change(const std::vector<double>& a, const std::vector<doubl
     return worst;
 }
 
-// The effective worker count for a solve: opts.threads, with 0 deferring to
-// the HAP_BENCH_THREADS / hardware-concurrency policy.
-std::size_t resolve_threads(const SolveOptions& opts) {
-    return opts.threads == 0 ? parallel::env_threads() : opts.threads;
-}
-
 }  // namespace
 
 SolveResult solve_steady_state(const Ctmc& chain, const SolveOptions& opts) {
@@ -314,44 +338,23 @@ SolveResult solve_steady_state(const Ctmc& chain, const SolveOptions& opts) {
     if (opts.budget.states_exceeded(n)) return refuse_states("ctmc.gs", n, timer);
     const std::size_t max_iter = opts.budget.cap_iterations(opts.max_iter);
     const core::WallDeadline deadline(opts.budget.wall_ms);
-    const std::size_t threads = resolve_threads(opts);
-    // kAuto picks the natural (historical, bit-identical) order for serial
-    // solves and the colored order as soon as parallelism is requested;
-    // kColored is the thread-invariance contract — one fixed colored order
-    // whose result does not depend on the thread count at all.
-    const bool colored = opts.coloring == ColoringMode::kColored ||
-                         (opts.coloring == ColoringMode::kAuto && threads > 1);
-    const Coloring* coloring = colored ? &chain.coloring() : nullptr;
     const Csr& in = chain.in_matrix();
     const double* exit_rates = chain.exit_rates().data();
 
     SolveResult res;
     res.warm_started = seed_iterate(res.pi, n, opts);
-    // Aitken history (three previous checked iterates) plus a scratch vector;
-    // allocated lazily so the plain path never copies the full iterate — the
-    // residual is folded into the check sweep itself.
-    std::vector<double> h0, h1, h2, scratch;
-    std::size_t hist = 0;
-    bool accel_on = opts.accelerate;
-    double prev_check = std::numeric_limits<double>::infinity();
-    std::size_t worse_checks = 0;
-    double best_residual = std::numeric_limits<double>::infinity();
-    std::size_t checks_since_best = 0;
-    KernelStats kernel;
-    kernel.colors = colored ? coloring->num_colors : 0;
-    kernel.threads = static_cast<std::uint32_t>(std::min<std::size_t>(threads, UINT32_MAX));
-    kernel.start = std::chrono::steady_clock::now();
+    // The residual is folded into the check sweep itself, so the plain path
+    // never copies the full iterate.
+    Accelerator accel(opts.accelerate);
+    const Clock::time_point loop_start = Clock::now();
 
     for (std::size_t iter = 1; iter <= max_iter; ++iter) {
         // The last budgeted iteration is a forced check so the reported
         // residual is always fresh, never stale from a skipped window.
         const bool check = (iter % opts.check_every) == 0 || iter == max_iter;
-        const double worst =
-            colored ? gs_sweep_colored(in, exit_rates, *coloring, threads,
-                                       res.pi.data(), check)
-                    : gs_sweep_natural(in, exit_rates, res.pi.data(), check);
+        const double worst = gs_sweep_natural(in, exit_rates, res.pi.data(), check);
         if (!normalize(res.pi)) {
-            abort_degenerate("ctmc.gs", res, iter, n, timer, &kernel);
+            abort_degenerate("ctmc.gs", res, iter, n, timer, loop_start);
             return res;
         }
         if (check) {
@@ -360,51 +363,11 @@ SolveResult solve_steady_state(const Ctmc& chain, const SolveOptions& opts) {
             if (res.residual < opts.tol) {
                 res.converged = true;
                 check_distribution(res.pi);
-                record_solve("ctmc.gs", res, n, timer, &kernel);
+                record_solve("ctmc.gs", res, n, timer, loop_start);
                 return res;
             }
             if (deadline.expired()) break;  // wall backstop; flagged below
-            // Fuses: extrapolation must keep the checked residual moving
-            // down. Two consecutive non-improving checks after accepted
-            // extrapolations mean the slow modes alias the scalar ratio
-            // estimate (nearly decomposable spectra do this); and a long
-            // stretch with no new best residual catches the subtler limit
-            // cycle where clustered slow modes trade the error back and
-            // forth — residual oscillating, improving often enough to dodge
-            // the first fuse, converging never. Either way acceleration is
-            // disabled and plain iteration finishes, so the accelerated
-            // path can stall but never diverge.
-            if (accel_on && res.accelerations > 0) {
-                if (res.residual >= prev_check) {
-                    if (++worse_checks >= 2) {
-                        accel_on = false;
-                        if (obs::enabled()) obs::registry().add_counter("ctmc.accel_fused");
-                    }
-                } else {
-                    worse_checks = 0;
-                }
-                if (accel_on && ++checks_since_best >= 20) {
-                    accel_on = false;
-                    if (obs::enabled()) obs::registry().add_counter("ctmc.accel_fused");
-                }
-            }
-            if (res.residual < 0.99 * best_residual) {
-                best_residual = res.residual;
-                checks_since_best = 0;
-            }
-            prev_check = res.residual;
-            if (accel_on && iter < max_iter) {
-                if (hist >= 3 && aitken_extrapolate(h0, h1, h2, res.pi, scratch)) {
-                    ++res.accelerations;
-                    hist = 0;  // extrapolated point starts a fresh sequence
-                    if (obs::enabled()) obs::registry().add_counter("ctmc.accel_steps");
-                } else {
-                    h0.swap(h1);
-                    h1.swap(h2);
-                    h2 = res.pi;
-                    if (hist < 3) ++hist;
-                }
-            }
+            accel.on_check(res, iter < max_iter);
         }
     }
     // Non-converged exit: the budget (tightened iteration cap or the wall
@@ -414,7 +377,7 @@ SolveResult solve_steady_state(const Ctmc& chain, const SolveOptions& opts) {
         res.budget_exhausted = true;
         if (obs::enabled()) obs::registry().add_counter("ctmc.budget_exhausted");
     }
-    record_solve("ctmc.gs", res, n, timer, &kernel);
+    record_solve("ctmc.gs", res, n, timer, loop_start);
     return res;
 }
 
@@ -425,7 +388,6 @@ SolveResult solve_steady_state_power(const Ctmc& chain, const SolveOptions& opts
     if (opts.budget.states_exceeded(n)) return refuse_states("ctmc.power", n, timer);
     const std::size_t max_iter = opts.budget.cap_iterations(opts.max_iter);
     const core::WallDeadline deadline(opts.budget.wall_ms);
-    const std::size_t threads = resolve_threads(opts);
     const Csr& in = chain.in_matrix();
     const double* exit_rates = chain.exit_rates().data();
     double lambda = 0.0;
@@ -436,26 +398,16 @@ SolveResult solve_steady_state_power(const Ctmc& chain, const SolveOptions& opts
     SolveResult res;
     res.warm_started = seed_iterate(res.pi, n, opts);
     std::vector<double> next(n);
-    std::vector<double> h0, h1, h2, scratch;
-    std::size_t hist = 0;
-    bool accel_on = opts.accelerate;
-    double prev_check = std::numeric_limits<double>::infinity();
-    std::size_t worse_checks = 0;
-    double best_residual = std::numeric_limits<double>::infinity();
-    std::size_t checks_since_best = 0;
-    KernelStats kernel;
-    kernel.threads = static_cast<std::uint32_t>(std::min<std::size_t>(threads, UINT32_MAX));
-    kernel.start = std::chrono::steady_clock::now();
+    Accelerator accel(opts.accelerate);
+    const Clock::time_point loop_start = Clock::now();
 
     for (std::size_t iter = 1; iter <= max_iter; ++iter) {
         const bool check = (iter % opts.check_every) == 0 || iter == max_iter;
-        // next = pi * (I + Q / lambda), gather form over the in-matrix: every
-        // slot of next is written by exactly one chunk, so the step is
-        // bit-identical at any thread count.
-        uniformized_step(in, exit_rates, lambda, threads, res.pi.data(), next.data());
+        // next = pi * (I + Q / lambda), gather form over the in-matrix.
+        uniformized_step(in, exit_rates, lambda, res.pi.data(), next.data());
         res.pi.swap(next);
         if (!normalize(res.pi)) {
-            abort_degenerate("ctmc.power", res, iter, n, timer, &kernel);
+            abort_degenerate("ctmc.power", res, iter, n, timer, loop_start);
             return res;
         }
         if (check) {
@@ -466,42 +418,11 @@ SolveResult solve_steady_state_power(const Ctmc& chain, const SolveOptions& opts
             if (res.residual < opts.tol) {
                 res.converged = true;
                 check_distribution(res.pi);
-                record_solve("ctmc.power", res, n, timer, &kernel);
+                record_solve("ctmc.power", res, n, timer, loop_start);
                 return res;
             }
             if (deadline.expired()) break;  // wall backstop; flagged below
-            // Same residual fuses as the Gauss-Seidel path (see above).
-            if (accel_on && res.accelerations > 0) {
-                if (res.residual >= prev_check) {
-                    if (++worse_checks >= 2) {
-                        accel_on = false;
-                        if (obs::enabled()) obs::registry().add_counter("ctmc.accel_fused");
-                    }
-                } else {
-                    worse_checks = 0;
-                }
-                if (accel_on && ++checks_since_best >= 20) {
-                    accel_on = false;
-                    if (obs::enabled()) obs::registry().add_counter("ctmc.accel_fused");
-                }
-            }
-            if (res.residual < 0.99 * best_residual) {
-                best_residual = res.residual;
-                checks_since_best = 0;
-            }
-            prev_check = res.residual;
-            if (accel_on && iter < max_iter) {
-                if (hist >= 3 && aitken_extrapolate(h0, h1, h2, res.pi, scratch)) {
-                    ++res.accelerations;
-                    hist = 0;  // extrapolated point starts a fresh sequence
-                    if (obs::enabled()) obs::registry().add_counter("ctmc.accel_steps");
-                } else {
-                    h0.swap(h1);
-                    h1.swap(h2);
-                    h2 = res.pi;
-                    if (hist < 3) ++hist;
-                }
-            }
+            accel.on_check(res, iter < max_iter);
         }
     }
     // See the Gauss-Seidel exit: budget-driven stops are flagged.
@@ -509,7 +430,7 @@ SolveResult solve_steady_state_power(const Ctmc& chain, const SolveOptions& opts
         res.budget_exhausted = true;
         if (obs::enabled()) obs::registry().add_counter("ctmc.budget_exhausted");
     }
-    record_solve("ctmc.power", res, n, timer, &kernel);
+    record_solve("ctmc.power", res, n, timer, loop_start);
     return res;
 }
 

@@ -1,17 +1,18 @@
 // Sparse continuous-time Markov chains over enumerated state spaces, with the
 // iterative steady-state solvers the paper's Solution 0/1 need: Gauss-Seidel
-// sweeps on the balance equations and uniformized power iteration. State
-// spaces of a few million states with a handful of transitions each are the
-// design point (truncated HAP lattices).
+// sweeps on the balance equations and uniformized power iteration. The
+// chains solved here are truncated HAP modulating chains: a few thousand
+// states with a handful of transitions each.
 //
 // Storage is the CSR engine of markov/sparse.hpp: transitions stream into a
-// CsrBuilder (optionally a caller-shared one, so adaptive truncation growth
-// reuses arenas across rebuilds) and finalize() assembles the out-matrix, its
-// transpose (the in-matrix the Gauss-Seidel kernels sweep), and — when the
-// builder of the chain knows its lattice parity — a red-black coloring that
-// lets sweeps run on several threads with bit-identical results.
+// CsrBuilder (optionally a caller-shared one, so Solution 0's box growth
+// reuses arenas across rebuilds) and finalize() assembles the out-matrix and
+// its transpose (the in-matrix the Gauss-Seidel kernel sweeps). Both solvers
+// are serial: one fixed sweep order, so a solve is a pure function of its
+// inputs.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -26,17 +27,11 @@ class Ctmc {
 public:
     explicit Ctmc(std::size_t num_states);
     // Same, but assembling through a caller-owned builder so repeated chain
-    // constructions (adaptive box growth) reuse its arenas. The builder must
+    // constructions (Solution 0's box growth) reuse its arenas. The builder must
     // outlive finalize() and carries one chain at a time.
     Ctmc(std::size_t num_states, CsrBuilder& builder);
 
     void add_transition(std::size_t from, std::size_t to, double rate);
-
-    // Optional per-state coloring hint (e.g. red-black lattice parity),
-    // validated at finalize(): an improper or non-contiguous hint throws
-    // std::invalid_argument. Without a hint, a greedy coloring is computed
-    // lazily on the first coloring() call. Must precede finalize().
-    void set_color_hint(std::vector<std::uint32_t> color_of);
 
     void finalize();
     bool finalized() const noexcept { return finalized_; }
@@ -77,11 +72,6 @@ public:
     const Csr& out_matrix() const;
     const Csr& in_matrix() const;
 
-    // The chain's proper coloring: the validated hint when one was supplied,
-    // else a greedy coloring computed (and cached) on first use. finalize()
-    // first.
-    const Coloring& coloring() const;
-
 private:
     CsrBuilder& builder() noexcept { return shared_ != nullptr ? *shared_ : own_builder_; }
 
@@ -89,26 +79,9 @@ private:
     bool finalized_ = false;
     CsrBuilder own_builder_;
     CsrBuilder* shared_ = nullptr;
-    bool has_hint_ = false;
-    std::vector<std::uint32_t> color_hint_;
     std::vector<double> exit_rates_;
     Csr out_;
     Csr in_;
-    mutable Coloring coloring_;  // lazily computed when no hint was given
-};
-
-// Sweep-order / parallelism policy for the Gauss-Seidel solver.
-enum class ColoringMode {
-    // Natural order when threads == 1 (bit-identical to the historical serial
-    // solver, so goldens and bench baselines stay valid); colored when
-    // threads > 1.
-    kAuto,
-    // Colored order even on one thread. This is the thread-invariance
-    // contract: a kColored solve is bit-identical for ANY thread count.
-    kColored,
-    // Natural order always; threads only affect the power solver. For
-    // pinning legacy numerics regardless of the threads knob.
-    kNatural,
 };
 
 struct SolveOptions {
@@ -128,12 +101,6 @@ struct SolveOptions {
     // so acceleration can only change how fast the fixed point is reached,
     // never which fixed point.
     bool accelerate = true;
-    // Worker threads for the sweep kernels: 1 = serial (default), 0 = pick
-    // from HAP_BENCH_THREADS / hardware concurrency. Changing the thread
-    // count NEVER changes results: colored sweeps and the power step reduce
-    // over fixed chunks, and the natural sweep is serial by definition.
-    std::size_t threads = 1;
-    ColoringMode coloring = ColoringMode::kAuto;
     // Resource budget (see core/budget.hpp). max_iterations tightens
     // max_iter; a chain larger than max_states is refused outright; wall_ms
     // is checked at check boundaries. Exhaustion returns a non-converged
@@ -157,8 +124,9 @@ struct [[nodiscard]] SolveResult {
     bool budget_exhausted = false;
 };
 
-// Gauss-Seidel on pi(s) = sum_in pi(s') rate(s'->s) / exit_rate(s), with
-// periodic normalization. Matches the paper's iterative scheme for
+// Serial natural-order Gauss-Seidel (gs_sweep_natural) on
+// pi(s) = sum_in pi(s') rate(s'->s) / exit_rate(s), with periodic
+// normalization. Matches the paper's iterative scheme for
 // Solution 0/1 but converges substantially faster thanks to in-place sweeps.
 SolveResult solve_steady_state(const Ctmc& chain, const SolveOptions& opts = {});
 

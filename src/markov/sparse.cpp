@@ -7,19 +7,8 @@
 #include <string>
 
 #include "core/contracts.hpp"
-#include "parallel/parallel_for.hpp"
 
 namespace hap::markov {
-
-namespace {
-
-// Fixed chunk width for the parallel kernels. Chunk boundaries depend only on
-// the state count — never on the thread count — so per-chunk partial results
-// merge identically on 1 thread or 64. 2048 states keep a chunk's slice of
-// pi plus its in-edges inside L2 while leaving enough chunks to balance load.
-constexpr std::size_t kChunk = 2048;
-
-}  // namespace
 
 // --- CsrBuilder ----------------------------------------------------------
 
@@ -135,98 +124,6 @@ void CsrBuilder::transpose(const Csr& a, Csr& out) {
     }
 }
 
-// --- Coloring ------------------------------------------------------------
-
-namespace {
-
-// Group states by color: offsets by counting sort, `order` filled in
-// ascending state order (so each color's slice is ascending by construction).
-void build_groups(Coloring& c, std::size_t n) {
-    c.color_offsets.assign(c.num_colors + 1, 0);
-    for (std::size_t s = 0; s < n; ++s) ++c.color_offsets[c.color_of[s] + 1];
-    for (std::uint32_t k = 0; k < c.num_colors; ++k)
-        c.color_offsets[k + 1] += c.color_offsets[k];
-    c.order.resize(n);
-    std::vector<std::uint64_t> cursor(c.color_offsets.begin(), c.color_offsets.end() - 1);
-    for (std::size_t s = 0; s < n; ++s)
-        c.order[cursor[c.color_of[s]]++] = static_cast<std::uint32_t>(s);
-}
-
-}  // namespace
-
-Coloring color_greedy(const Csr& out, const Csr& in) {
-    if (in.rows != out.rows || in.cols != out.cols || out.rows != out.cols)
-        throw std::invalid_argument("color_greedy: out/in must be square transposes");
-    const std::size_t n = out.rows;
-    constexpr std::uint32_t kUncolored = UINT32_MAX;
-    Coloring c;
-    c.color_of.assign(n, kUncolored);
-    // First-fit with stamping: taken[k] == s marks color k as used by a
-    // neighbor of s, so no per-state clearing is needed.
-    std::vector<std::size_t> taken;
-    std::uint32_t max_color = 0;
-    for (std::size_t s = 0; s < n; ++s) {
-        for (const Csr* m : {&out, &in}) {
-            const Csr::Row row = m->row(s);
-            for (std::size_t k = 0; k < row.count; ++k) {
-                const std::uint32_t t = row.idx[k];
-                if (t == s) continue;  // diagonals never constrain a coloring
-                const std::uint32_t tc = c.color_of[t];
-                if (tc != kUncolored) {
-                    if (tc >= taken.size()) taken.resize(tc + 1, SIZE_MAX);
-                    taken[tc] = s;
-                }
-            }
-        }
-        std::uint32_t pick = 0;
-        while (pick < taken.size() && taken[pick] == s) ++pick;
-        c.color_of[s] = pick;
-        if (pick > max_color) max_color = pick;
-        if (pick >= taken.size()) taken.resize(pick + 1, SIZE_MAX);
-    }
-    c.num_colors = n > 0 ? max_color + 1 : 0;
-    build_groups(c, n);
-    return c;
-}
-
-Coloring color_from_hint(const Csr& out, std::vector<std::uint32_t> color_of) {
-    const std::size_t n = out.rows;
-    if (color_of.size() != n)
-        throw std::invalid_argument("color_from_hint: hint size " +
-                                    std::to_string(color_of.size()) + " != " +
-                                    std::to_string(n) + " states");
-    Coloring c;
-    c.color_of = std::move(color_of);
-    std::uint32_t max_color = 0;
-    for (std::size_t s = 0; s < n; ++s) max_color = std::max(max_color, c.color_of[s]);
-    if (n > 0 && max_color >= n)
-        throw std::invalid_argument("color_from_hint: color id exceeds state count");
-    c.num_colors = n > 0 ? max_color + 1 : 0;
-    // Properness: an edge inside one color would let the parallel sweep read
-    // a value its neighbor is concurrently writing.
-    for (std::size_t s = 0; s < n; ++s) {
-        const Csr::Row row = out.row(s);
-        for (std::size_t k = 0; k < row.count; ++k) {
-            const std::uint32_t t = row.idx[k];
-            if (t != s && c.color_of[t] == c.color_of[s])
-                throw std::invalid_argument(
-                    "color_from_hint: edge (" + std::to_string(s) + " -> " +
-                    std::to_string(t) + ") joins two states of color " +
-                    std::to_string(c.color_of[s]));
-        }
-    }
-    build_groups(c, n);
-    // Contiguity: every color in [0, num_colors) must be populated, or the
-    // sweep would walk empty groups (harmless) while reporting an inflated
-    // color count in telemetry (misleading). Reject instead.
-    for (std::uint32_t k = 0; k < c.num_colors; ++k) {
-        if (c.color_offsets[k + 1] == c.color_offsets[k])
-            throw std::invalid_argument("color_from_hint: color " + std::to_string(k) +
-                                        " is unused (colors must be contiguous)");
-    }
-    return c;
-}
-
 // --- Sweep kernels -------------------------------------------------------
 
 double gs_sweep_natural(const Csr& in, const double* exit_rates, double* pi,
@@ -256,72 +153,8 @@ double gs_sweep_natural(const Csr& in, const double* exit_rates, double* pi,
     return worst;
 }
 
-namespace {
-
-// The shared per-state update of the colored sweep over order[lo, hi).
-// Returns the range's worst relative change (0 when !check).
-double gs_update_range(const Csr& in, const double* exit_rates,
-                       const std::uint32_t* order, std::size_t lo, std::size_t hi,
-                       double* pi, bool check) noexcept {
-    const std::uint64_t* const offsets = in.offsets.data();
-    const std::uint32_t* const from = in.idx.data();
-    const double* const rate = in.val.data();
-    double worst = 0.0;
-    for (std::size_t j = lo; j < hi; ++j) {
-        const std::size_t s = order[j];
-        const double out = exit_rates[s];
-        if (out <= 0.0) continue;
-        const std::uint64_t begin = offsets[s];
-        const std::uint64_t end = offsets[s + 1];
-        double inflow = 0.0;
-        for (std::uint64_t k = begin; k < end; ++k) inflow += pi[from[k]] * rate[k];
-        const double next = inflow / out;
-        if (check) {
-            const double scale = std::max(pi[s], 1e-14);
-            worst = std::max(worst, std::abs(next - pi[s]) / scale);
-        }
-        pi[s] = next;
-    }
-    return worst;
-}
-
-}  // namespace
-
-double gs_sweep_colored(const Csr& in, const double* exit_rates,
-                        const Coloring& coloring, std::size_t threads, double* pi,
-                        bool check) {
-    if (coloring.empty() || coloring.order.size() != in.rows)
-        throw std::invalid_argument("gs_sweep_colored: coloring does not match matrix");
-    const std::uint32_t* const order = coloring.order.data();
-    double worst = 0.0;
-    for (std::uint32_t c = 0; c < coloring.num_colors; ++c) {
-        const std::uint64_t begin = coloring.color_offsets[c];
-        const std::size_t len =
-            static_cast<std::size_t>(coloring.color_offsets[c + 1] - begin);
-        if (len == 0) continue;
-        const std::size_t chunks = (len + kChunk - 1) / kChunk;
-        if (threads <= 1 || chunks == 1) {
-            worst = std::max(
-                worst, gs_update_range(in, exit_rates, order + begin, 0, len, pi, check));
-        } else {
-            // Per-chunk maxima merged in chunk order: max is exactly
-            // associative and commutative on the nonnegative changes, so the
-            // merged residual equals the serial one bit for bit.
-            std::vector<double> chunk_worst(chunks, 0.0);
-            parallel::parallel_for(threads, chunks, [&](std::size_t ci) {
-                const std::size_t lo = ci * kChunk;
-                const std::size_t hi = std::min(len, lo + kChunk);
-                chunk_worst[ci] =
-                    gs_update_range(in, exit_rates, order + begin, lo, hi, pi, check);
-            });
-            for (const double w : chunk_worst) worst = std::max(worst, w);
-        }
-    }
-    return worst;
-}
-
 void uniformized_step(const Csr& in, const double* exit_rates, double lambda,
-                      std::size_t threads, const double* pi, double* next) {
+                      const double* pi, double* next) {
     HAP_CHECK_FINITE(lambda);
     HAP_PRECOND(lambda > 0.0);
     const std::size_t n = in.rows;
@@ -329,23 +162,12 @@ void uniformized_step(const Csr& in, const double* exit_rates, double lambda,
     const std::uint32_t* const from = in.idx.data();
     const double* const rate = in.val.data();
     const double inv_lambda = 1.0 / lambda;
-    const auto run = [&](std::size_t lo, std::size_t hi) noexcept {
-        for (std::size_t s = lo; s < hi; ++s) {
-            const std::uint64_t begin = offsets[s];
-            const std::uint64_t end = offsets[s + 1];
-            double inflow = 0.0;
-            for (std::uint64_t k = begin; k < end; ++k) inflow += pi[from[k]] * rate[k];
-            next[s] = pi[s] * (1.0 - exit_rates[s] * inv_lambda) + inflow * inv_lambda;
-        }
-    };
-    const std::size_t chunks = (n + kChunk - 1) / kChunk;
-    if (threads <= 1 || chunks <= 1) {
-        run(0, n);
-    } else {
-        parallel::parallel_for(threads, chunks, [&](std::size_t ci) {
-            const std::size_t lo = ci * kChunk;
-            run(lo, std::min(n, lo + kChunk));
-        });
+    for (std::size_t s = 0; s < n; ++s) {
+        const std::uint64_t begin = offsets[s];
+        const std::uint64_t end = offsets[s + 1];
+        double inflow = 0.0;
+        for (std::uint64_t k = begin; k < end; ++k) inflow += pi[from[k]] * rate[k];
+        next[s] = pi[s] * (1.0 - exit_rates[s] * inv_lambda) + inflow * inv_lambda;
     }
 }
 

@@ -1,8 +1,12 @@
 // Compressed-sparse matrix engine for the CTMC solvers.
 //
-// The design point is the paper's congestion regime (Fig. 14): truncated HAP
-// lattices of 10^6-10^7 states with a handful of transitions each, swept
-// thousands of times by Gauss-Seidel. Three pieces live here:
+// The traffic today is the modulating (x, y) chain of a HAP: a few thousand
+// states with a handful of transitions each (6,216 on paper_baseline's
+// default box), swept thousands of times by Gauss-Seidel. Solution 1 solves
+// it; Solution 0 iterates it only when its exact block elimination declines
+// or its fallback chain asks for the iterative path. Solution 0's own 3-D
+// lattice has its dedicated kernel in core/lattice_sweep. Two pieces live
+// here:
 //
 //   Csr          structure-of-arrays compressed-sparse-rows storage with
 //                32-bit column indices and 64-bit row offsets — half the
@@ -10,17 +14,12 @@
 //                row layout the sweep kernels stream through.
 //   CsrBuilder   one-pass deduplicating build from unordered (row, col, val)
 //                triples, with all scratch arenas owned by the builder so a
-//                caller that constructs chains in a loop (adaptive truncation
+//                caller that constructs chains in a loop (Solution 0's box
 //                growth) reuses allocations instead of re-growing them.
-//   Coloring +   a proper coloring of the transition structure's support
-//   kernels      graph and the Gauss-Seidel sweep kernels built on it: the
-//                states of one color have no edges among themselves, so each
-//                color updates in parallel with no read/write overlap, and a
-//                fixed color order plus fixed-size chunk reduction keeps the
-//                result bit-identical at any thread count.
 //
-// Everything here is deterministic by construction: builds, colorings, and
-// sweeps depend only on their inputs, never on thread schedule.
+// plus the two serial kernels the steady-state solvers iterate. Everything
+// here is deterministic by construction: builds and sweeps depend only on
+// their inputs.
 #pragma once
 
 #include <cstddef>
@@ -99,63 +98,21 @@ private:
     std::vector<std::uint64_t> counts_;  // per-row counters / scatter cursors
 };
 
-// A proper coloring of a sparse structure's undirected support graph:
-// color_of[u] != color_of[v] for every off-diagonal entry (u, v) (diagonal
-// entries are ignored — a CTMC has none, and a self-edge can never be
-// properly colored). States are grouped by color in `order`, ascending
-// within each color, so a sweep that walks colors in index order touches
-// every state in a deterministic sequence.
-struct Coloring {
-    std::uint32_t num_colors = 0;
-    std::vector<std::uint32_t> color_of;       // one entry per state
-    std::vector<std::uint64_t> color_offsets;  // num_colors + 1
-    std::vector<std::uint32_t> order;          // states grouped by color
-
-    bool empty() const noexcept { return color_of.empty(); }
-};
-
-// Greedy first-fit coloring in ascending state order over the union of
-// out-edges and in-edges. Deterministic; exact (2 colors) on bipartite
-// structures only when the index order cooperates — lattice builders that
-// know their parity should pass a red-black hint to color_from_hint instead.
-Coloring color_greedy(const Csr& out, const Csr& in);
-
-// Build a Coloring from caller-supplied per-state colors (e.g. red-black
-// lattice parity). Validates size, contiguity of the color range, and
-// properness against the out-edges; throws std::invalid_argument on any
-// violation (a bad hint is a caller bug, not a fallback case).
-Coloring color_from_hint(const Csr& out, std::vector<std::uint32_t> color_of);
-
 // --- Sweep kernels -------------------------------------------------------
 //
-// Both Gauss-Seidel kernels update pi in place on the balance equations
-// pi[s] = (sum_in pi[from] * rate) / exit[s], reading each state's in-edges
-// (rows of `in`, which must be the transpose of the out-matrix) in ascending
-// source order. States with exit[s] <= 0 (absorbing) are skipped. With
-// `check` set, the return value is the worst relative change
-// |next - prev| / max(prev, 1e-14) over the updated states; otherwise 0.0.
-
-// Natural state order (0..n-1): the classic serial sweep, bit-identical to
-// the pre-CSR edge-list solver.
+// One Gauss-Seidel sweep in natural state order (0..n-1), updating pi in
+// place on the balance equations pi[s] = (sum_in pi[from] * rate) / exit[s]
+// and reading each state's in-edges (rows of `in`, which must be the
+// transpose of the out-matrix) in ascending source order. States with
+// exit[s] <= 0 (absorbing) are skipped. With `check` set, the return value is
+// the worst relative change |next - prev| / max(prev, 1e-14) over the updated
+// states; otherwise 0.0. Bit-identical to the pre-CSR edge-list solver.
 double gs_sweep_natural(const Csr& in, const double* exit_rates, double* pi,
                         bool check) noexcept;
 
-// Colored order: colors ascending, states ascending within each color, each
-// color's states updated concurrently on up to `threads` workers in
-// fixed-size chunks. Within a color no state reads another's fresh value
-// (proper coloring), and the residual is reduced per chunk then merged in
-// chunk order, so the result — iterate AND residual — is bit-identical for
-// any thread count, including threads == 1.
-double gs_sweep_colored(const Csr& in, const double* exit_rates,
-                        const Coloring& coloring, std::size_t threads, double* pi,
-                        bool check);
-
 // One uniformized power step, next = pi * (I + Q / lambda), in gather form:
 // next[s] = pi[s] * (1 - exit[s] / lambda) + sum_in pi[from] * rate / lambda.
-// Rows are processed in fixed-size chunks on up to `threads` workers; every
-// slot is written by exactly one chunk, so the product is bit-identical at
-// any thread count.
 void uniformized_step(const Csr& in, const double* exit_rates, double lambda,
-                      std::size_t threads, const double* pi, double* next);
+                      const double* pi, double* next);
 
 }  // namespace hap::markov

@@ -28,10 +28,6 @@ struct SolverTelemetry {
     // wall_time_s; 0 when the solver does not report them.
     double sweep_time_s = 0.0;
     double states_per_sec = 0.0;
-    // Sweep parallelism: color count of the ordering used (0 = natural
-    // order) and the worker-thread knob. Deterministic.
-    std::uint32_t colors = 0;
-    std::uint32_t threads = 0;
 };
 
 }  // namespace hap::obs

@@ -525,8 +525,6 @@ struct Hapd::Impl {
         sweep.solver.max_messages = opts.zmax;
         sweep.solver.check_every = 10;
         sweep.solver.budget = clamped ? opts.clamp_budget : opts.budget;
-        sweep.solver.threads = opts.solver_threads;
-        if (opts.solver_threads != 1) sweep.solver.coloring = markov::ColoringMode::kColored;
         if (seed.has_value()) {
             sweep.seed = &seed->state;
             sweep.seed_coord = seed->coord;

@@ -55,7 +55,6 @@ struct ServeOptions {
     double trunc_tol = 1e-9;
     std::size_t max_sweeps = 8000;
     std::size_t zmax = 0;
-    std::size_t solver_threads = 1;  // colored-GS workers per solve
 
     std::uint32_t max_frame = kMaxFrameBody;
     // A connection must deliver a complete frame at least every

@@ -281,30 +281,4 @@ TEST(LumpedChainTest, DirectSolveBitEqualToDenseOracleUserBound) {
     expect_direct_solve_bit_equal(LumpedChain(p, ChainBounds::defaults_for(p)));
 }
 
-TEST(LumpedChainTest, AdaptiveSolveMatchesStaticBounds) {
-    const HapParams p = small_hap();
-    const auto ad = hap::core::solve_lumped_adaptive(p, 1e-10);
-    ASSERT_TRUE(ad.solve.converged);
-    const ChainBounds worst = ChainBounds::defaults_for(p);
-    // Never exceeds the worst-case static box, and the final shell holds
-    // negligible mass (or the box hit the cap).
-    EXPECT_LE(ad.bounds.max_apps_total, worst.max_apps_total);
-    if (ad.bounds.max_apps_total < worst.max_apps_total) {
-        EXPECT_LT(ad.shell_mass, 1e-10);
-    }
-
-    // Same stationary moments as the static solve.
-    const LumpedChain grown(p, ad.bounds);
-    const LumpedChain full(p, worst);
-    const auto ref = full.solve();
-    ASSERT_TRUE(ref.converged);
-    double mean_y_ad = 0.0;
-    for (std::size_t s = 0; s < grown.num_states(); ++s)
-        mean_y_ad += ad.solve.pi[s] * static_cast<double>(grown.apps_of(s));
-    double mean_y_ref = 0.0;
-    for (std::size_t s = 0; s < full.num_states(); ++s)
-        mean_y_ref += ref.pi[s] * static_cast<double>(full.apps_of(s));
-    EXPECT_NEAR(mean_y_ad, mean_y_ref, 1e-6);
-}
-
 }  // namespace

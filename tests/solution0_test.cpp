@@ -4,10 +4,12 @@
 
 #include <cmath>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "core/hap.hpp"
 #include "core/lattice_sweep.hpp"
+#include "obs/metrics.hpp"
 #include "sim/rng.hpp"
 
 namespace {
@@ -190,6 +192,40 @@ TEST(Solution0, AdmissionBoundsHonored) {
     // x = 3 and y = 5 are the model's own blocking states, not truncation:
     // only the z shell counts.
     EXPECT_LT(sb.truncation_mass, 1e-6);
+}
+
+// Solves with telemetry on and returns the result plus how many records the
+// Gauss-Seidel modulating-chain solver ("ctmc.gs") left.
+std::pair<Solution0Result, std::size_t> solve_counting_gs(const HapParams& p,
+                                                          const Solution0Options& o) {
+    const bool was_enabled = hap::obs::enabled();
+    hap::obs::set_enabled(true);
+    hap::obs::registry().reset();
+    Solution0Result res = solve_solution0(p, o);
+    std::size_t gs = 0;
+    for (const hap::obs::SolverTelemetry& t : hap::obs::registry().snapshot().solvers)
+        gs += t.solver == "ctmc.gs" ? 1 : 0;
+    hap::obs::registry().reset();
+    hap::obs::set_enabled(was_enabled);
+    return {std::move(res), gs};
+}
+
+TEST(Solution0, ForcedIterativeMarginalMatchesDirect) {
+    // The fallback chain's kernel swap (force_iterative_marginal) is the one
+    // way Solution 0 reaches the Gauss-Seidel modulating-chain solver; it must
+    // land on the answer the exact block elimination gives.
+    const HapParams p = small_hap(8.0);
+    Solution0Options o;
+    o.max_messages = 300;
+    const auto [direct, direct_gs] = solve_counting_gs(p, o);
+    o.force_iterative_marginal = true;
+    const auto [iter, iter_gs] = solve_counting_gs(p, o);
+    EXPECT_EQ(direct_gs, 0u);
+    EXPECT_GE(iter_gs, 1u);
+    ASSERT_TRUE(direct.converged);
+    ASSERT_TRUE(iter.converged);
+    EXPECT_NEAR(iter.mean_delay, direct.mean_delay, 1e-6 * direct.mean_delay);
+    EXPECT_NEAR(iter.mean_messages, direct.mean_messages, 1e-6 * direct.mean_messages);
 }
 
 TEST(Solution0, DelayGrowsWithQueueBoundUnderHeavyTail) {

@@ -1,7 +1,6 @@
 // Unit tests for the CSR sparse engine: builder semantics (deduplication
-// order, bounds, the 32-bit index envelope), transpose layout, colorings,
-// and the bit-identical-across-thread-counts contract of the colored
-// Gauss-Seidel sweep.
+// order, bounds, the 32-bit index envelope), transpose layout, and the
+// natural-order Gauss-Seidel sweep kernel.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -9,27 +8,15 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/hap_chain.hpp"
-#include "core/hap_params.hpp"
 #include "markov/ctmc.hpp"
 #include "markov/sparse.hpp"
 
 namespace {
 
-using hap::core::ChainBounds;
-using hap::core::HapParams;
-using hap::core::LumpedChain;
-using hap::markov::Coloring;
-using hap::markov::ColoringMode;
-using hap::markov::color_from_hint;
-using hap::markov::color_greedy;
 using hap::markov::Csr;
 using hap::markov::CsrBuilder;
 using hap::markov::Ctmc;
-using hap::markov::gs_sweep_colored;
 using hap::markov::gs_sweep_natural;
-using hap::markov::SolveOptions;
-using hap::markov::solve_steady_state;
 
 // ---------------------------------------------------------------- builder --
 
@@ -153,174 +140,21 @@ TEST(CsrBuilder, TransposeRowsAscendBySource) {
     EXPECT_EQ(t.val, val);
 }
 
-// --------------------------------------------------------------- coloring --
+// ------------------------------------------------------------ sweep kernel --
 
-// A coloring is proper iff no out-edge connects two states of one color.
-void expect_proper(const Coloring& c, const Csr& out) {
-    ASSERT_EQ(c.color_of.size(), out.rows);
-    for (std::size_t s = 0; s < out.rows; ++s) {
-        const Csr::Row row = out.row(s);
-        for (std::size_t k = 0; k < row.count; ++k) {
-            if (row.idx[k] == s) continue;
-            EXPECT_NE(c.color_of[s], c.color_of[row.idx[k]])
-                << "edge " << s << " -> " << row.idx[k] << " is monochrome";
-        }
-    }
-    // Groups partition 0..n-1, ascending within each color.
-    ASSERT_EQ(c.color_offsets.size(), static_cast<std::size_t>(c.num_colors) + 1);
-    ASSERT_EQ(c.order.size(), out.rows);
-    for (std::uint32_t col = 0; col < c.num_colors; ++col) {
-        for (std::uint64_t i = c.color_offsets[col]; i < c.color_offsets[col + 1]; ++i) {
-            EXPECT_EQ(c.color_of[c.order[i]], col);
-            if (i > c.color_offsets[col]) {
-                EXPECT_LT(c.order[i - 1], c.order[i]);
-            }
-        }
-    }
-}
-
-// An irregular chain: a triangle (needs 3 colors) plus a pendant path, with
-// asymmetric rates so the stationary distribution is not uniform.
-Ctmc irregular_chain() {
-    Ctmc c(6);
-    c.add_transition(0, 1, 1.0);
-    c.add_transition(1, 0, 2.0);
-    c.add_transition(1, 2, 0.7);
-    c.add_transition(2, 1, 1.1);
-    c.add_transition(2, 0, 0.4);
-    c.add_transition(0, 2, 0.9);
-    c.add_transition(2, 3, 0.3);
-    c.add_transition(3, 2, 2.5);
-    c.add_transition(3, 4, 1.9);
-    c.add_transition(4, 3, 0.8);
-    c.add_transition(4, 5, 0.2);
-    c.add_transition(5, 4, 3.0);
-    c.finalize();
-    return c;
-}
-
-TEST(Coloring, GreedyIsProperOnIrregularGraph) {
-    const Ctmc c = irregular_chain();
-    const Coloring& col = c.coloring();
-    EXPECT_GE(col.num_colors, 3u);  // triangle forces at least 3
-    expect_proper(col, c.out_matrix());
-}
-
-TEST(Coloring, FromHintValidates) {
-    CsrBuilder b;
-    b.begin(3, 3);
-    b.add(0, 1, 1.0);
-    b.add(1, 2, 1.0);
-    Csr m;
-    b.build(m);
-
-    EXPECT_NO_THROW(color_from_hint(m, {0, 1, 0}));
-    // Wrong size.
-    EXPECT_THROW(color_from_hint(m, {0, 1}), std::invalid_argument);
-    // Improper: edge 0 -> 1 monochrome.
-    EXPECT_THROW(color_from_hint(m, {0, 0, 1}), std::invalid_argument);
-    // Non-contiguous color range (color 1 unused).
-    EXPECT_THROW(color_from_hint(m, {0, 2, 0}), std::invalid_argument);
-}
-
-TEST(Coloring, LatticeHintIsRedBlack) {
-    const HapParams p = HapParams::paper_baseline();
-    ChainBounds bounds;
-    bounds.max_users = 30;
-    bounds.max_apps_total = 80;
-    const LumpedChain chain(p, bounds);
-    const Coloring& col = chain.ctmc().coloring();
-    EXPECT_EQ(col.num_colors, 2u);  // parity hint, not greedy's 3+
-    expect_proper(col, chain.ctmc().out_matrix());
-}
-
-// ----------------------------------------------------------- determinism --
-
-// Sweep the same start vector with 1 and 8 threads; every iterate and every
-// residual must match bit for bit.
-void expect_thread_invariant_sweeps(const Ctmc& c) {
-    const Csr& in = c.in_matrix();
-    const double* exit_rates = c.exit_rates().data();
-    const Coloring& col = c.coloring();
-    const std::size_t n = c.num_states();
-    std::vector<double> a(n, 1.0 / static_cast<double>(n));
-    std::vector<double> b = a;
-    for (int sweep = 0; sweep < 25; ++sweep) {
-        const double ra = gs_sweep_colored(in, exit_rates, col, 1, a.data(), true);
-        const double rb = gs_sweep_colored(in, exit_rates, col, 8, b.data(), true);
-        ASSERT_EQ(ra, rb) << "residual diverged at sweep " << sweep;
-        ASSERT_EQ(a, b) << "iterate diverged at sweep " << sweep;
-    }
-}
-
-TEST(Determinism, ColoredSweepThreadInvariantOnLattice) {
-    const HapParams p = HapParams::paper_baseline();
-    ChainBounds bounds;
-    bounds.max_users = 40;
-    bounds.max_apps_total = 120;  // ~5000 states: several chunks per color
-    const LumpedChain chain(p, bounds);
-    expect_thread_invariant_sweeps(chain.ctmc());
-}
-
-TEST(Determinism, ColoredSweepThreadInvariantOnIrregularChain) {
-    expect_thread_invariant_sweeps(irregular_chain());
-}
-
-TEST(Determinism, SolveByteIdenticalAcrossThreadCounts) {
-    const HapParams p = HapParams::paper_baseline();
-    ChainBounds bounds;
-    bounds.max_users = 30;
-    bounds.max_apps_total = 80;
-    const LumpedChain chain(p, bounds);
-
-    SolveOptions one;
-    one.threads = 1;
-    one.coloring = ColoringMode::kColored;
-    SolveOptions eight;
-    eight.threads = 8;
-    eight.coloring = ColoringMode::kColored;
-
-    const auto r1 = chain.solve(one);
-    const auto r8 = chain.solve(eight);
-    ASSERT_TRUE(r1.converged);
-    ASSERT_TRUE(r8.converged);
-    EXPECT_EQ(r1.iterations, r8.iterations);
-    EXPECT_EQ(r1.residual, r8.residual);
-    EXPECT_EQ(r1.pi, r8.pi);  // bit-identical distribution
-}
-
-TEST(Determinism, ColoredAgreesWithNaturalOrder) {
-    // Different sweep order → different fp path, but both must converge to
-    // the same stationary distribution within solver tolerance.
-    const Ctmc c = irregular_chain();
-    SolveOptions natural;
-    natural.coloring = ColoringMode::kNatural;
-    SolveOptions colored;
-    colored.coloring = ColoringMode::kColored;
-    const auto rn = solve_steady_state(c, natural);
-    const auto rc = solve_steady_state(c, colored);
-    ASSERT_TRUE(rn.converged);
-    ASSERT_TRUE(rc.converged);
-    for (std::size_t s = 0; s < c.num_states(); ++s)
-        EXPECT_NEAR(rn.pi[s], rc.pi[s], 1e-8);
-}
-
-TEST(Determinism, NaturalSweepMatchesColoredFixedPoint) {
-    // Sanity on the kernels themselves: both orders preserve the exact
-    // stationary distribution of a two-state chain (pi = [0.75, 0.25]).
+TEST(GaussSeidel, NaturalSweepKeepsExactFixedPoint) {
+    // A sweep from the exact stationary distribution of a two-state chain
+    // (pi = [0.75, 0.25]) leaves it in place and reports no change.
     Ctmc c(2);
     c.add_transition(0, 1, 2.0);
     c.add_transition(1, 0, 6.0);
     c.finalize();
     std::vector<double> pi{0.75, 0.25};
-    std::vector<double> pc = pi;
-    const double rn = gs_sweep_natural(c.in_matrix(), c.exit_rates().data(),
-                                       pi.data(), true);
-    const double rc = gs_sweep_colored(c.in_matrix(), c.exit_rates().data(),
-                                       c.coloring(), 4, pc.data(), true);
-    EXPECT_NEAR(rn, 0.0, 1e-12);
-    EXPECT_NEAR(rc, 0.0, 1e-12);
-    EXPECT_EQ(pi, pc);
+    const double r = gs_sweep_natural(c.in_matrix(), c.exit_rates().data(),
+                                      pi.data(), true);
+    EXPECT_NEAR(r, 0.0, 1e-12);
+    EXPECT_NEAR(pi[0], 0.75, 1e-15);
+    EXPECT_NEAR(pi[1], 0.25, 1e-15);
 }
 
 // -------------------------------------------------------- index envelope --

@@ -33,9 +33,9 @@
 //       the merged output is byte-identical to an uninterrupted run.
 //       --fault-inject (or HAP_FAULT_INJECT) injects deterministic faults,
 //       e.g. "throw@lambda=0.5#1,nan@lambda=1"; --budget-* caps Solution 0
-//       work per point (see core/budget.hpp). With --analytic, --threads N
-//       parallelizes the modulating-chain sweeps (colored order; results
-//       identical at any N).
+//       work per point (see core/budget.hpp). --threads sizes the
+//       replication pool; the analytic chain is sequential, so --analytic
+//       rejects it.
 //   hapctl metrics-dump [model flags] [--horizon T] [--reps N] [--solve0]
 //       run a representative slice of the solver/simulation stack with the
 //       observability registry enabled and print the text report.
@@ -218,6 +218,12 @@ int cmd_fit(const cli::Flags& f) {
 // parameter step). --warm-start 0 solves every point cold on the worst-case
 // static box, which is the comparison baseline for the continuation engine.
 int cmd_sweep_analytic(const cli::Flags& f, bool metrics) {
+    // Each point is seeded from its predecessor, so there is nothing for a
+    // worker pool to share; a silently ignored --threads would mislead.
+    if (f.has("threads"))
+        throw std::invalid_argument(
+            "--threads does not apply to --analytic (the continuation chain is "
+            "sequential)");
     experiment::SweepArgs args;
     args.services = f.has("service-grid")
                         ? experiment::parse_grid(f.text("service-grid", ""))
@@ -239,14 +245,6 @@ int cmd_sweep_analytic(const cli::Flags& f, bool metrics) {
     opts.solver.max_sweeps = f.count("sweeps", 8000);
     opts.solver.check_every = 10;
     opts.solver.budget = budget_from_flags(f);
-    // In analytic mode --threads drives the modulating-chain Gauss-Seidel
-    // kernels. Anything other than the serial default forces the colored
-    // sweep order, so --threads 8 and --threads 1 print identical numbers
-    // (thread-count invariance); plain --analytic keeps the historical
-    // serial natural-order numerics.
-    opts.solver.threads = f.count("threads", 1);
-    if (opts.solver.threads != 1)
-        opts.solver.coloring = markov::ColoringMode::kColored;
 
     experiment::JsonWriter json("hapctl_sweep_analytic");
     json.meta("warm_start", experiment::Json::boolean(opts.warm_start));
@@ -603,7 +601,7 @@ int cmd_admission(const cli::Flags& f) {
 
 int cmd_serve(const cli::Flags& f) {
     f.reject_unknown({"socket", "port", "threads", "cache", "tol", "trunc-tol",
-                      "sweeps", "zmax", "solver-threads", "timeout-ms",
+                      "sweeps", "zmax", "timeout-ms",
                       "budget-iters", "budget-states", "budget-wall-ms",
                       "max-conns", "max-pending", "retry-after-ms",
                       "degrade-depth", "shed-depth", "approx-dist",
@@ -617,7 +615,6 @@ int cmd_serve(const cli::Flags& f) {
     o.trunc_tol = f.number("trunc-tol", 1e-9);
     o.max_sweeps = f.count("sweeps", 8000);
     o.zmax = f.count("zmax", 0);
-    o.solver_threads = f.count("solver-threads", 1);
     o.recv_timeout_ms = static_cast<int>(f.count("timeout-ms", 30000));
     o.budget = budget_from_flags(f);
     // Overload governor & degradation ladder (DESIGN.md §4l).
@@ -723,7 +720,7 @@ void usage() {
         "                   [--budget-iters N --budget-states N --budget-wall-ms T]\n"
         "                   (SPEC: \"a,b,c\" or \"lo:hi:step\"; --analytic runs\n"
         "                   Solution 0 as a warm-started continuation chain,\n"
-        "                   with --threads N parallel colored GS sweeps;\n"
+        "                   one point at a time, so it rejects --threads;\n"
         "                   failures are contained per job into a \"failures\"\n"
         "                   block, and --checkpoint/--resume make sweeps\n"
         "                   crash-safe — see README \"Fault tolerance & resume\")\n"
@@ -731,7 +728,7 @@ void usage() {
         "                   solver-telemetry text report (see DESIGN.md 4e)\n"
         "  hapctl serve     [--socket PATH | --port N] [--threads N]\n"
         "                   [--cache FILE] [--tol E --trunc-tol E --sweeps N\n"
-        "                   --zmax N --solver-threads N --timeout-ms T\n"
+        "                   --zmax N --timeout-ms T\n"
         "                   --budget-iters N --budget-states N --budget-wall-ms T]\n"
         "                   [--max-conns N --max-pending N --retry-after-ms T\n"
         "                   --degrade-depth N --shed-depth N --approx-dist D\n"
