@@ -13,13 +13,11 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstdio>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <set>
+#include <optional>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -28,6 +26,7 @@
 #include "obs/metrics.hpp"
 #include "obs/timer.hpp"
 #include "parallel/pool.hpp"
+#include "service/scheduler.hpp"
 
 namespace hap::service {
 
@@ -81,33 +80,25 @@ Json solve_result_json(const core::Solution0Result& s0) {
     return r;
 }
 
-using Clock = std::chrono::steady_clock;
+// The answer payload shape shared by hits, solves and admissions; `batch`
+// appears only when one chain answered several points.
+Json answer(std::string source, std::string quality, Json result, std::size_t batch = 1) {
+    Json payload = Json::object();
+    payload.set("source", Json::string(std::move(source)));
+    payload.set("quality", Json::string(std::move(quality)));
+    if (batch > 1) payload.set("batch", Json::integer(static_cast<std::uint64_t>(batch)));
+    payload.set("result", std::move(result));
+    return payload;
+}
 
-// One client's claim on a (possibly shared) solve. Fields other than `done`
-// are written by the batch leader BEFORE done is set under the solve mutex,
-// so a woken waiter reads them race-free. `claims` and `in_pending` are
-// deadline bookkeeping, only ever touched under the solve mutex: claims
-// counts clients still waiting on this waiter, and in_pending is true while
-// the request sits in the pending map (a leader has not yet taken it). A
-// request whose every claimant times out while still pending is removed
-// without spending a solve.
-struct Waiter {
-    bool done = false;
-    std::string source;   // "warm" | "cold"
-    std::string quality;  // "ok" | "degraded" | "clamped"
-    std::string error;    // non-empty = solve failed
-    std::size_t batch = 1;
-    Json result;
-    std::size_t claims = 0;
-    bool in_pending = true;
-};
+using Clock = SchedClock;
 
-struct PendingReq {
-    std::string key;
-    double coord = 0.0;
-    ModelSpec model;
-    std::shared_ptr<Waiter> waiter;
-};
+// `ms` after `from`; 0 means no deadline.
+Clock::time_point deadline_after(Clock::time_point from, std::uint64_t ms) {
+    return ms > 0 ? from + std::chrono::milliseconds(ms) : Clock::time_point::max();
+}
+
+std::size_t workers(const ServeOptions& o) { return std::max<std::size_t>(o.threads, 1); }
 
 }  // namespace
 
@@ -120,34 +111,25 @@ struct Hapd::Impl {
     std::atomic<bool> stopping{false};
     std::unique_ptr<parallel::Pool> pool;
 
-    // Effective governor thresholds (0-valued options resolved); set once in
-    // Hapd::start() before any worker exists, read-only afterwards.
-    std::size_t max_conns_eff = 0;
-    std::size_t degrade_depth_eff = 0;
-    std::size_t shed_depth_eff = 0;
+    // Connection governor: the cap (0-valued option resolved) and the open
+    // count. Only the accept loop raises open_conns, so checking then raising
+    // cannot overshoot the cap.
+    const std::size_t max_conns_eff;
+    std::atomic<std::size_t> open_conns{0};
 
-    // Open client connections, so stop() can unblock handlers parked in recv.
-    std::mutex conn_mutex;
-    std::set<int> conns;
-
-    // wait()/shutdown-op handshake.
-    std::mutex stop_mutex;
-    std::condition_variable stop_cv;
-    bool stop_requested = false;
-
-    // Batching state: per-bucket pending queues and the in-flight leader set.
-    // A bucket is a family, or family + ";clamped" — clamped misses batch
-    // separately so a clamp-budget chain never feeds a full-budget one.
+    // The solve-queue policy; every call is made under solve_mutex, and
+    // solve_cv wakes followers when a round is answered.
     std::mutex solve_mutex;
     std::condition_variable solve_cv;
-    std::map<std::string, std::vector<PendingReq>> pending;
-    std::set<std::string> in_flight;
-    // Solve-miss requests currently queued or solving (the overload ladder's
-    // depth measure); guarded by solve_mutex.
-    std::size_t solve_depth = 0;
+    SolveScheduler scheduler;
 
     explicit Impl(ServeOptions o)
-        : opts(std::move(o)), point_cache(opts.cache_path) {}
+        : opts(std::move(o)),
+          point_cache(opts.cache_path),
+          max_conns_eff(opts.max_connections != 0 ? opts.max_connections
+                                                  : workers(opts) + opts.max_pending),
+          scheduler(opts.degrade_depth != 0 ? opts.degrade_depth : workers(opts),
+                    opts.shed_depth != 0 ? opts.shed_depth : 4 * workers(opts)) {}
 
     void log(const std::string& line) {
         if (opts.log) opts.log(line);
@@ -155,57 +137,53 @@ struct Hapd::Impl {
 
     void request_stop() {
         stopping.store(true);
-        {
-            const std::lock_guard<std::mutex> lock(stop_mutex);
-            stop_requested = true;
-        }
-        stop_cv.notify_all();
+        stopping.notify_all();
     }
 
     // --- query handlers ----------------------------------------------------
 
-    void dec_depth() {
+    void release_depth() {
         const std::lock_guard<std::mutex> lock(solve_mutex);
-        --solve_depth;
+        scheduler.release();
+    }
+
+    // Exact cache hit: a byte-identical replay of the stored answer. Counts
+    // the lookup as a hit or a miss.
+    std::optional<std::string> hit_reply(const std::string& id, const std::string& key) {
+        auto hit = point_cache.lookup(key);
+        if (!hit) {
+            count("hapd.cache.misses");
+            return std::nullopt;
+        }
+        count("hapd.cache.hits");
+        return ok_response(
+            id, answer("hit", std::move(hit->quality), std::move(hit->result)));
     }
 
     std::string handle_solve(const Request& req, Clock::time_point arrival) {
         const obs::ScopedTimer timer("hapd.latency.solve");
         count("hapd.queries.solve");
-        const std::string key = solve_key(req.model);
-        if (auto hit = point_cache.lookup(key)) {
-            count("hapd.cache.hits");
-            Json payload = Json::object();
-            payload.set("source", Json::string("hit"));
-            payload.set("quality", Json::string(hit->quality));
-            payload.set("result", std::move(hit->result));
-            return ok_response(req.id, payload);
-        }
-        count("hapd.cache.misses");
+        if (auto hit = hit_reply(req.id, solve_key(req.model))) return std::move(*hit);
 
         // Deadline is relative to frame receipt (protocol.hpp contract).
-        const Clock::time_point deadline =
-            req.deadline_ms > 0
-                ? arrival + std::chrono::milliseconds(req.deadline_ms)
-                : Clock::time_point::max();
+        const Clock::time_point deadline = deadline_after(arrival, req.deadline_ms);
 
         // Overload ladder (DESIGN.md §4l): this miss holds a depth slot from
         // here until it is answered; the depth at entry picks the rung.
-        bool clamped = false;
+        Admission admission;
         {
             const std::lock_guard<std::mutex> lock(solve_mutex);
-            ++solve_depth;
-            if (obs::enabled())
-                obs::registry().set_gauge_max("hapd.overload.depth_max",
-                                              static_cast<double>(solve_depth));
-            if (solve_depth > shed_depth_eff) {
-                --solve_depth;
-                count("hapd.overload.shed");
-                return overloaded_response(req.id, opts.retry_after_ms,
-                                           "solve queue is full; retry later");
-            }
-            clamped = solve_depth > degrade_depth_eff;
+            admission = scheduler.admit();
         }
+        if (obs::enabled())
+            obs::registry().set_gauge_max("hapd.overload.depth_max",
+                                          static_cast<double>(admission.depth));
+        if (admission.rung == Rung::Shed) {
+            count("hapd.overload.shed");
+            return overloaded_response(req.id, opts.retry_after_ms,
+                                       "solve queue is full; retry later");
+        }
+        const bool clamped = admission.rung == Rung::Degrade;
         if (clamped) {
             // Approx rung first: a cached family neighbor inside the distance
             // bound answers without spending any solve at all.
@@ -215,7 +193,7 @@ struct Hapd::Impl {
                 const double denom = std::max(std::abs(req.model.lambda), 1e-300);
                 const double dist = std::abs(near->coord - req.model.lambda) / denom;
                 if (dist <= opts.approx_rel_distance) {
-                    dec_depth();
+                    release_depth();
                     count("hapd.overload.approx");
                     Json payload = Json::object();
                     payload.set("source", Json::string("approx"));
@@ -228,35 +206,21 @@ struct Hapd::Impl {
             count("hapd.overload.clamped");
         }
 
-        const std::shared_ptr<Waiter> w = enqueue_and_solve(req, deadline, clamped);
-        dec_depth();
+        const std::shared_ptr<Waiter> w = enqueue_and_solve(req.model, clamped, deadline);
+        release_depth();
         if (w == nullptr) {
             count("hapd.overload.deadline_exceeded");
             return deadline_exceeded_response(req.id);
         }
         if (!w->error.empty()) return error_response(req.id, "solve-failed", w->error);
-        Json payload = Json::object();
-        payload.set("source", Json::string(w->source));
-        payload.set("quality", Json::string(w->quality));
-        if (w->batch > 1)
-            payload.set("batch", Json::integer(static_cast<std::uint64_t>(w->batch)));
-        payload.set("result", std::move(w->result));
-        return ok_response(req.id, payload);
+        return ok_response(req.id, w->payload);
     }
 
     std::string handle_admission(const Request& req) {
         const obs::ScopedTimer timer("hapd.latency.admission");
         count("hapd.queries.admission");
         const std::string key = admission_key(req.model, req.delay_budget);
-        if (auto hit = point_cache.lookup(key)) {
-            count("hapd.cache.hits");
-            Json payload = Json::object();
-            payload.set("source", Json::string("hit"));
-            payload.set("quality", Json::string(hit->quality));
-            payload.set("result", std::move(hit->result));
-            return ok_response(req.id, payload);
-        }
-        count("hapd.cache.misses");
+        if (auto hit = hit_reply(req.id, key)) return std::move(*hit);
         const core::AdmissionOutcome o =
             core::evaluate_admission(req.model.params(), req.admission_query());
         Json r = Json::object();
@@ -272,12 +236,7 @@ struct Hapd::Impl {
         cp.quality = "ok";
         cp.result = r;
         point_cache.insert(std::move(cp));
-
-        Json payload = Json::object();
-        payload.set("source", Json::string("cold"));
-        payload.set("quality", Json::string("ok"));
-        payload.set("result", std::move(r));
-        return ok_response(req.id, payload);
+        return ok_response(req.id, answer("cold", "ok", std::move(r)));
     }
 
     std::string handle_metrics(const Request& req) {
@@ -344,163 +303,56 @@ struct Hapd::Impl {
 
     // --- batched solve path ------------------------------------------------
 
-    // Withdraw a pending request whose every claimant gave up (solve_mutex held).
-    void remove_pending(const std::string& bucket, const std::shared_ptr<Waiter>& w) {
-        const auto it = pending.find(bucket);
-        if (it == pending.end()) return;
-        std::vector<PendingReq>& vec = it->second;
-        vec.erase(std::remove_if(vec.begin(), vec.end(),
-                                 [&](const PendingReq& p) { return p.waiter == w; }),
-                  vec.end());
-        if (vec.empty()) pending.erase(it);
-    }
-
     // Returns the answered waiter, or nullptr when the request's deadline
-    // expired while it was queued behind an in-flight batch leader.
-    std::shared_ptr<Waiter> enqueue_and_solve(const Request& req,
-                                              Clock::time_point deadline,
-                                              bool clamped) {
-        const std::string family = solve_family(req.model);
-        const std::string bucket = clamped ? family + ";clamped" : family;
-        const std::string key = solve_key(req.model);
+    // expired while it was queued behind another leader's round.
+    std::shared_ptr<Waiter> enqueue_and_solve(const ModelSpec& model, bool clamped,
+                                              Clock::time_point deadline) {
         std::unique_lock<std::mutex> lock(solve_mutex);
-        std::shared_ptr<Waiter> w;
-        for (const PendingReq& p : pending[bucket]) {
-            if (p.key == key) {
-                w = p.waiter;  // identical pending query: share one solve
-                break;
-            }
-        }
-        if (w == nullptr) {
-            w = std::make_shared<Waiter>();
-            pending[bucket].push_back(PendingReq{key, req.model.lambda, req.model, w});
-        }
-        w->claims += 1;
-        if (in_flight.count(bucket) != 0) {
+        const Claim claim = scheduler.join(model, clamped);
+        if (!claim.leader) {
             count("hapd.batch.followers");
-            bool answered = true;
+            const auto answered = [&] { return claim.waiter->done; };
             if (deadline == Clock::time_point::max()) {
-                solve_cv.wait(lock, [&] { return w->done; });
+                solve_cv.wait(lock, answered);
             } else {
-                answered = solve_cv.wait_until(lock, deadline, [&] { return w->done; });
+                (void)solve_cv.wait_until(lock, deadline, answered);
             }
-            if (!answered) {
-                // Give up the claim; if nobody else wants this point and no
-                // leader has taken it yet, withdraw it so no solve is spent.
-                w->claims -= 1;
-                if (w->claims == 0 && w->in_pending) remove_pending(bucket, w);
-                return nullptr;
-            }
-            return w;
+            const ClaimState state = scheduler.settle(claim, deadline, Clock::now());
+            return state == ClaimState::Answered ? claim.waiter : nullptr;
         }
-        in_flight.insert(bucket);
         for (;;) {
-            const auto it = pending.find(bucket);
-            if (it == pending.end() || it->second.empty()) {
-                if (it != pending.end()) pending.erase(it);
-                break;
-            }
-            std::vector<PendingReq> batch = std::move(it->second);
-            pending.erase(it);
-            for (const PendingReq& p : batch) p.waiter->in_pending = false;
+            const Round round = scheduler.take(claim);
+            if (round.expired > 0) count("hapd.overload.expired_points", round.expired);
+            if (round.points.empty()) break;
             lock.unlock();
-            const std::vector<std::shared_ptr<Waiter>> finished =
-                solve_batch(family, clamped, std::move(batch));
+            solve_round(claim, round.points);
             lock.lock();
-            for (const std::shared_ptr<Waiter>& fin : finished) fin->done = true;
+            scheduler.finish(round.points);
             solve_cv.notify_all();
         }
-        in_flight.erase(bucket);
-        lock.unlock();
-        solve_cv.notify_all();
-        return w;
+        return claim.waiter;
     }
 
-    std::vector<std::shared_ptr<Waiter>> solve_batch(const std::string& family,
-                                                     bool clamped,
-                                                     std::vector<PendingReq> batch) {
+    // Answer one round from one warm-started continuation chain, writing each
+    // point's waiter (published afterwards by finish()). Runs unlocked.
+    void solve_round(const Claim& leader, const std::vector<SolvePoint>& points) {
         count("hapd.batch.rounds");
-        // Deterministic grid: ascending continuation coordinate (key breaks
-        // exact-coordinate ties, which can only be distinct bounds/shapes).
-        std::stable_sort(batch.begin(), batch.end(),
-                         [](const PendingReq& a, const PendingReq& b) {
-                             return std::tie(a.coord, a.key) < std::tie(b.coord, b.key);
-                         });
-        struct Point {
-            std::string key;
-            double coord = 0.0;
-            ModelSpec model;
-            std::vector<std::shared_ptr<Waiter>> waiters;
-        };
-        std::vector<Point> points;
-        for (PendingReq& p : batch) {
-            if (!points.empty() && points.back().key == p.key) {
-                points.back().waiters.push_back(std::move(p.waiter));
-            } else {
-                Point pt;
-                pt.key = std::move(p.key);
-                pt.coord = p.coord;
-                pt.model = p.model;
-                pt.waiters.push_back(std::move(p.waiter));
-                points.push_back(std::move(pt));
-            }
-        }
-
-        std::vector<std::shared_ptr<Waiter>> finished;
-        const auto deliver = [&](Point& pt, const std::string& source,
-                                 const std::string& quality, Json result,
-                                 const std::string& error, std::size_t batch_size) {
-            for (const std::shared_ptr<Waiter>& w : pt.waiters) {
-                w->source = source;
-                w->quality = quality;
-                w->error = error;
-                w->batch = batch_size;
-                w->result = result;
-                finished.push_back(w);
-            }
-        };
-
-        // Deadline pre-filter: a point whose every claimant already timed out
-        // while it was queued is dropped without spending a solve (each
-        // claimant answered itself deadline_exceeded on wake-up).
-        {
-            const std::lock_guard<std::mutex> lock(solve_mutex);
-            std::vector<Point> live;
-            live.reserve(points.size());
-            for (Point& pt : points) {
-                bool claimed = false;
-                for (const std::shared_ptr<Waiter>& w : pt.waiters) {
-                    if (w->claims > 0) {
-                        claimed = true;
-                        break;
-                    }
-                }
-                if (claimed) {
-                    live.push_back(std::move(pt));
-                } else {
-                    count("hapd.overload.expired_points");
-                    for (const std::shared_ptr<Waiter>& w : pt.waiters)
-                        finished.push_back(w);
-                }
-            }
-            points = std::move(live);
-        }
-
         // A solve that raced us may have landed these keys already.
-        std::vector<Point> todo;
-        for (Point& pt : points) {
+        std::vector<const SolvePoint*> todo;
+        for (const SolvePoint& pt : points) {
             if (auto hit = point_cache.lookup(pt.key)) {
                 count("hapd.cache.hits");
-                deliver(pt, "hit", hit->quality, std::move(hit->result), "", 1);
+                pt.waiter->payload =
+                    answer("hit", std::move(hit->quality), std::move(hit->result));
             } else {
-                todo.push_back(std::move(pt));
+                todo.push_back(&pt);
             }
         }
-        if (todo.empty()) return finished;
+        if (todo.empty()) return;
         if (todo.size() > 1) count("hapd.batch.coalesced", todo.size() - 1);
 
-        // Chaos hook: stall@solve#ms holds the batch leader here — in_flight
-        // held, followers queued — for the scripted duration. This is the
+        // Chaos hook: stall@solve#ms holds the batch leader here — bucket in flight,
+        // followers queued — for the scripted duration. This is the
         // window the chaos harness uses to pile deterministic load behind one
         // solve and exercise every ladder rung.
         if (const auto stall =
@@ -509,10 +361,10 @@ struct Hapd::Impl {
             std::this_thread::sleep_for(std::chrono::milliseconds(*stall));
         }
 
-        // Continuation chain over the batch, seeded from the family's nearest
+        // Continuation chain over the round, seeded from the family's nearest
         // solved neighbor (PR 4 warm-start machinery end to end).
         const std::optional<NearestState> seed =
-            point_cache.nearest(family, todo.front().coord);
+            point_cache.nearest(leader.family, todo.front()->model.lambda);
 
         experiment::AnalyticSweepOptions sweep;
         sweep.warm_start = true;
@@ -524,7 +376,7 @@ struct Hapd::Impl {
         sweep.solver.max_sweeps = opts.max_sweeps;
         sweep.solver.max_messages = opts.zmax;
         sweep.solver.check_every = 10;
-        sweep.solver.budget = clamped ? opts.clamp_budget : opts.budget;
+        sweep.solver.budget = leader.clamped ? opts.clamp_budget : opts.budget;
         if (seed.has_value()) {
             sweep.seed = &seed->state;
             sweep.seed_coord = seed->coord;
@@ -532,11 +384,11 @@ struct Hapd::Impl {
 
         std::vector<experiment::AnalyticPoint> grid;
         grid.reserve(todo.size());
-        for (const Point& pt : todo) {
+        for (const SolvePoint* pt : todo) {
             experiment::AnalyticPoint ap;
-            ap.name = pt.key;
-            ap.params = pt.model.params();
-            ap.coord = pt.coord;
+            ap.name = pt->key;
+            ap.params = pt->model.params();
+            ap.coord = pt->model.lambda;
             grid.push_back(std::move(ap));
         }
 
@@ -546,16 +398,16 @@ struct Hapd::Impl {
             results = experiment::run_analytic_sweep(grid, sweep, nullptr);
         } catch (const std::exception& e) {
             count("hapd.solve.failed", todo.size());
-            for (Point& pt : todo) deliver(pt, "", "failed", Json(), e.what(), todo.size());
-            return finished;
+            for (const SolvePoint* pt : todo) pt->waiter->error = e.what();
+            return;
         }
 
         for (std::size_t i = 0; i < todo.size(); ++i) {
-            Point& pt = todo[i];
+            const SolvePoint& pt = *todo[i];
             experiment::AnalyticPointResult& pr = results[i];
             if (pr.failed()) {
                 count("hapd.solve.failed");
-                deliver(pt, "", "failed", Json(), pr.error, todo.size());
+                pt.waiter->error = pr.error;
                 continue;
             }
             const bool warm = pr.s0.warm_started;
@@ -563,15 +415,15 @@ struct Hapd::Impl {
             if (pr.quality == "degraded") count("hapd.solve.degraded");
             Json result = solve_result_json(pr.s0);
 
-            if (!clamped) {
+            if (!leader.clamped) {
                 // Clamped answers are deliberately NOT cached: a later
                 // unloaded solve of the same point must run at full budget
                 // and land the real answer (also keeps the cache file
                 // byte-identical to a fault-free, unloaded run).
                 CachedPoint cp;
                 cp.key = pt.key;
-                cp.family = family;
-                cp.coord = pt.coord;
+                cp.family = leader.family;
+                cp.coord = pt.model.lambda;
                 cp.kind = "solve";
                 cp.quality = pr.quality;
                 cp.result = result;
@@ -579,10 +431,10 @@ struct Hapd::Impl {
                 point_cache.insert(std::move(cp));
             }
 
-            deliver(pt, warm ? "warm" : "cold", clamped ? "clamped" : pr.quality,
-                    std::move(result), "", todo.size());
+            pt.waiter->payload = answer(warm ? "warm" : "cold",
+                                        leader.clamped ? "clamped" : pr.quality,
+                                        std::move(result), todo.size());
         }
-        return finished;
     }
 
     // --- transport ---------------------------------------------------------
@@ -649,35 +501,21 @@ struct Hapd::Impl {
             const int rc = ::poll(&p, 1, 200);  // bounded wait: stop() is honored
             if (rc <= 0) continue;
             const int fd = ::accept(listen_fd, nullptr, nullptr);
-            if (fd < 0) {
-                if (stopping.load()) break;
-                continue;
-            }
+            if (fd < 0) continue;  // the loop condition honors stop()
             set_io_timeouts(fd, opts.recv_timeout_ms);
             count("hapd.connections");
-            bool admitted = false;
-            {
-                const std::lock_guard<std::mutex> lock(conn_mutex);
-                if (conns.size() < max_conns_eff) {
-                    conns.insert(fd);
-                    admitted = true;
-                    if (obs::enabled())
-                        obs::registry().set_gauge_max(
-                            "hapd.conns.open_max",
-                            static_cast<double>(conns.size()));
-                }
-            }
-            if (!admitted) {
+            if (open_conns.load() >= max_conns_eff) {
                 shed_connection(fd);
                 continue;
             }
+            const std::size_t open = ++open_conns;
+            if (obs::enabled())
+                obs::registry().set_gauge_max("hapd.conns.open_max",
+                                              static_cast<double>(open));
             if (!pool->submit([this, fd] { handle_connection(fd); })) {
                 // The bounded pending queue refused the job: same explicit
                 // shed (unless we are stopping, where silence is fine).
-                {
-                    const std::lock_guard<std::mutex> lock(conn_mutex);
-                    conns.erase(fd);
-                }
+                --open_conns;
                 if (stopping.load()) {
                     (void)::close(fd);
                 } else {
@@ -688,10 +526,7 @@ struct Hapd::Impl {
     }
 
     void drop_connection(int fd) {
-        {
-            const std::lock_guard<std::mutex> lock(conn_mutex);
-            conns.erase(fd);
-        }
+        --open_conns;
         (void)::close(fd);
     }
 
@@ -710,11 +545,9 @@ struct Hapd::Impl {
         // One deadline covers the idle client and the slowloris client alike:
         // a COMPLETE frame must arrive every recv_timeout_ms; partial bytes
         // do not extend it (server.hpp contract).
-        const auto frame_timeout = std::chrono::milliseconds(
-            opts.recv_timeout_ms > 0 ? opts.recv_timeout_ms : 0);
-        Clock::time_point frame_deadline = opts.recv_timeout_ms > 0
-                                               ? Clock::now() + frame_timeout
-                                               : Clock::time_point::max();
+        const auto frame_timeout_ms =
+            static_cast<std::uint64_t>(std::max(opts.recv_timeout_ms, 0));
+        Clock::time_point frame_deadline = deadline_after(Clock::now(), frame_timeout_ms);
         while (open && !stopping.load()) {
             pollfd p{};
             p.fd = fd;
@@ -765,9 +598,7 @@ struct Hapd::Impl {
                 break;
             }
             if (completed_frame) {
-                frame_deadline = opts.recv_timeout_ms > 0
-                                     ? Clock::now() + frame_timeout
-                                     : Clock::time_point::max();
+                frame_deadline = deadline_after(Clock::now(), frame_timeout_ms);
             } else if (Clock::now() >= frame_deadline) {
                 // Bytes trickled in but no frame finished: the slowloris case.
                 count("hapd.conn.timeouts");
@@ -792,22 +623,14 @@ void Hapd::start() {
     // Chaos plans parse once here, on the coordinating thread, before any
     // worker exists (env-after-spawn discipline, DESIGN.md §4h).
     (void)experiment::fault_plan();
-    const std::size_t threads = std::max<std::size_t>(impl_->opts.threads, 1);
-    impl_->max_conns_eff = impl_->opts.max_connections != 0
-                               ? impl_->opts.max_connections
-                               : threads + impl_->opts.max_pending;
-    impl_->degrade_depth_eff =
-        impl_->opts.degrade_depth != 0 ? impl_->opts.degrade_depth : threads;
-    impl_->shed_depth_eff =
-        impl_->opts.shed_depth != 0 ? impl_->opts.shed_depth : 4 * threads;
     impl_->open_socket();
-    // +1: one pool slot is the accept loop itself; `threads` handle clients.
+    // +1: one pool slot is the accept loop itself; the rest handle clients.
     // The pool's bounded job queue IS the pending-connection bound; with
     // max_pending = 0 one transient slot remains so a handler finishing its
     // close never sheds the connection replacing it (the connection governor
     // is the primary cap in that configuration).
     impl_->pool = std::make_unique<parallel::Pool>(
-        threads + 1,
+        workers(impl_->opts) + 1,
         [this](std::exception_ptr ep) {
             try {
                 if (ep) std::rethrow_exception(ep);
@@ -829,10 +652,7 @@ void Hapd::start() {
         obs::registry().add_counter("hapd.cache.loaded", impl_->point_cache.loaded());
 }
 
-void Hapd::wait() {
-    std::unique_lock<std::mutex> lock(impl_->stop_mutex);
-    impl_->stop_cv.wait(lock, [&] { return impl_->stop_requested; });
-}
+void Hapd::wait() { impl_->stopping.wait(false); }
 
 void Hapd::stop() {
     impl_->request_stop();

@@ -12,12 +12,13 @@
 //   no neighbor      -> budgeted cold solve (SolveBudget, PR 5) with the
 //                       full fallback chain
 //
-// Concurrent misses in the same family coalesce: the first becomes the batch
-// leader, collects every compatible pending request, sorts the batch by the
-// continuation coordinate, and answers all of them from ONE warm-started
-// run_analytic_sweep chain; requests that arrive mid-solve wait for the next
-// round. Admission requests (the shared core::AdmissionQuery tuple) answer
-// from Solution 2 and cache under their own key.
+// Concurrent misses in one family coalesce under SolveScheduler
+// (scheduler.hpp), the socket-free owner of the overload ladder, batching and
+// deadline claims: the first miss leads, answering each round of pending
+// points, sorted by the continuation coordinate, from ONE warm-started
+// run_analytic_sweep chain; later arrivals wait for the next round or their
+// deadline. Admission requests (the shared core::AdmissionQuery tuple)
+// answer from Solution 2 and cache under their own key.
 //
 // Observability: every stage counts into the obs metrics registry
 // (hapd.cache.hits/misses, hapd.solve.warm/cold/degraded/failed,
@@ -81,7 +82,7 @@ struct ServeOptions {
     // (quality "approx", with the relative distance reported) or, failing
     // that, solves under clamp_budget (quality "clamped", result not
     // cached); at depth > shed_depth it is shed with an overloaded frame.
-    // 0 = derived at start(): degrade = threads, shed = 4 * threads.
+    // 0 = derived from threads: degrade = threads, shed = 4 * threads.
     std::size_t degrade_depth = 0;
     std::size_t shed_depth = 0;
     double approx_rel_distance = 0.05;

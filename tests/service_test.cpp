@@ -260,6 +260,37 @@ TEST(HapdServing, ConcurrentFamilyMissesCoalesceIntoOneChain) {
     daemon.stop();
 }
 
+// Bit-equal misses queued behind a stalled leader share one waiter: every
+// claimant gets the full answer, not only the first one to wake.
+TEST(HapdServing, BitEqualFollowersEachGetTheFullAnswer) {
+    Hapd daemon(fast_opts());
+    daemon.start();
+    const int port = daemon.port();
+
+    set_fault_plan(FaultPlan::parse("stall@solve#400"));
+    std::vector<std::string> replies(3);
+    const auto ask = [&](std::size_t slot, double lambda) {
+        Client c = Client::connect_tcp(port);
+        replies[slot] =
+            c.call(hap::service::build_solve_request(light_model(lambda), "s"));
+    };
+    std::vector<std::thread> clients;  // haplint: allow(naked-thread) -- independent serving clients
+    clients.emplace_back(ask, 0, 0.002);  // leader, held in the stall
+    std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    clients.emplace_back(ask, 1, 0.0022);
+    clients.emplace_back(ask, 2, 0.0022);
+    for (std::thread& th : clients) th.join();  // haplint: allow(naked-thread) -- independent serving clients
+    set_fault_plan(FaultPlan::parse(""));
+
+    const Json a = Json::parse(replies[1]);
+    const Json b = Json::parse(replies[2]);
+    ASSERT_TRUE(a.at("ok").as_bool());
+    ASSERT_TRUE(b.at("ok").as_bool());
+    EXPECT_NE(a.at("result").find("mean_delay"), nullptr);
+    EXPECT_EQ(a.at("result").dump(0), b.at("result").dump(0));
+    daemon.stop();
+}
+
 // Protocol abuse over a real socket: every hostile stream gets a structured
 // error or a clean drop, and the daemon keeps serving afterwards.
 TEST(HapdServing, SurvivesProtocolAbuseOverSocket) {
