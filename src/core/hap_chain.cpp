@@ -271,6 +271,23 @@ std::vector<double> LumpedChain::solve_direct() const {
     }
 }
 
+markov::SolveResult LumpedChain::stationary(double gs_tol) const {
+    HAP_CHECK_FINITE(gs_tol);
+    HAP_PRECOND(gs_tol > 0.0);
+    markov::SolveResult res;
+    res.pi = solve_direct();
+    if (!res.pi.empty()) {
+        res.converged = true;
+        return res;
+    }
+    markov::SolveOptions opts;
+    opts.tol = gs_tol;
+    res = solve(opts);
+    if (!res.converged)
+        throw std::runtime_error("LumpedChain: modulating-chain solve did not converge");
+    return res;
+}
+
 // ---------------------------------------------------------------------------
 // GeneralChain
 // ---------------------------------------------------------------------------

@@ -51,7 +51,8 @@ public:
     numerics::Matrix dense_generator() const;
     traffic::Mmpp to_mmpp() const;
 
-    // Steady-state distribution of the modulating chain.
+    // Steady-state distribution of the modulating chain by Gauss-Seidel: the
+    // iterative reference that stationary() falls back to.
     markov::SolveResult solve(const markov::SolveOptions& opts = {}) const;
 
     // Exact (non-iterative) steady state by block-LU censoring along the
@@ -61,8 +62,14 @@ public:
     // (about 1.3 ms at 21 x 51 states, 43 ms at hapd's 30 x 155, where
     // Gauss-Seidel takes thousands of sweeps) and is accurate to roundoff.
     // Returns an empty vector if the chain is not block tridiagonal or the
-    // elimination degenerates numerically (callers fall back to solve()).
+    // elimination degenerates numerically.
     std::vector<double> solve_direct() const;
+
+    // The stationary law Solutions 0 and 1 use: solve_direct(), and when it
+    // declines, solve() from the uniform vector to `gs_tol` (> 0). Throws
+    // std::runtime_error if neither converges. iterations and residual are
+    // the Gauss-Seidel fallback's, both 0 when the elimination answered.
+    markov::SolveResult stationary(double gs_tol) const;
 
     std::size_t x_lo() const noexcept { return x_lo_; }
     std::size_t x_hi() const noexcept { return x_hi_; }

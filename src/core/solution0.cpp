@@ -90,20 +90,6 @@ void remap_state(const std::vector<double>& src, const Grid& from, const Grid& t
     }
 }
 
-// Per-line mass of the lattice — the (x, y) marginal implied by `pi`, in the
-// LumpedChain's (x - x_lo) * ny + y indexing. Used to warm-start the
-// modulating-chain solve from the seeded lattice.
-std::vector<double> line_sums(const Grid& g, const std::vector<double>& pi) {
-    std::vector<double> sums(g.nx * g.ny, 0.0);
-    for (std::size_t line = 0; line < sums.size(); ++line) {
-        const double* cur = pi.data() + line * g.nz;
-        double total = 0.0;
-        for (std::size_t z = 0; z < g.nz; ++z) total += cur[z];
-        sums[line] = total;
-    }
-    return sums;
-}
-
 struct BoxSolve {
     Observables obs;
     std::size_t sweeps = 0;
@@ -305,7 +291,6 @@ Solution0Result solve_solution0(const HapParams& params, const Solution0Options&
     }
 
     LineWorkspace ws;
-    std::vector<double> mod_guess;
     // One CSR builder for every modulating-chain rebuild along the y growths:
     // the assembly arenas are reused instead of re-grown per box.
     markov::CsrBuilder mod_arena;
@@ -313,9 +298,10 @@ Solution0Result solve_solution0(const HapParams& params, const Solution0Options&
     // (x, y) chain — and hence its law — does not depend on z).
     std::vector<double> marginal;
     std::size_t marginal_y = static_cast<std::size_t>(-1);
-    // The marginal's error feeds every projection, so it must sit well below
-    // the observable tolerance — three decades of headroom — but chasing
-    // 1e-13 when observables stop at 1e-7 buys nothing.
+    // Tolerance of the marginal's Gauss-Seidel fallback (the exact
+    // elimination needs none). The marginal's error feeds every projection,
+    // so it must sit well below the observable tolerance — three decades of
+    // headroom — but chasing 1e-13 when observables stop at 1e-7 buys nothing.
     const double mod_tol = std::clamp(opts.tol * 1e-3, 1e-13, 1e-10);
     std::size_t total_sweeps = 0;
     double sweep_s_total = 0.0;        // kernel-loop wall time across boxes
@@ -341,32 +327,12 @@ Solution0Result solve_solution0(const HapParams& params, const Solution0Options&
         const Cuts cuts = box_cuts(g, params);
 
         // Exact stationary law of the modulating (x, y) chain on this box;
-        // LumpedChain uses the identical (x - x_lo) * ny + y indexing. The
-        // block-tridiagonal elimination is exact and non-iterative; if it
-        // declines (degenerate blocks), Gauss-Seidel takes over, seeded with
-        // the lattice's line sums when those are available.
+        // LumpedChain uses the identical (x - x_lo) * ny + y indexing.
         if (marginal_y != g.y_hi) {
             ChainBounds mb;
             mb.max_users = g.x_hi;
             mb.max_apps_total = g.y_hi;
-            const LumpedChain mod_chain(params, mb, mod_arena);
-            // The fallback-chain kernel swap bypasses the exact elimination
-            // and goes straight to the iterative path below.
-            marginal = opts.force_iterative_marginal ? std::vector<double>{}
-                                                     : mod_chain.solve_direct();
-            if (marginal.empty()) {
-                markov::SolveOptions mod_opts;
-                mod_opts.tol = mod_tol;
-                if (have_seed) {
-                    mod_guess = line_sums(g, pi);
-                    mod_opts.initial_guess = &mod_guess;
-                }
-                markov::SolveResult mod = mod_chain.solve(mod_opts);
-                if (!mod.converged) {
-                    throw std::runtime_error("solve_solution0: modulating-chain solve failed");
-                }
-                marginal = std::move(mod.pi);
-            }
+            marginal = LumpedChain(params, mb, mod_arena).stationary(mod_tol).pi;
             marginal_y = g.y_hi;
         }
         project_marginal(g, marginal, pi);

@@ -66,11 +66,6 @@ struct Solution0Options {
     // the cap; wall_ms is checked at observable-check boundaries. A solve
     // stopped by the budget returns budget_exhausted instead of hanging.
     SolveBudget budget;
-    // Fallback-chain kernel swap: skip the exact block-tridiagonal
-    // solve_direct for the modulating marginal and use the iterative
-    // Gauss-Seidel path directly (the reverse of the normal
-    // direct-with-iterative-fallback order).
-    bool force_iterative_marginal = false;
 };
 
 struct [[nodiscard]] Solution0Result {

@@ -37,13 +37,12 @@ Solution1::Solution1(HapParams params, const ChainBounds& bounds)
         b = ChainBounds::defaults_for(params_);
 
     obs::ScopedTimer timer("solution1.build_s");
+    markov::SolveResult sol;
     if (params_.homogeneous_types()) {
         const LumpedChain chain(params_, b);
-        const markov::SolveResult sol = chain.solve();
-        if (!sol.converged)
-            throw std::runtime_error("Solution1: steady-state solve did not converge");
+        // Gauss-Seidel backs the exact elimination up at its default tolerance.
+        sol = chain.stationary(markov::SolveOptions{}.tol);
         chain_states_ = chain.num_states();
-        solver_iterations_ = sol.iterations;
         std::vector<double> users(chain.num_states());
         std::vector<double> apps(chain.num_states());
         for (std::size_t s = 0; s < chain.num_states(); ++s) {
@@ -51,14 +50,12 @@ Solution1::Solution1(HapParams params, const ChainBounds& bounds)
             apps[s] = static_cast<double>(chain.apps_of(s));
         }
         analyze(sol.pi, chain.arrival_rates(), users, apps);
-        record_build(chain_states_, solver_iterations_, sol.residual, timer);
     } else {
         const GeneralChain chain(params_, b);
-        const markov::SolveResult sol = chain.solve();
+        sol = chain.solve();
         if (!sol.converged)
             throw std::runtime_error("Solution1: steady-state solve did not converge");
         chain_states_ = chain.num_states();
-        solver_iterations_ = sol.iterations;
         std::vector<double> users(chain.num_states());
         std::vector<double> apps(chain.num_states());
         for (std::size_t s = 0; s < chain.num_states(); ++s) {
@@ -70,8 +67,9 @@ Solution1::Solution1(HapParams params, const ChainBounds& bounds)
             apps[s] = total;
         }
         analyze(sol.pi, chain.arrival_rates(), users, apps);
-        record_build(chain_states_, solver_iterations_, sol.residual, timer);
     }
+    solver_iterations_ = sol.iterations;
+    record_build(chain_states_, solver_iterations_, sol.residual, timer);
 }
 
 void Solution1::analyze(const std::vector<double>& pi, const std::vector<double>& rates,

@@ -1,7 +1,10 @@
 // Solution 1 (paper Section 3.2.2): solve the modulating chain's steady
 // state numerically (dropping the z dimension), form the arrival-rate-
 // weighted mixture of exponentials as the approximate interarrival law, and
-// reduce the queue to G/M/1. Exact chain probabilities, approximate
+// reduce the queue to G/M/1. Homogeneous parameter sets solve the lumped
+// (x, y) chain with LumpedChain::stationary — the exact block elimination
+// Solution 0's marginal uses — and heterogeneous ones the GeneralChain by
+// Gauss-Seidel. Exact chain probabilities, approximate
 // interarrival law (correlation between successive gaps is lost — the same
 // loss Solution 2 has; the two must therefore agree closely, paper: < 1%).
 #pragma once
@@ -15,8 +18,8 @@ namespace hap::core {
 
 class Solution1 {
 public:
-    // Bounds default to ChainBounds::defaults_for(params). Heterogeneous
-    // parameter sets use the GeneralChain (keep bounds small there).
+    // Bounds default to ChainBounds::defaults_for(params). Keep them small
+    // for heterogeneous parameter sets (the GeneralChain is a product space).
     explicit Solution1(HapParams params);
     Solution1(HapParams params, const ChainBounds& bounds);
 
@@ -37,7 +40,8 @@ public:
 
     queueing::Gm1Result solve_queue(double service_rate) const;
 
-    // Diagnostics from the steady-state solve.
+    // Diagnostics from the steady-state solve: solver_iterations() counts
+    // Gauss-Seidel sweeps, 0 when the exact elimination answered.
     std::size_t chain_states() const noexcept { return chain_states_; }
     std::size_t solver_iterations() const noexcept { return solver_iterations_; }
 

@@ -101,15 +101,13 @@ std::vector<AnalyticPointResult> run_analytic_sweep(const std::vector<AnalyticPo
 
         // Fallback chain: each hop discards more of the machinery that could
         // itself be the failure — first the warm seed, then the adaptive box
-        // (worst-case static geometry, doubled sweep budget), finally the
-        // exact marginal elimination (iterative kernel swap).
+        // (worst-case static geometry, doubled sweep budget).
         std::size_t hops = 0;
-        for (int hop = 1; opts.fallback && !converged && hop <= 3; ++hop) {
+        for (int hop = 1; opts.fallback && !converged && hop <= 2; ++hop) {
             core::Solution0Options fb = opts.solver;
             fb.keep_state = o.keep_state;
             fb.adaptive = hop == 1 ? opts.adaptive : false;
-            if (hop >= 2) fb.max_sweeps = opts.solver.max_sweeps * 2;
-            if (hop == 3) fb.force_iterative_marginal = true;
+            if (hop == 2) fb.max_sweeps = opts.solver.max_sweeps * 2;
             if (obs::enabled()) obs::registry().add_counter("experiment.fallback.attempts");
             Attempt a = try_solve(pt.params, fb);
             ++hops;

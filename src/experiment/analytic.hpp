@@ -36,8 +36,10 @@ struct AnalyticSweepOptions {
     bool warm_start = true;  // feed each point the previous converged state
     bool adaptive = true;    // grow the truncation box instead of worst-case
     // Per-point fallback chain on a failed/non-converged primary solve:
-    //   warm -> cold restart -> worst-case box with doubled sweeps -> iterative
-    //   modulating-marginal kernel swap -> marked degraded.
+    //   warm -> cold restart -> worst-case box with doubled sweeps -> marked
+    //   degraded. (The modulating marginal needs no hop of its own: its exact
+    //   elimination is residual-checked, and Gauss-Seidel takes over inside
+    //   LumpedChain::stationary when it declines.)
     // Each hop bumps `experiment.fallback.attempts`; a hop that converges
     // bumps `experiment.fallback.recovered`.
     bool fallback = true;

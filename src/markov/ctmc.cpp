@@ -99,35 +99,6 @@ namespace {
     return true;
 }
 
-// Seed the iterate from the caller's warm-start guess when it is a usable
-// distribution, else uniform. A wrong-sized guess is a caller bug (throws);
-// a degenerate one (non-finite entries, negative mass, zero total) falls
-// back to the uniform start so continuation can never poison a solve.
-bool seed_iterate(std::vector<double>& pi, std::size_t n, const SolveOptions& opts) {
-    if (opts.initial_guess != nullptr) {
-        const std::vector<double>& guess = *opts.initial_guess;
-        if (guess.size() != n)
-            throw std::invalid_argument("solve_steady_state: initial_guess size mismatch");
-        bool usable = true;
-        for (double v : guess) {
-            if (!std::isfinite(v) || v < 0.0) {
-                usable = false;
-                break;
-            }
-        }
-        if (usable) {
-            pi = guess;
-            if (normalize(pi)) {
-                if (obs::enabled()) obs::registry().add_counter("ctmc.warm_starts");
-                return true;
-            }
-        }
-        if (obs::enabled()) obs::registry().add_counter("ctmc.warm_rejected");
-    }
-    pi.assign(n, 1.0 / static_cast<double>(n));
-    return false;
-}
-
 using Clock = std::chrono::steady_clock;
 
 // `loop_start` is the start of the iteration loop (for sweep_time_s /
@@ -333,6 +304,7 @@ double max_relative_change(const std::vector<double>& a, const std::vector<doubl
 
 SolveResult solve_steady_state(const Ctmc& chain, const SolveOptions& opts) {
     if (!chain.finalized()) throw std::logic_error("solve_steady_state: finalize first");
+    HAP_PRECOND(opts.check_every > 0);
     obs::ScopedTimer timer("ctmc.gs_s");
     const std::size_t n = chain.num_states();
     if (opts.budget.states_exceeded(n)) return refuse_states("ctmc.gs", n, timer);
@@ -342,7 +314,7 @@ SolveResult solve_steady_state(const Ctmc& chain, const SolveOptions& opts) {
     const double* exit_rates = chain.exit_rates().data();
 
     SolveResult res;
-    res.warm_started = seed_iterate(res.pi, n, opts);
+    res.pi.assign(n, 1.0 / static_cast<double>(n));
     // The residual is folded into the check sweep itself, so the plain path
     // never copies the full iterate.
     Accelerator accel(opts.accelerate);
@@ -383,6 +355,7 @@ SolveResult solve_steady_state(const Ctmc& chain, const SolveOptions& opts) {
 
 SolveResult solve_steady_state_power(const Ctmc& chain, const SolveOptions& opts) {
     if (!chain.finalized()) throw std::logic_error("solve_steady_state_power: finalize first");
+    HAP_PRECOND(opts.check_every > 0);
     obs::ScopedTimer timer("ctmc.power_s");
     const std::size_t n = chain.num_states();
     if (opts.budget.states_exceeded(n)) return refuse_states("ctmc.power", n, timer);
@@ -396,7 +369,7 @@ SolveResult solve_steady_state_power(const Ctmc& chain, const SolveOptions& opts
     if (lambda <= 0.0) throw std::invalid_argument("solve_steady_state_power: empty chain");
 
     SolveResult res;
-    res.warm_started = seed_iterate(res.pi, n, opts);
+    res.pi.assign(n, 1.0 / static_cast<double>(n));
     std::vector<double> next(n);
     Accelerator accel(opts.accelerate);
     const Clock::time_point loop_start = Clock::now();

@@ -1,8 +1,10 @@
-// Sparse continuous-time Markov chains over enumerated state spaces, with the
-// iterative steady-state solvers the paper's Solution 0/1 need: Gauss-Seidel
-// sweeps on the balance equations and uniformized power iteration. The
-// chains solved here are truncated HAP modulating chains: a few thousand
-// states with a handful of transitions each.
+// Sparse continuous-time Markov chains over enumerated state spaces, with
+// iterative steady-state solvers: Gauss-Seidel sweeps on the balance
+// equations and uniformized power iteration. The chains solved here are
+// truncated HAP modulating chains: a few thousand states with a handful of
+// transitions each. Gauss-Seidel solves the heterogeneous (general) chain and
+// backs up the lumped chain's exact elimination (LumpedChain::stationary);
+// the power solver is a test oracle.
 //
 // Storage is the CSR engine of markov/sparse.hpp: transitions stream into a
 // CsrBuilder (optionally a caller-shared one, so Solution 0's box growth
@@ -87,14 +89,7 @@ private:
 struct SolveOptions {
     double tol = 1e-12;        // max relative change per sweep
     std::size_t max_iter = 200000;
-    std::size_t check_every = 10;
-    // Continuation support: start the iteration from this caller-owned vector
-    // instead of the uniform distribution. Must have num_states() entries
-    // (throws std::invalid_argument otherwise); a guess containing non-finite
-    // or negative entries, or with non-positive total mass, is rejected and
-    // the solver falls back to the uniform start. The caller's vector is
-    // copied and renormalized, never mutated.
-    const std::vector<double>* initial_guess = nullptr;
+    std::size_t check_every = 10;  // must be > 0
     // Aitken delta-squared extrapolation on the checked iterates. Guarded:
     // an extrapolated vector that leaves the probability simplex (negative
     // mass, non-finite entries) is discarded and plain iteration continues,
@@ -113,11 +108,7 @@ struct [[nodiscard]] SolveResult {
     std::size_t iterations = 0;
     double residual = 0.0;  // last observed max relative change
     bool converged = false;
-    // Diagnostics for the continuation telemetry: whether the caller's
-    // initial guess was adopted, and how many Aitken extrapolations were
-    // accepted along the way.
-    bool warm_started = false;
-    std::size_t accelerations = 0;
+    std::size_t accelerations = 0;  // accepted Aitken extrapolations
     // The SolveBudget (not the solver's own max_iter) stopped this solve:
     // converged is false and the iterate is the best available. Iteration
     // and state budgets trip deterministically; wall_ms does not.

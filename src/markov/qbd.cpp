@@ -116,42 +116,8 @@ QbdResult solve_mmpp_m1(const Matrix& phase_generator,
     Matrix g = b2;
     const std::vector<double> ones(n, 1.0);
 
-    // Warm start: natural functional iteration G <- B2 + B0 G^2 from a
-    // neighboring sweep point's G. Linearly convergent — useless cold, but a
-    // near-fixed-point guess needs only a handful of O(n^3) multiplies,
-    // against the log-reduction's ~30 LU solves. Budget-capped; on failure
-    // the cold reduction below runs as if no guess was given.
-    bool warm_done = false;
-    if (opts.initial_g != nullptr && opts.initial_g->rows() == n &&
-        opts.initial_g->cols() == n) {
-        Matrix gw = *opts.initial_g;
-        const int warm_budget = 64;
-        for (int it = 0; it < warm_budget; ++it) {
-            Matrix next = b2 + b0 * (gw * gw);
-            const double delta = (next - gw).max_abs();
-            gw = std::move(next);
-            ++res.iterations;
-            if (delta < opts.tol) {
-                const std::vector<double> rowsum = gw.apply(ones);
-                double defect = 0.0;
-                for (double r : rowsum) defect = std::max(defect, std::abs(1.0 - r));
-                res.residual = defect;
-                warm_done = true;
-                break;
-            }
-        }
-        if (warm_done) {
-            g = std::move(gw);
-            res.converged = true;
-            res.warm_started = true;
-            if (obs::enabled()) obs::registry().add_counter("qbd.warm_starts");
-        } else if (obs::enabled()) {
-            obs::registry().add_counter("qbd.warm_rejected");
-        }
-    }
-
     Matrix h = b0, l = b2, t = b0;
-    for (; !warm_done && res.iterations < max_iter; ++res.iterations) {
+    for (; res.iterations < max_iter; ++res.iterations) {
         if (deadline.expired()) {
             res.budget_exhausted = true;
             break;
@@ -194,7 +160,6 @@ QbdResult solve_mmpp_m1(const Matrix& phase_generator,
     res.r = w_inv;
     for (std::size_t i = 0; i < n; ++i)
         for (std::size_t j = 0; j < n; ++j) res.r(i, j) *= arrival_rates[i];
-    res.g = std::move(g);
 
     res.spectral_radius = spectral_radius(res.r);  // diagnostic only
     if (!res.stable) {

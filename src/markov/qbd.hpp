@@ -20,18 +20,10 @@ struct QbdOptions {
     // max_iter, max_states bounds the phase count, wall_ms backstops the
     // reduction loop. Exhaustion is reported via QbdResult::budget_exhausted.
     core::SolveBudget budget;
-    // Warm start: a G matrix from a neighboring sweep point (see
-    // QbdResult::g). When provided and well-shaped, the solver runs the
-    // natural functional iteration G <- B2 + B0 G^2 from this guess — a few
-    // linear steps from a near-fixed-point start — and falls back to the
-    // cold logarithmic reduction if that fails to converge. A wrong-shaped
-    // guess is ignored (cold solve).
-    const numerics::Matrix* initial_g = nullptr;
 };
 
 struct [[nodiscard]] QbdResult {
     numerics::Matrix r;             // Neuts' rate matrix
-    numerics::Matrix g;             // Neuts' G matrix (feed back via initial_g)
     std::vector<double> pi0;        // boundary (level 0) distribution
     double mean_level = 0.0;        // E[number in system]
     double mean_rate = 0.0;         // stationary mean arrival rate
@@ -42,7 +34,6 @@ struct [[nodiscard]] QbdResult {
     int iterations = 0;
     bool stable = false;
     bool converged = false;  // reduction hit tol (false = iteration budget spent)
-    bool warm_started = false;  // converged via functional iteration from initial_g
     // The SolveBudget stopped this solve (phase count over max_states, the
     // tightened iteration cap, or the wall backstop); converged is false.
     bool budget_exhausted = false;

@@ -277,9 +277,10 @@ TEST(AnalyticSweep, FallbackRecoversInjectedBudgetExhaustion) {
 }
 
 TEST(AnalyticSweep, PointPastFallbackIsMarkedDegraded) {
-    // A sweep whose budgeted effort genuinely cannot converge (1 primary
-    // sweep, 2 on the doubled hops) ends "degraded": the best non-converged
-    // numbers are kept, the error preserved, and nothing throws.
+    // A sweep whose budgeted effort genuinely cannot converge (1 sweep on the
+    // primary and the cold restart, 2 on the doubled hop) ends "degraded":
+    // the best non-converged numbers are kept, the error preserved, and
+    // nothing throws.
     std::vector<AnalyticPoint> grid = analytic_grid();
     grid.resize(1);
     AnalyticSweepOptions opts = analytic_options();
@@ -289,7 +290,7 @@ TEST(AnalyticSweep, PointPastFallbackIsMarkedDegraded) {
     const auto res = run_analytic_sweep(grid, opts, &failures);
     ASSERT_EQ(res.size(), 1u);
     EXPECT_EQ(res[0].quality, "degraded");
-    EXPECT_EQ(res[0].fallback_hops, 3u);
+    EXPECT_EQ(res[0].fallback_hops, 2u);
     EXPECT_FALSE(res[0].s0.converged);
     EXPECT_FALSE(res[0].failed());
     EXPECT_FALSE(res[0].error.empty());

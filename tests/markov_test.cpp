@@ -127,7 +127,7 @@ TEST(Qbd, UtilizationEqualsRho) {
 }
 
 // Near-critical birth-death chain: slow geometric convergence, the regime
-// warm starts and extrapolation are for.
+// extrapolation is for.
 Ctmc slow_birth_death(std::size_t n, double lambda, double mu) {
     Ctmc c(n);
     for (std::size_t i = 0; i + 1 < n; ++i) {
@@ -136,48 +136,6 @@ Ctmc slow_birth_death(std::size_t n, double lambda, double mu) {
     }
     c.finalize();
     return c;
-}
-
-TEST(SteadyState, WarmStartAdoptsGuessAndConvergesFaster) {
-    const Ctmc c = slow_birth_death(120, 0.9, 1.0);
-    const auto cold = solve_steady_state(c);
-    ASSERT_TRUE(cold.converged);
-    EXPECT_FALSE(cold.warm_started);
-
-    hap::markov::SolveOptions opts;
-    opts.initial_guess = &cold.pi;
-    const auto warm = solve_steady_state(c, opts);
-    ASSERT_TRUE(warm.converged);
-    EXPECT_TRUE(warm.warm_started);
-    EXPECT_LT(warm.iterations, cold.iterations);
-    for (std::size_t i = 0; i < warm.pi.size(); ++i)
-        EXPECT_NEAR(warm.pi[i], cold.pi[i], 1e-10);
-}
-
-TEST(SteadyState, WarmStartSizeMismatchThrows) {
-    const Ctmc c = two_state_chain(1.0, 1.0);
-    const std::vector<double> wrong{0.5, 0.25, 0.25};
-    hap::markov::SolveOptions opts;
-    opts.initial_guess = &wrong;
-    EXPECT_THROW(solve_steady_state(c, opts), std::invalid_argument);
-    EXPECT_THROW(solve_steady_state_power(c, opts), std::invalid_argument);
-}
-
-TEST(SteadyState, DegenerateGuessFallsBackToUniform) {
-    const Ctmc c = two_state_chain(2.0, 6.0);
-    // Zero mass, negative entries, non-finite entries: each rejected, solve
-    // proceeds from the uniform start and still finds the fixed point.
-    const std::vector<double> zero{0.0, 0.0};
-    const std::vector<double> negative{1.5, -0.5};
-    const std::vector<double> nonfinite{std::nan(""), 1.0};
-    for (const auto* guess : {&zero, &negative, &nonfinite}) {
-        hap::markov::SolveOptions opts;
-        opts.initial_guess = guess;
-        const auto res = solve_steady_state(c, opts);
-        ASSERT_TRUE(res.converged);
-        EXPECT_FALSE(res.warm_started);
-        EXPECT_NEAR(res.pi[0], 0.75, 1e-9);
-    }
 }
 
 TEST(SteadyState, AccelerationPreservesFixedPoint) {
@@ -229,40 +187,6 @@ TEST(Ctmc, InEdgesSortedBySource) {
     EXPECT_DOUBLE_EQ(in.rate[0], 2.0);
     EXPECT_DOUBLE_EQ(in.rate[1], 3.0);
     EXPECT_DOUBLE_EQ(in.rate[2], 1.0);
-}
-
-TEST(Qbd, WarmStartFromNeighborG) {
-    // Continuation across a 2% service-rate step: the neighbor's G seeds the
-    // functional iteration, which must reproduce the cold answer in fewer
-    // O(n^3) steps.
-    Matrix q{{-1.0, 1.0}, {3.0, -3.0}};
-    const auto neighbor = solve_mmpp_m1(q, {0.0, 8.0}, 5.1);
-    ASSERT_TRUE(neighbor.converged);
-    const auto cold = solve_mmpp_m1(q, {0.0, 8.0}, 5.0);
-    ASSERT_TRUE(cold.converged);
-    EXPECT_FALSE(cold.warm_started);
-
-    hap::markov::QbdOptions opts;
-    opts.initial_g = &neighbor.g;
-    const auto warm = solve_mmpp_m1(q, {0.0, 8.0}, 5.0, opts);
-    ASSERT_TRUE(warm.converged);
-    ASSERT_TRUE(warm.stable);
-    EXPECT_TRUE(warm.warm_started);
-    EXPECT_NEAR(warm.mean_delay, cold.mean_delay, 1e-8 * cold.mean_delay);
-    EXPECT_NEAR(warm.mean_level, cold.mean_level, 1e-8 * cold.mean_level);
-    EXPECT_NEAR(warm.utilization, cold.utilization, 1e-10);
-}
-
-TEST(Qbd, WarmStartWrongShapeIgnored) {
-    Matrix q{{-1.0, 1.0}, {3.0, -3.0}};
-    const Matrix wrong(3, 3, 0.0);
-    hap::markov::QbdOptions opts;
-    opts.initial_g = &wrong;
-    const auto res = solve_mmpp_m1(q, {0.0, 8.0}, 5.0, opts);
-    ASSERT_TRUE(res.converged);
-    EXPECT_FALSE(res.warm_started);
-    const auto cold = solve_mmpp_m1(q, {0.0, 8.0}, 5.0);
-    EXPECT_NEAR(res.mean_delay, cold.mean_delay, 1e-12);
 }
 
 }  // namespace

@@ -194,38 +194,27 @@ TEST(Solution0, AdmissionBoundsHonored) {
     EXPECT_LT(sb.truncation_mass, 1e-6);
 }
 
-// Solves with telemetry on and returns the result plus how many records the
-// Gauss-Seidel modulating-chain solver ("ctmc.gs") left.
-std::pair<Solution0Result, std::size_t> solve_counting_gs(const HapParams& p,
-                                                          const Solution0Options& o) {
+TEST(Solution0, MarginalTakesDirectPath) {
+    // The modulating marginal comes from the exact block elimination: a
+    // default solve leaves one "lumped.direct" record and never reaches the
+    // Gauss-Seidel fallback ("ctmc.gs").
     const bool was_enabled = hap::obs::enabled();
     hap::obs::set_enabled(true);
     hap::obs::registry().reset();
-    Solution0Result res = solve_solution0(p, o);
-    std::size_t gs = 0;
-    for (const hap::obs::SolverTelemetry& t : hap::obs::registry().snapshot().solvers)
-        gs += t.solver == "ctmc.gs" ? 1 : 0;
-    hap::obs::registry().reset();
-    hap::obs::set_enabled(was_enabled);
-    return {std::move(res), gs};
-}
-
-TEST(Solution0, ForcedIterativeMarginalMatchesDirect) {
-    // The fallback chain's kernel swap (force_iterative_marginal) is the one
-    // way Solution 0 reaches the Gauss-Seidel modulating-chain solver; it must
-    // land on the answer the exact block elimination gives.
-    const HapParams p = small_hap(8.0);
     Solution0Options o;
     o.max_messages = 300;
-    const auto [direct, direct_gs] = solve_counting_gs(p, o);
-    o.force_iterative_marginal = true;
-    const auto [iter, iter_gs] = solve_counting_gs(p, o);
-    EXPECT_EQ(direct_gs, 0u);
-    EXPECT_GE(iter_gs, 1u);
-    ASSERT_TRUE(direct.converged);
-    ASSERT_TRUE(iter.converged);
-    EXPECT_NEAR(iter.mean_delay, direct.mean_delay, 1e-6 * direct.mean_delay);
-    EXPECT_NEAR(iter.mean_messages, direct.mean_messages, 1e-6 * direct.mean_messages);
+    const Solution0Result res = solve_solution0(small_hap(8.0), o);
+    std::size_t direct = 0;
+    std::size_t gs = 0;
+    for (const hap::obs::SolverTelemetry& t : hap::obs::registry().snapshot().solvers) {
+        direct += t.solver == "lumped.direct" ? 1 : 0;
+        gs += t.solver == "ctmc.gs" ? 1 : 0;
+    }
+    hap::obs::registry().reset();
+    hap::obs::set_enabled(was_enabled);
+    EXPECT_TRUE(res.converged);
+    EXPECT_EQ(direct, 1u);
+    EXPECT_EQ(gs, 0u);
 }
 
 TEST(Solution0, DelayGrowsWithQueueBoundUnderHeavyTail) {

@@ -8,7 +8,11 @@
 //    validity conditions and deteriorate with load (Section 4.1).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "core/hap.hpp"
+#include "obs/metrics.hpp"
 #include "queueing/mm1.hpp"
 
 namespace {
@@ -60,6 +64,51 @@ TEST(Cross, Solution1ChainMeansMatchClosedForms) {
     const Solution1 s1(p);
     EXPECT_NEAR(s1.mean_users(), p.mean_users(), 1e-4);
     EXPECT_NEAR(s1.mean_apps(), p.mean_apps(), 1e-3);
+}
+
+TEST(Cross, Solution1TakesDirectPath) {
+    // Solution 1 solves the lumped chain by the exact block elimination: one
+    // "lumped.direct" record, no Gauss-Seidel ("ctmc.gs"), and the mixture
+    // the Gauss-Seidel reference gives, to roundoff.
+    const HapParams p = HapParams::paper_baseline(20.0);
+    const bool was_enabled = hap::obs::enabled();
+    hap::obs::set_enabled(true);
+    hap::obs::registry().reset();
+    const Solution1 s1(p);
+    std::size_t direct = 0;
+    std::size_t gs = 0;
+    for (const hap::obs::SolverTelemetry& t : hap::obs::registry().snapshot().solvers) {
+        direct += t.solver == "lumped.direct" ? 1 : 0;
+        gs += t.solver == "ctmc.gs" ? 1 : 0;
+    }
+    hap::obs::registry().reset();
+    hap::obs::set_enabled(was_enabled);
+    EXPECT_EQ(direct, 1u);
+    EXPECT_EQ(gs, 0u);
+
+    const LumpedChain chain(p, ChainBounds::defaults_for(p));
+    const auto ref = chain.solve();
+    ASSERT_TRUE(ref.converged);
+    const std::vector<double>& rates = chain.arrival_rates();
+    double lambda_bar = 0.0;
+    std::map<double, double> mass_by_rate;
+    for (std::size_t s = 0; s < ref.pi.size(); ++s) {
+        lambda_bar += ref.pi[s] * rates[s];
+        if (rates[s] > 0.0) mass_by_rate[rates[s]] += ref.pi[s] * rates[s];
+    }
+    EXPECT_NEAR(s1.mean_rate(), lambda_bar, 1e-9 * lambda_bar);
+    // Weights are compared normwise (to the largest weight): tail weights
+    // near 1e-8 carry the reference's own convergence error, ~1e-9 of
+    // themselves, since Gauss-Seidel stops on a 1e-12 change per sweep.
+    const auto& mix = s1.mixture();
+    ASSERT_EQ(mix.rates.size(), mass_by_rate.size());
+    const double w_max = *std::max_element(mix.weights.begin(), mix.weights.end());
+    std::size_t k = 0;
+    for (const auto& [rate, mass] : mass_by_rate) {
+        EXPECT_NEAR(mix.rates[k], rate, 1e-9 * rate);
+        EXPECT_NEAR(mix.weights[k], mass / lambda_bar, 1e-9 * w_max) << rate;
+        ++k;
+    }
 }
 
 TEST(Cross, Solution0MatchesQbd) {
