@@ -213,32 +213,62 @@ void sweep_lattice(const LatticeGrid& g, const LatticeRates& r, std::vector<doub
 
 // mean_z, the throughput and the sigma sums are fused multiply-adds, mean_x
 // and mean_y a product and a separate sum: the roundings the golden values
-// were pinned with.
+// were pinned with. Each accumulator sees its states in lattice order, so
+// the sums are bit-equal to a per-state loop that branches on the faces (the
+// oracle in tests/solution0_test.cpp). Here the face tests are per line, the
+// z = 0 and z = z_hi states are peeled, and the accumulators live in locals,
+// so the interior loop carries no branch and no store.
 LatticeObservables measure_lattice(const LatticeGrid& g, const LatticeRates& r,
                                    TruncationCuts cuts, const std::vector<double>& pi) {
-    LatticeObservables o;
+    const std::size_t last = g.z_hi;
+    const double last_d = static_cast<double>(last);
+    double mean_z = 0.0, mean_x = 0.0, mean_y = 0.0, busy = 0.0;
+    double throughput = 0.0, sigma_num = 0.0;
+    double boundary = 0.0, boundary_y = 0.0, boundary_z = 0.0;
+    const double* line = pi.data();
     for (std::size_t x = g.x_lo; x <= g.x_hi; ++x) {
-        for (std::size_t y = 0; y <= g.y_hi; ++y) {
-            const double arr = static_cast<double>(y) * r.beta;
-            for (std::size_t z = 0; z <= g.z_hi; ++z) {
-                const double p = pi[g.idx(x, y, z)];
-                o.mean_z = std::fma(p, static_cast<double>(z), o.mean_z);
-                o.mean_x += p * static_cast<double>(x);
-                o.mean_y += p * static_cast<double>(y);
-                if (z > 0) o.busy += p;
-                if (z < g.z_hi) {
-                    o.throughput = std::fma(p, arr, o.throughput);
-                    o.sigma_den = std::fma(p, arr, o.sigma_den);
-                    if (z > 0) o.sigma_num = std::fma(p, arr, o.sigma_num);
+        const double xd = static_cast<double>(x);
+        for (std::size_t y = 0; y <= g.y_hi; ++y, line += g.nz) {
+            const double yd = static_cast<double>(y);
+            const double arr = yd * r.beta;
+            const bool top_y = y == g.y_hi;
+            const bool face = (cuts.x && x == g.x_hi) || (cuts.y && top_y);
+            if (last > 0) {
+                const double p0 = line[0];
+                mean_z = std::fma(p0, 0.0, mean_z);
+                mean_x += p0 * xd;
+                mean_y += p0 * yd;
+                throughput = std::fma(p0, arr, throughput);
+                for (std::size_t z = 1; z < last; ++z) {
+                    const double p = line[z];
+                    mean_z = std::fma(p, static_cast<double>(z), mean_z);
+                    mean_x += p * xd;
+                    mean_y += p * yd;
+                    busy += p;
+                    throughput = std::fma(p, arr, throughput);
+                    sigma_num = std::fma(p, arr, sigma_num);
                 }
-                if ((cuts.x && x == g.x_hi) || (cuts.y && y == g.y_hi) || z == g.z_hi)
-                    o.boundary += p;
-                if (y == g.y_hi) o.boundary_y += p;
-                if (z == g.z_hi) o.boundary_z += p;
+                if (face)
+                    for (std::size_t z = 0; z < last; ++z) boundary += line[z];
+                if (top_y)
+                    for (std::size_t z = 0; z < last; ++z) boundary_y += line[z];
             }
+            // z = z_hi: always on the truncation face, never an arrival.
+            const double p = line[last];
+            mean_z = std::fma(p, last_d, mean_z);
+            mean_x += p * xd;
+            mean_y += p * yd;
+            if (last > 0) busy += p;
+            boundary += p;
+            if (top_y) boundary_y += p;
+            boundary_z += p;
         }
     }
-    return o;
+    // sigma_den sums exactly the throughput's fma sequence (z < z_hi).
+    return {.mean_z = mean_z, .throughput = throughput, .busy = busy,
+            .sigma_num = sigma_num, .sigma_den = throughput, .mean_x = mean_x,
+            .mean_y = mean_y, .boundary = boundary, .boundary_y = boundary_y,
+            .boundary_z = boundary_z};
 }
 
 }  // namespace hap::core::detail

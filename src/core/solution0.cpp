@@ -99,14 +99,23 @@ struct BoxSolve {
     bool deadline_hit = false;  // the wall_ms budget backstop fired
 };
 
-// Sweep `pi` on box `g` until the observables (delay, E[z]) settle to `tol`
-// or the sweep budget runs out. Continues from the current content of `pi`,
-// so callers can chain calls — a loose coarse solve, then a tight one on the
-// same box — without restarting the iteration.
+// The last observable check on the current box: what the next check is
+// compared with. A box keeps one history across its coarse and final passes,
+// so the final pass's first check already completes a comparison.
+struct CheckHistory {
+    double delay = -1.0;  // < 0: no check on this box yet
+    double mean_z = -1.0;
+};
+
+// Sweep `pi` on box `g` until two consecutive checks of the observables
+// (delay, E[z]) agree to `tol`, or the sweep budget runs out. Continues from
+// the current content of `pi` and of `hist`, so callers can chain calls — a
+// loose coarse solve, then a tight one on the same box — without restarting
+// the iteration or its convergence history.
 BoxSolve solve_box(const Grid& g, const Rates& r, Cuts cuts,
                    const std::vector<double>& marginal, std::vector<double>& pi, double tol, std::size_t check_every,
-                   std::size_t max_sweeps, bool verbose, LineWorkspace& ws,
-                   const WallDeadline& deadline) {
+                   std::size_t max_sweeps, const char* pass, bool verbose, LineWorkspace& ws,
+                   const WallDeadline& deadline, CheckHistory& hist) {
     BoxSolve out;
     const auto loop_start = std::chrono::steady_clock::now();
     const auto elapsed_s = [loop_start] {
@@ -114,8 +123,6 @@ BoxSolve solve_box(const Grid& g, const Rates& r, Cuts cuts,
                                              loop_start)
             .count();
     };
-    double prev_delay = -1.0;
-    double prev_z = -1.0;
     for (std::size_t s = 1; s <= max_sweeps; ++s) {
         detail::sweep_lattice(g, r, pi, (s % 2) == 1, ws);
         project_marginal(g, marginal, pi);
@@ -126,16 +133,19 @@ BoxSolve solve_box(const Grid& g, const Rates& r, Cuts cuts,
             if (verbose) {
                 // Formatted into a buffer so library code never calls the
                 // printf output family (haplint: no-printf-in-library).
-                char line[160];
+                char line[200];
                 std::snprintf(line, sizeof(line),
-                              "solution0: sweep %zu delay %.8f mean_z %.6f "
-                              "util %.6f boundary %.2e\n",
-                              s, delay, o.mean_z, o.busy, o.boundary);
+                              "solution0: %s box %zux%zux%zu sweep %zu delay %.8f "
+                              "mean_z %.6f util %.6f boundary %.2e\n",
+                              pass, g.nx, g.ny, g.nz, s, delay, o.mean_z, o.busy,
+                              o.boundary);
                 std::cerr << line;
             }
-            if (prev_delay >= 0.0) {
-                const double dd = std::abs(delay - prev_delay) / std::max(delay, 1e-12);
-                const double dz = std::abs(o.mean_z - prev_z) / std::max(o.mean_z, 1e-12);
+            const CheckHistory prev = hist;
+            hist = {delay, o.mean_z};
+            if (prev.delay >= 0.0) {
+                const double dd = std::abs(delay - prev.delay) / std::max(delay, 1e-12);
+                const double dz = std::abs(o.mean_z - prev.mean_z) / std::max(o.mean_z, 1e-12);
                 out.residual = std::max(dd, dz);
                 if (dd < tol && dz < tol) {
                     out.converged = true;
@@ -150,8 +160,6 @@ BoxSolve solve_box(const Grid& g, const Rates& r, Cuts cuts,
                 out.sweep_s = elapsed_s();
                 return out;
             }
-            prev_delay = delay;
-            prev_z = o.mean_z;
         }
     }
     out.sweeps = max_sweeps;
@@ -352,13 +360,14 @@ Solution0Result solve_solution0(const HapParams& params, const Solution0Options&
         const std::size_t ck =
             have_seed ? std::max<std::size_t>(5, opts.check_every / 2) : opts.check_every;
 
+        CheckHistory hist;
         if (opts.adaptive && (g.y_hi < cap.y_hi || g.z_hi < cap.z_hi)) {
             // Coarse pass: settle the observables loosely, then read the
             // shell masses off the coarse solution to decide growth. A box
             // that still needs growing never pays for a tight solve.
             const double coarse_tol = std::max(opts.tol, 1e-6);
-            const BoxSolve b = solve_box(g, r, cuts, marginal, pi, coarse_tol, ck,
-                                         budget, opts.verbose, ws, deadline);
+            const BoxSolve b = solve_box(g, r, cuts, marginal, pi, coarse_tol, ck, budget,
+                                         "coarse", opts.verbose, ws, deadline, hist);
             total_sweeps += b.sweeps;
             sweep_s_total += b.sweep_s;
             state_updates += static_cast<std::uint64_t>(b.sweeps) * g.size();
@@ -390,17 +399,18 @@ Solution0Result solve_solution0(const HapParams& params, const Solution0Options&
                     continue;
                 }
             }
+            // Shells already below trunc_tol: this box is final. Its coarse
+            // pass may have settled to opts.tol already; otherwise tighten,
+            // continuing from the coarse iterate and its last check.
             budget = max_sweeps_eff - total_sweeps;
-            if (budget == 0) {
+            if (budget == 0 || (b.converged && b.residual < opts.tol)) {
                 fin = b;
                 break;
             }
-            // Shells already below trunc_tol: this box is final. Tighten to
-            // opts.tol, continuing from the coarse iterate.
         }
 
-        fin = solve_box(g, r, cuts, marginal, pi, opts.tol, ck, budget, opts.verbose,
-                        ws, deadline);
+        fin = solve_box(g, r, cuts, marginal, pi, opts.tol, ck, budget, "final",
+                        opts.verbose, ws, deadline, hist);
         total_sweeps += fin.sweeps;
         sweep_s_total += fin.sweep_s;
         state_updates += static_cast<std::uint64_t>(fin.sweeps) * g.size();

@@ -85,6 +85,38 @@ TEST(AnalyticSweep, WarmMatchesColdPointByPoint) {
     EXPECT_EQ(warm_sweeps, 1904u);
 }
 
+TEST(AnalyticSweep, CoarseHistoryCarriesIntoFinalPass) {
+    // The first four points of a Fig. 12 curve under the continuation
+    // settings of the analytic figure sweeps. A box keeps one check history
+    // across its coarse and final passes: a warm point whose coarse pass
+    // already settled to tol stops there, after two checks five sweeps apart.
+    std::vector<hap::experiment::AnalyticPoint> grid;
+    for (int i = 0; i < 4; ++i) {
+        hap::experiment::AnalyticPoint pt;
+        pt.coord = 0.4 + 0.9 * i / 14.0;
+        pt.params = hap::core::HapParams::paper_baseline(20.0);
+        pt.params.user_arrival_rate *= pt.coord;
+        grid.push_back(pt);
+    }
+    hap::experiment::AnalyticSweepOptions opts;
+    opts.solver.tol = 1e-7;
+    opts.solver.check_every = 10;
+    opts.solver.max_users = 20;
+    opts.solver.max_apps = 50;
+    opts.solver.max_messages = 300;
+    const auto warm = run_analytic_sweep(grid, opts);
+    ASSERT_EQ(warm.size(), grid.size());
+    const std::size_t want_sweeps[] = {40, 10, 10, 10};
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        ASSERT_TRUE(warm[i].s0.converged) << i;
+        EXPECT_EQ(warm[i].s0.sweeps, want_sweeps[i]) << i;
+        const auto cold = hap::core::solve_solution0(grid[i].params, opts.solver);
+        ASSERT_TRUE(cold.converged) << i;
+        EXPECT_NEAR(warm[i].s0.mean_delay, cold.mean_delay, 1e-6 * cold.mean_delay) << i;
+        EXPECT_NEAR(warm[i].s0.utilization, cold.utilization, 1e-6 * cold.utilization) << i;
+    }
+}
+
 TEST(AnalyticSweep, UnaffectedByConcurrentSimulationPool) {
     // The continuation chain is sequential by design; interleaving it with
     // 1- and 8-thread simulation sweeps must leave it bit-identical (no

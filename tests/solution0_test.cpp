@@ -131,6 +131,63 @@ TEST(LatticeSweep, WavefrontMatchesLexicographicWideAndTall) {
     expect_sweeps_identical({0, 25, 20, 12}, true);
 }
 
+// Test oracle: the per-state observables pass measure_lattice replaced, which
+// tests every face on every state. measure_lattice hoists those tests to the
+// line and must reproduce every accumulator bit for bit.
+detail::LatticeObservables reference_measure(const LatticeGrid& g, const LatticeRates& r,
+                                             detail::TruncationCuts cuts,
+                                             const std::vector<double>& pi) {
+    detail::LatticeObservables o;
+    for (std::size_t x = g.x_lo; x <= g.x_hi; ++x) {
+        for (std::size_t y = 0; y <= g.y_hi; ++y) {
+            const double arr = static_cast<double>(y) * r.beta;
+            for (std::size_t z = 0; z <= g.z_hi; ++z) {
+                const double p = pi[g.idx(x, y, z)];
+                o.mean_z = std::fma(p, static_cast<double>(z), o.mean_z);
+                o.mean_x += p * static_cast<double>(x);
+                o.mean_y += p * static_cast<double>(y);
+                if (z > 0) o.busy += p;
+                if (z < g.z_hi) {
+                    o.throughput = std::fma(p, arr, o.throughput);
+                    o.sigma_den = std::fma(p, arr, o.sigma_den);
+                    if (z > 0) o.sigma_num = std::fma(p, arr, o.sigma_num);
+                }
+                if ((cuts.x && x == g.x_hi) || (cuts.y && y == g.y_hi) || z == g.z_hi)
+                    o.boundary += p;
+                if (y == g.y_hi) o.boundary_y += p;
+                if (z == g.z_hi) o.boundary_z += p;
+            }
+        }
+    }
+    return o;
+}
+
+void expect_measure_identical(const Box& b) {
+    const LatticeGrid g = detail::make_lattice_grid(b.x_lo, b.x_hi, b.y_hi, b.z_hi);
+    const LatticeRates r{b.x_lo != b.x_hi, 0.4, 0.2, 0.5, 0.5, 2.0, 10.0};
+    hap::sim::RandomStream rng(0x0b5e0000 + g.size());
+    std::vector<double> pi(g.size());
+    for (double& v : pi) v = rng.uniform(0.0, 1e-3);
+    for (const bool cx : {false, true}) {
+        for (const bool cy : {false, true}) {
+            const detail::TruncationCuts cuts{cx, cy};
+            const detail::LatticeObservables want = reference_measure(g, r, cuts, pi);
+            const detail::LatticeObservables got = detail::measure_lattice(g, r, cuts, pi);
+            EXPECT_EQ(std::memcmp(&want, &got, sizeof(want)), 0)
+                << "box x " << b.x_lo << ".." << b.x_hi << " y_hi " << b.y_hi << " z_hi "
+                << b.z_hi << " cuts x " << cx << " y " << cy;
+        }
+    }
+}
+
+TEST(LatticeSweep, MeasureBitEqualToBranchyOracle) {
+    for (std::size_t z_hi : {0, 1, 30, 300}) {
+        expect_measure_identical({0, 9, 12, z_hi});
+        expect_measure_identical({3, 3, 7, z_hi});  // pinned users, nx = 1
+    }
+    expect_measure_identical({0, 20, 50, 64});  // a sweep_analytic-sized box
+}
+
 TEST(Solution0, RejectsUnsupportedShapes) {
     HapParams het = HapParams::homogeneous(0.4, 0.2, 0.5, 0.5, 2, 1.0, 1, 10.0);
     het.apps[1].arrival_rate = 0.9;
