@@ -21,6 +21,7 @@
 
 #include "experiment/experiment.hpp"
 #include "obs/metrics.hpp"
+#include "parallel/parallel_for.hpp"
 
 namespace hap::bench {
 
@@ -34,7 +35,7 @@ inline double scale() {
     return s;
 }
 
-inline std::size_t threads() { return hap::experiment::env_threads(); }
+inline std::size_t threads() { return hap::parallel::env_threads(); }
 
 inline std::size_t replications() {
     static const std::size_t r = [] {

@@ -46,27 +46,6 @@ AdmissionOutcome evaluate_admission(const HapParams& base, const AdmissionQuery&
     return out;
 }
 
-std::vector<AdmissionPoint> admission_sweep(
-    const HapParams& base, double service_rate,
-    const std::vector<std::pair<std::size_t, std::size_t>>& bounds) {
-    HAP_CHECK_FINITE(service_rate);
-    HAP_PRECOND(service_rate > 0.0);
-    std::vector<AdmissionPoint> out;
-    out.reserve(bounds.size());
-    for (const auto& [mu_users, mu_apps] : bounds) {
-        AdmissionQuery q;
-        q.max_users = mu_users;
-        q.max_apps = mu_apps;
-        q.service_rate = service_rate;
-        const AdmissionOutcome o = evaluate_admission(base, q);
-        // Historical sweep convention: an unstable point reports delay 0, not
-        // the outcome's +inf sentinel.
-        out.push_back(AdmissionPoint{mu_users, mu_apps, o.mean_rate, o.sigma,
-                                     o.stable ? o.mean_delay : 0.0});
-    }
-    return out;
-}
-
 double required_bandwidth(const HapParams& params, double delay_budget) {
     HAP_CHECK_FINITE(delay_budget);
     if (delay_budget <= 0.0)

@@ -2,8 +2,8 @@
 // Section 6): HAP as "the computational base to estimate the admissible
 // workload for a given bandwidth (admission control), or the required
 // bandwidth for a given workload (bandwidth allocation)", plus the
-// user/application-bounding sweep of Section 5 (Fig. 20) and the admission
-// decision table the paper sketches for ATM interfaces.
+// user/application-bounded evaluation behind Section 5's Fig. 20 and the
+// admission decision table the paper sketches for ATM interfaces.
 #pragma once
 
 #include <cstddef>
@@ -12,14 +12,6 @@
 #include "core/hap_params.hpp"
 
 namespace hap::core {
-
-struct AdmissionPoint {
-    std::size_t max_users = 0;  // 0 = unbounded
-    std::size_t max_apps = 0;
-    double mean_rate = 0.0;     // lambda-bar under the bounds
-    double sigma = 0.0;
-    double mean_delay = 0.0;
-};
 
 // One admission-control question, the paper's Fig. 20 tuple: CAN this many
 // users (and application instances) be carried at this CAPACITY within this
@@ -49,12 +41,6 @@ struct AdmissionOutcome {
 // Evaluate one admission query against `base` with the query's bounds
 // substituted (the query owns max_users/max_apps; base's bounds are ignored).
 AdmissionOutcome evaluate_admission(const HapParams& base, const AdmissionQuery& q);
-
-// Evaluate bounded variants of `base` at each (max_users, max_apps) pair;
-// a pair of zeros evaluates the unbounded HAP.
-std::vector<AdmissionPoint> admission_sweep(
-    const HapParams& base, double service_rate,
-    const std::vector<std::pair<std::size_t, std::size_t>>& bounds);
 
 // Bandwidth allocation: smallest service rate (messages/s) such that the
 // Solution-2 mean delay does not exceed `delay_budget`. Binary search over

@@ -29,10 +29,6 @@ struct SolveBudget {
     // when reproducibility matters. 0 = unlimited.
     std::uint64_t wall_ms = 0;
 
-    bool unlimited() const noexcept {
-        return max_iterations == 0 && max_states == 0 && wall_ms == 0;
-    }
-
     // The iteration cap combined with a solver's own limit.
     std::size_t cap_iterations(std::size_t solver_max) const noexcept {
         if (max_iterations == 0) return solver_max;

@@ -68,8 +68,7 @@ Solution1::Solution1(HapParams params, const ChainBounds& bounds)
         }
         analyze(sol.pi, chain.arrival_rates(), users, apps);
     }
-    solver_iterations_ = sol.iterations;
-    record_build(chain_states_, solver_iterations_, sol.residual, timer);
+    record_build(chain_states_, sol.iterations, sol.residual, timer);
 }
 
 void Solution1::analyze(const std::vector<double>& pi, const std::vector<double>& rates,

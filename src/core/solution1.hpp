@@ -40,10 +40,7 @@ public:
 
     queueing::Gm1Result solve_queue(double service_rate) const;
 
-    // Diagnostics from the steady-state solve: solver_iterations() counts
-    // Gauss-Seidel sweeps, 0 when the exact elimination answered.
     std::size_t chain_states() const noexcept { return chain_states_; }
-    std::size_t solver_iterations() const noexcept { return solver_iterations_; }
 
 private:
     void analyze(const std::vector<double>& pi, const std::vector<double>& rates,
@@ -55,7 +52,6 @@ private:
     double mean_users_ = 0.0;
     double mean_apps_ = 0.0;
     std::size_t chain_states_ = 0;
-    std::size_t solver_iterations_ = 0;
 };
 
 }  // namespace hap::core

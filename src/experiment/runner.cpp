@@ -4,6 +4,9 @@
 #include <atomic>
 #include <chrono>
 #include <limits>
+#include <span>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "experiment/faultinject.hpp"
@@ -45,114 +48,36 @@ void poison_delay(ReplicationResult& r) {
     r.delay = stats::OnlineStats::from_state(st);
 }
 
-}  // namespace
+// Per-job slots of one pass of the job loop: runs[s][rep] is valid iff
+// ok[offsets[s] + rep]; failures are in job-index order.
+struct JobSlots {
+    std::vector<std::size_t> offsets;
+    std::vector<std::vector<ReplicationResult>> runs;
+    std::vector<char> ok;
+    std::vector<FailureRecord> failures;
+};
 
-ExperimentRunner::ExperimentRunner(std::size_t threads)
-    : threads_(threads > 0 ? threads : env_threads()) {}
-
-void ExperimentRunner::parallel_for(std::size_t n,
-                                    const std::function<void(std::size_t)>& fn) const {
-    parallel::parallel_for(threads_, n, fn);
-}
-
-ReplicationResult ExperimentRunner::simulate_hap(const Scenario& sc,
-                                                 std::uint64_t run_id,
-                                                 sim::RandomStream& rng) {
-    return ReplicationResult::from(
-        run_id, core::simulate_hap_queue(sc.params, rng, sc.sim_options()), sc.warmup);
-}
-
-std::vector<ReplicationResult> ExperimentRunner::replicate(const Scenario& sc) const {
-    return replicate(sc, &ExperimentRunner::simulate_hap);
-}
-
-std::vector<ReplicationResult> ExperimentRunner::replicate(
-    const Scenario& sc, const SimulateFn& simulate) const {
-    sc.validate();
-    std::vector<ReplicationResult> out(sc.replications);
-    const bool metrics = obs::enabled();
-    std::atomic<std::uint64_t> done{0};
-    parallel_for(sc.replications, [&](std::size_t i) {
-        using Clock = std::chrono::steady_clock;
-        const Clock::time_point t0 = metrics ? Clock::now() : Clock::time_point{};
-        sim::RandomStream rng = sc.stream(i);
-        out[i] = simulate(sc, i, rng);
-        if (metrics) {
-            record_replication(sc.name, i, out[i], obs::seconds_since(t0),
-                               done.fetch_add(1) + 1, sc.replications);
-        }
-    });
-    return out;
-}
-
-MergedResult ExperimentRunner::run(const Scenario& sc) const {
-    return MergedResult::merge(replicate(sc));
-}
-
-MergedResult ExperimentRunner::run(const Scenario& sc, const SimulateFn& simulate) const {
-    return MergedResult::merge(replicate(sc, simulate));
-}
-
-std::vector<MergedResult> ExperimentRunner::run_all(
-    const std::vector<Scenario>& grid) const {
-    return run_all(grid, &ExperimentRunner::simulate_hap);
-}
-
-std::vector<MergedResult> ExperimentRunner::run_all(const std::vector<Scenario>& grid,
-                                                    const SimulateFn& simulate) const {
+// The one replication job loop; every ExperimentRunner entry point is a view
+// of its slots.
+JobSlots run_jobs(const ExperimentRunner& runner, std::span<const Scenario> grid,
+                  const ExperimentRunner::SimulateFn& simulate,
+                  const ContainOptions& copts) {
     // Flatten (scenario, replication) into one job list so the pool stays
     // full even when single scenarios have fewer replications than threads.
-    std::vector<std::size_t> offsets(grid.size() + 1, 0);
+    // Each job is its own fault domain: it either delivers a VALIDATED
+    // replication or one FailureRecord — never a half-poisoned merge input —
+    // and either outcome is checkpointed before the sweep moves on.
+    JobSlots out;
+    out.offsets.assign(grid.size() + 1, 0);
     for (std::size_t s = 0; s < grid.size(); ++s) {
         grid[s].validate();
-        offsets[s + 1] = offsets[s] + grid[s].replications;
+        out.offsets[s + 1] = out.offsets[s] + grid[s].replications;
     }
-    std::vector<std::vector<ReplicationResult>> runs(grid.size());
-    for (std::size_t s = 0; s < grid.size(); ++s) runs[s].resize(grid[s].replications);
-
-    const bool metrics = obs::enabled();
-    std::atomic<std::uint64_t> done{0};
-    parallel_for(offsets.back(), [&](std::size_t job) {
-        // Scenarios are few; a linear scan beats binary search bookkeeping.
-        std::size_t s = 0;
-        while (job >= offsets[s + 1]) ++s;
-        const std::size_t rep = job - offsets[s];
-        using Clock = std::chrono::steady_clock;
-        const Clock::time_point t0 = metrics ? Clock::now() : Clock::time_point{};
-        sim::RandomStream rng = grid[s].stream(rep);
-        runs[s][rep] = simulate(grid[s], rep, rng);
-        if (metrics) {
-            record_replication(grid[s].name, rep, runs[s][rep], obs::seconds_since(t0),
-                               done.fetch_add(1) + 1, offsets.back());
-        }
-    });
-
-    std::vector<MergedResult> merged;
-    merged.reserve(grid.size());
-    for (const auto& r : runs) merged.push_back(MergedResult::merge(r));
-    return merged;
-}
-
-ContainedSweep ExperimentRunner::run_all_contained(
-    const std::vector<Scenario>& grid, const ContainOptions& copts) const {
-    return run_all_contained(grid, &ExperimentRunner::simulate_hap, copts);
-}
-
-ContainedSweep ExperimentRunner::run_all_contained(
-    const std::vector<Scenario>& grid, const SimulateFn& simulate,
-    const ContainOptions& copts) const {
-    // Same flattened job list as run_all; the difference is that each job is
-    // its own fault domain. A job either delivers a VALIDATED replication or
-    // one FailureRecord — never a half-poisoned merge input — and either
-    // outcome is checkpointed before the sweep moves on.
-    std::vector<std::size_t> offsets(grid.size() + 1, 0);
-    for (std::size_t s = 0; s < grid.size(); ++s) {
-        grid[s].validate();
-        offsets[s + 1] = offsets[s] + grid[s].replications;
-    }
+    const std::vector<std::size_t>& offsets = out.offsets;
     const std::size_t total = offsets.back();
-    std::vector<std::vector<ReplicationResult>> runs(grid.size());
-    for (std::size_t s = 0; s < grid.size(); ++s) runs[s].resize(grid[s].replications);
+    out.runs.resize(grid.size());
+    for (std::size_t s = 0; s < grid.size(); ++s)
+        out.runs[s].resize(grid[s].replications);
 
     // Force the fault plan's one-time HAP_FAULT_INJECT parse NOW, on the
     // coordinating thread: the hooks below run inside pool workers, and
@@ -167,17 +92,28 @@ ContainedSweep ExperimentRunner::run_all_contained(
     // lands in a slot owned by exactly one job index. The mutex-guarded
     // structures workers DO touch (metrics registry, checkpoint writer,
     // parallel_for's error sink) carry their annotations at the definition.
-    std::vector<char> ok(total, 0);
-    std::vector<char> bad(total, 0);
+    out.ok.assign(total, 0);
     std::vector<FailureRecord> slots(total);
 
     const bool metrics = obs::enabled();
     std::atomic<std::uint64_t> done{0};
-    parallel_for(total, [&](std::size_t job) {
+    runner.parallel_for(total, [&](std::size_t job) {
+        // Scenarios are few; a linear scan beats binary search bookkeeping.
         std::size_t s = 0;
         while (job >= offsets[s + 1]) ++s;
         const std::size_t rep = job - offsets[s];
         const Scenario& sc = grid[s];
+        ReplicationResult& slot = out.runs[s][rep];
+        const auto fail = [&](std::string stage, std::string what) {
+            FailureRecord& f = slots[job];
+            f.scenario = sc.name;
+            f.run_id = rep;
+            f.job_index = job;
+            f.master_seed = sc.master_seed;
+            f.component = sc.component();
+            f.stage = std::move(stage);
+            f.what = std::move(what);
+        };
 
         // Resume: a checkpointed outcome — success or failure — is restored
         // verbatim instead of re-running the job. It is already in the
@@ -185,18 +121,10 @@ ContainedSweep ExperimentRunner::run_all_contained(
         if (copts.resume != nullptr) {
             if (const CheckpointEntry* e = copts.resume->find(sc.name, rep)) {
                 if (e->failed) {
-                    FailureRecord& f = slots[job];
-                    f.scenario = sc.name;
-                    f.run_id = rep;
-                    f.job_index = job;
-                    f.master_seed = sc.master_seed;
-                    f.component = sc.component();
-                    f.stage = e->stage;
-                    f.what = e->what;
-                    bad[job] = 1;
+                    fail(e->stage, e->what);
                 } else {
-                    runs[s][rep] = e->result;
-                    ok[job] = 1;
+                    slot = e->result;
+                    out.ok[job] = 1;
                 }
                 return;
             }
@@ -212,33 +140,83 @@ ContainedSweep ExperimentRunner::run_all_contained(
             if (fault_fires(FaultKind::Nan, sc.name, rep)) poison_delay(r);
             stage = "validate";
             validate_replication(r);
-            runs[s][rep] = std::move(r);
-            ok[job] = 1;
+            slot = std::move(r);
+            out.ok[job] = 1;
             if (metrics) {
-                record_replication(sc.name, rep, runs[s][rep], obs::seconds_since(t0),
+                record_replication(sc.name, rep, slot, obs::seconds_since(t0),
                                    done.fetch_add(1) + 1, total);
             }
             if (copts.checkpoint != nullptr)
-                copts.checkpoint->record_result(sc.name, rep, runs[s][rep]);
+                copts.checkpoint->record_result(sc.name, rep, slot);
         } catch (const std::exception& e) {
-            FailureRecord& f = slots[job];
-            f.scenario = sc.name;
-            f.run_id = rep;
-            f.job_index = job;
-            f.master_seed = sc.master_seed;
-            f.component = sc.component();
-            f.stage = stage;
-            f.what = e.what();
-            bad[job] = 1;
+            fail(stage, e.what());
             if (metrics) obs::registry().add_counter("experiment.failures");
             if (copts.checkpoint != nullptr)
-                copts.checkpoint->record_failure(sc.name, rep, stage, f.what);
+                copts.checkpoint->record_failure(sc.name, rep, stage, e.what());
         }
     });
 
-    ContainedSweep out;
+    // A job that returned without an ok flag left exactly one FailureRecord.
     for (std::size_t job = 0; job < total; ++job)
-        if (bad[job]) out.failures.push_back(std::move(slots[job]));
+        if (!out.ok[job]) out.failures.push_back(std::move(slots[job]));
+    return out;
+}
+
+// The strict views' gate: any failed job is an error, reported with the
+// failure count and the first failure in job-index order.
+void require_no_failures(const std::vector<FailureRecord>& failures, const char* who) {
+    if (failures.empty()) return;
+    const FailureRecord& f = failures.front();
+    throw std::runtime_error(std::string(who) + ": " + std::to_string(failures.size()) +
+                             " job(s) failed; first " + f.scenario + "#" +
+                             std::to_string(f.run_id) + " (" + f.stage + "): " + f.what);
+}
+
+}  // namespace
+
+ExperimentRunner::ExperimentRunner(std::size_t threads)
+    : threads_(threads > 0 ? threads : parallel::env_threads()) {}
+
+ReplicationResult ExperimentRunner::simulate_hap(const Scenario& sc,
+                                                 std::uint64_t run_id,
+                                                 sim::RandomStream& rng) {
+    return ReplicationResult::from(
+        run_id, core::simulate_hap_queue(sc.params, rng, sc.sim_options()), sc.warmup);
+}
+
+std::vector<ReplicationResult> ExperimentRunner::replicate(
+    const Scenario& sc, const SimulateFn& simulate) const {
+    JobSlots slots = run_jobs(*this, {&sc, 1}, simulate, ContainOptions());
+    require_no_failures(slots.failures, "replicate");
+    return std::move(slots.runs.front());
+}
+
+MergedResult ExperimentRunner::run(const Scenario& sc, const SimulateFn& simulate) const {
+    return MergedResult::merge(replicate(sc, simulate));
+}
+
+std::vector<MergedResult> ExperimentRunner::run_all(const std::vector<Scenario>& grid,
+                                                    const SimulateFn& simulate) const {
+    const JobSlots slots = run_jobs(*this, grid, simulate, ContainOptions());
+    require_no_failures(slots.failures, "run_all");
+    std::vector<MergedResult> merged;
+    merged.reserve(grid.size());
+    for (const auto& r : slots.runs) merged.push_back(MergedResult::merge(r));
+    return merged;
+}
+
+ContainedSweep ExperimentRunner::run_all_contained(
+    const std::vector<Scenario>& grid, const ContainOptions& copts) const {
+    return run_all_contained(grid, &ExperimentRunner::simulate_hap, copts);
+}
+
+ContainedSweep ExperimentRunner::run_all_contained(
+    const std::vector<Scenario>& grid, const SimulateFn& simulate,
+    const ContainOptions& copts) const {
+    JobSlots slots = run_jobs(*this, grid, simulate, copts);
+    const std::size_t total = slots.offsets.back();
+    ContainedSweep out;
+    out.failures = std::move(slots.failures);
     if (total > 0 && out.failures.size() == total) {
         throw std::runtime_error("run_all_contained: all " + std::to_string(total) +
                                  " jobs failed; first: " + out.failures.front().what);
@@ -248,9 +226,11 @@ ContainedSweep ExperimentRunner::run_all_contained(
     out.survivors.reserve(grid.size());
     for (std::size_t s = 0; s < grid.size(); ++s) {
         std::vector<ReplicationResult> alive;
-        alive.reserve(runs[s].size());
-        for (std::size_t rep = 0; rep < runs[s].size(); ++rep)
-            if (ok[offsets[s] + rep]) alive.push_back(std::move(runs[s][rep]));
+        alive.reserve(slots.runs[s].size());
+        for (std::size_t rep = 0; rep < slots.runs[s].size(); ++rep) {
+            if (slots.ok[slots.offsets[s] + rep])
+                alive.push_back(std::move(slots.runs[s][rep]));
+        }
         out.survivors.push_back(alive.size());
         out.merged.push_back(MergedResult::merge(alive));
     }

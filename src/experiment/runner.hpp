@@ -17,13 +17,6 @@
 
 namespace hap::experiment {
 
-// The work-sharing primitive moved down to src/parallel (so the markov
-// solvers can use it too); these aliases keep the experiment-layer spelling
-// every existing caller uses.
-using parallel::env_threads;
-using JobError = parallel::JobError;
-using ParallelForError = parallel::ParallelForError;
-
 // Fault-contained sweep options: an optional append-mode checkpoint (every
 // finished job is persisted before the sweep moves on) and an optional
 // resume snapshot (jobs already present are restored, not re-run).
@@ -43,17 +36,19 @@ struct ContainedSweep {
 
 class ExperimentRunner {
 public:
-    // threads == 0 picks env_threads().
+    // threads == 0 picks parallel::env_threads().
     explicit ExperimentRunner(std::size_t threads = 0);
 
     std::size_t threads() const noexcept { return threads_; }
 
     // Run fn(i) for every i in [0, n) on the pool; blocks until all jobs
     // finish. The calling thread participates. A throwing job never stops the
-    // others: every job runs (serial and pooled paths alike), every exception
-    // is captured, and a ParallelForError carrying all of them — ordered by
-    // job index — is thrown after the pool drains.
-    void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) const;
+    // others: every job runs, every exception is captured, and a
+    // parallel::ParallelForError carrying all of them — ordered by job index —
+    // is thrown after the pool drains.
+    void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) const {
+        parallel::parallel_for(threads_, n, fn);
+    }
 
     // One replication: given the scenario, the run id, and that run's
     // deterministic stream, produce a summary.
@@ -64,27 +59,30 @@ public:
     static ReplicationResult simulate_hap(const Scenario& sc, std::uint64_t run_id,
                                           sim::RandomStream& rng);
 
+    // Every entry point below drains the same fault-contained job loop: each
+    // (scenario, replication) pair is one pool job, so small grids with many
+    // replications still fill every thread; each job is its own fault domain
+    // and its replication is validated (validate_replication) BEFORE it may
+    // reach the merge. Results are in grid order, each merged in run_id order.
+    //
+    // replicate, run and run_all are the strict views: any failed job throws
+    // std::runtime_error naming the failure count and the first failure
+    // (scenario#rep, stage, text).
+
     // All replications of one scenario, in run_id order.
-    std::vector<ReplicationResult> replicate(const Scenario& sc) const;
-    std::vector<ReplicationResult> replicate(const Scenario& sc,
-                                             const SimulateFn& simulate) const;
+    std::vector<ReplicationResult> replicate(
+        const Scenario& sc, const SimulateFn& simulate = &simulate_hap) const;
 
-    MergedResult run(const Scenario& sc) const;
-    MergedResult run(const Scenario& sc, const SimulateFn& simulate) const;
+    MergedResult run(const Scenario& sc,
+                     const SimulateFn& simulate = &simulate_hap) const;
 
-    // Parameter sweep: every (scenario, replication) pair is one pool job, so
-    // small grids with many replications still fill every thread. Results are
-    // in grid order, each merged in run_id order.
-    std::vector<MergedResult> run_all(const std::vector<Scenario>& grid) const;
     std::vector<MergedResult> run_all(const std::vector<Scenario>& grid,
-                                      const SimulateFn& simulate) const;
+                                      const SimulateFn& simulate = &simulate_hap) const;
 
-    // Fault-contained run_all: a failing (scenario, replication) job becomes
-    // one FailureRecord instead of aborting the sweep, and every replication
-    // is validated (validate_replication) BEFORE it may reach the merge, so a
-    // poisoned result is contained at the job boundary. Non-faulted jobs are
-    // bit-identical to what run_all produces. Throws std::runtime_error only
-    // when EVERY job failed (nothing to report).
+    // The contained view: a failing job becomes one FailureRecord instead of
+    // aborting the sweep, and each scenario is merged over its survivors.
+    // Throws std::runtime_error only when EVERY job failed (nothing to
+    // report).
     ContainedSweep run_all_contained(const std::vector<Scenario>& grid,
                                      const ContainOptions& copts = ContainOptions()) const;
     ContainedSweep run_all_contained(const std::vector<Scenario>& grid,

@@ -55,11 +55,6 @@ void Ctmc::finalize() {
     finalized_ = true;
 }
 
-std::size_t Ctmc::num_transitions() const noexcept {
-    if (finalized_) return out_.nnz();
-    return shared_ != nullptr ? shared_->pending() : own_builder_.pending();
-}
-
 Ctmc::InEdges Ctmc::in_edges(std::size_t s) const {
     if (!finalized_) throw std::logic_error("Ctmc: not finalized");
     if (s >= n_) throw std::out_of_range("Ctmc: state out of range");

@@ -39,9 +39,6 @@ public:
     bool finalized() const noexcept { return finalized_; }
 
     std::size_t num_states() const noexcept { return n_; }
-    // Before finalize: transitions recorded so far. After: stored entries
-    // (duplicate (from, to) pairs merged by summation).
-    std::size_t num_transitions() const noexcept;
 
     // Hot-path accessor: contract-guarded, not bounds-checked — the solver
     // kernels index it millions of times per sweep.

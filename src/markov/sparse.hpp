@@ -76,7 +76,6 @@ public:
     void add(std::size_t row, std::size_t col, double value);
 
     bool open() const noexcept { return open_; }
-    std::size_t pending() const noexcept { return coo_row_.size(); }
 
     // Assemble into `out`, reusing out's storage when adequate, and close the
     // build. The builder keeps its arenas for the next begin().

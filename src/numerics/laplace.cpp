@@ -63,10 +63,4 @@ double ExponentialMixture::second_moment() const {
     return total;
 }
 
-double ExponentialMixture::total_weight() const {
-    double total = 0.0;
-    for (double w : weights) total += w;
-    return total;
-}
-
 }  // namespace hap::numerics

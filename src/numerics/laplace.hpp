@@ -27,7 +27,6 @@ struct ExponentialMixture {
     double cdf(double t) const;
     double mean() const;          // sum_k w_k / r_k over positive-rate parts
     double second_moment() const; // sum_k 2 w_k / r_k^2
-    double total_weight() const;
 };
 
 }  // namespace hap::numerics

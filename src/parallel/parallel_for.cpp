@@ -69,38 +69,29 @@ void parallel_for(std::size_t threads, std::size_t n,
     if (n == 0) return;
     if (threads == 0) threads = env_threads();
     const std::size_t workers = std::min(threads, n);
+    // One worker loop at every width: with a single worker nothing is
+    // spawned and the calling thread claims jobs 0..n-1 in order. Every job
+    // runs even after one throws, so failure sets are identical at any
+    // thread count.
     ErrorSink sink;
-    if (workers <= 1) {
-        // The serial path mirrors the pool exactly — every job runs even
-        // after one throws — so failure sets are identical at any thread
-        // count.
-        for (std::size_t i = 0; i < n; ++i) {
+    std::atomic<std::size_t> next{0};
+    const auto work = [&] {
+        for (;;) {
+            const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+            if (i >= n) return;
             try {
                 fn(i);
             } catch (...) {
                 sink.push(i, std::current_exception());
             }
         }
-    } else {
-        std::atomic<std::size_t> next{0};
-        const auto work = [&] {
-            for (;;) {
-                const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-                if (i >= n) return;
-                try {
-                    fn(i);
-                } catch (...) {
-                    sink.push(i, std::current_exception());
-                }
-            }
-        };
+    };
 
-        std::vector<std::thread> pool;
-        pool.reserve(workers - 1);
-        for (std::size_t w = 1; w < workers; ++w) pool.emplace_back(work);
-        work();  // the calling thread is worker 0
-        for (std::thread& t : pool) t.join();
-    }
+    std::vector<std::thread> pool;
+    pool.reserve(workers - 1);
+    for (std::size_t w = 1; w < workers; ++w) pool.emplace_back(work);
+    work();  // the calling thread is worker 0
+    for (std::thread& t : pool) t.join();
     std::vector<JobError> errors = sink.take();
     // Capture order is schedule-dependent; job-index order is not.
     std::sort(errors.begin(), errors.end(),

@@ -50,8 +50,6 @@ public:
     // Half-close the write side (models a client vanishing mid-frame).
     void shutdown_write();
 
-    bool connected() const noexcept { return fd_ >= 0; }
-
 private:
     explicit Client(int fd) : fd_(fd) {}
 

@@ -44,10 +44,6 @@ double Histogram::bin_lower(std::size_t i) const noexcept {
     return lo_ + width_ * static_cast<double>(i);
 }
 
-double Histogram::bin_center(std::size_t i) const noexcept {
-    return bin_lower(i) + 0.5 * width_;
-}
-
 double Histogram::density(std::size_t i) const {
     if (total_ == 0) return 0.0;
     return static_cast<double>(bin_count(i)) /

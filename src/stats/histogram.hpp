@@ -23,9 +23,6 @@ public:
     std::size_t bins() const noexcept { return counts_.size(); }
     std::uint64_t bin_count(std::size_t i) const { return counts_.at(i); }
     double bin_lower(std::size_t i) const noexcept;
-    double bin_upper(std::size_t i) const noexcept { return bin_lower(i + 1); }
-    double bin_center(std::size_t i) const noexcept;
-    double bin_width() const noexcept { return width_; }
 
     // Empirical density estimate at bin i (count / (total * width)).
     double density(std::size_t i) const;

@@ -99,7 +99,6 @@ public:
         return total_time_ > 0.0 ? area2_ / total_time_ : 0.0;
     }
     double variance() const noexcept;
-    double current_value() const noexcept { return value_; }
     double max() const noexcept { return max_; }
 
     // Checkpoint snapshot; see OnlineStats::State. max is -Inf until the

@@ -1,6 +1,9 @@
 // Tests for the admission-control / bandwidth-allocation toolkit (Section 6).
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "core/admission.hpp"
 #include "core/solution2.hpp"
 
@@ -10,9 +13,17 @@ using namespace hap::core;
 
 TEST(Admission, SweepMonotoneInBounds) {
     const HapParams base = HapParams::paper_baseline(20.0);
-    const auto points = admission_sweep(
-        base, 20.0, {{0, 0}, {60, 300}, {12, 60}, {6, 30}, {3, 15}});
-    ASSERT_EQ(points.size(), 5u);
+    const std::vector<std::pair<std::size_t, std::size_t>> bounds{
+        {0, 0}, {60, 300}, {12, 60}, {6, 30}, {3, 15}};
+    std::vector<AdmissionOutcome> points;
+    for (const auto& [users, apps] : bounds) {
+        AdmissionQuery q;
+        q.max_users = users;
+        q.max_apps = apps;
+        q.service_rate = 20.0;
+        points.push_back(evaluate_admission(base, q));
+        ASSERT_TRUE(points.back().stable);
+    }
     // Generous bounds ~ unbounded; tightening reduces rate and delay.
     EXPECT_NEAR(points[1].mean_rate, points[0].mean_rate, 1e-6);
     EXPECT_NEAR(points[1].mean_delay, points[0].mean_delay, 1e-6);

@@ -13,6 +13,7 @@
 #include "core/hap_params.hpp"
 #include "core/solution0.hpp"
 #include "experiment/experiment.hpp"
+#include "parallel/parallel_for.hpp"
 
 namespace {
 
@@ -24,10 +25,10 @@ using hap::experiment::FailureRecord;
 using hap::experiment::FaultKind;
 using hap::experiment::FaultPlan;
 using hap::experiment::MergedResult;
-using hap::experiment::ParallelForError;
 using hap::experiment::ReplicationResult;
 using hap::experiment::Scenario;
 using hap::experiment::set_fault_plan;
+using hap::parallel::ParallelForError;
 
 // Every test that injects faults clears the process-wide plan on exit, so
 // test order never leaks a fault into an unrelated case.
@@ -232,6 +233,39 @@ TEST(ContainedSweep, AllJobsFailedThrows) {
         ADD_FAILURE() << "run_all_contained did not throw";
     } catch (const std::runtime_error& e) {
         EXPECT_NE(std::string(e.what()).find("all 12 jobs failed"), std::string::npos);
+    }
+}
+
+TEST(ContainedSweep, StrictViewsThrowOnInjectedFaults) {
+    // replicate, run and run_all drain the same fault-contained loop as
+    // run_all_contained, so injected faults and replication validation reach
+    // them too; being strict, they throw instead of merging around the loss.
+    const auto grid = small_grid();
+    const ExperimentRunner runner(4);
+    const MergedResult clean_a = runner.run(grid[0]);
+    const auto expect_throw_naming = [](const auto& call, const std::string& needle) {
+        try {
+            (void)call();
+            ADD_FAILURE() << "no throw; expected one naming " << needle;
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
+        }
+    };
+    {
+        const PlanGuard guard("throw@test.fault.b#1");
+        expect_throw_naming([&] { return runner.run_all(grid); },
+                            "run_all: 1 job(s) failed; first test.fault.b#1 (simulate)");
+        expect_throw_naming([&] { return runner.run(grid[1]); },
+                            "test.fault.b#1 (simulate)");
+        expect_throw_naming([&] { return runner.replicate(grid[1]); },
+                            "test.fault.b#1 (simulate)");
+        // A scenario the plan does not match runs exactly as without a plan.
+        expect_merged_eq(runner.run(grid[0]), clean_a);
+    }
+    {
+        const PlanGuard guard("nan@test.fault.a#0");
+        expect_throw_naming([&] { return runner.run_all(grid); },
+                            "test.fault.a#0 (validate)");
     }
 }
 

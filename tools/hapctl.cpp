@@ -74,15 +74,38 @@ std::vector<std::string> with(const std::vector<std::string>& base,
     return out;
 }
 
-core::HapParams model_from_flags(const cli::Flags& f) {
+// The model flags at one sweep grid point: the user arrival rate scaled by
+// `lambda_scale`, the service rate replaced by `service`.
+core::HapParams model_at(const cli::Flags& f, double lambda_scale, double service) {
     core::HapParams p = core::HapParams::homogeneous(
-        f.number("lambda", 0.0055), f.number("mu", 0.001),
+        f.number("lambda", 0.0055) * lambda_scale, f.number("mu", 0.001),
         f.number("lambda1", 0.01), f.number("mu1", 0.01), f.count("l", 5),
-        f.number("lambda2", 0.1), f.count("m", 3), f.number("service", 20.0));
+        f.number("lambda2", 0.1), f.count("m", 3), service);
     p.max_users = f.count("max-users", 0);
     p.max_apps = f.count("max-apps", 0);
+    return p;
+}
+
+core::HapParams model_from_flags(const cli::Flags& f) {
+    core::HapParams p = model_at(f, 1.0, f.number("service", 20.0));
     p.validate();
     return p;
+}
+
+// The result document's epilogue: the telemetry block under --metrics, then
+// the document to --json FILE; with --metrics and no FILE the text report
+// goes to stdout instead.
+void finish_document(const cli::Flags& f, experiment::JsonWriter& json, bool metrics) {
+    if (metrics)
+        json.metrics_block(experiment::obs_metrics_json(obs::registry().snapshot()));
+    const std::string out = f.text("json", "");
+    if (!out.empty()) {
+        if (json.write_file(out))
+            std::printf("\njson results written to %s\n", out.c_str());
+        else
+            throw std::runtime_error("cannot write " + out);
+    }
+    if (metrics && out.empty()) std::fputs(obs::registry().report().c_str(), stdout);
 }
 
 int cmd_analyze(const cli::Flags& f) {
@@ -263,12 +286,7 @@ int cmd_sweep_analytic(const cli::Flags& f, bool metrics) {
             std::snprintf(name, sizeof(name), "sweep.service=%g.lambda=%g", service,
                           scale);
             pt.name = name;
-            pt.params = core::HapParams::homogeneous(
-                f.number("lambda", 0.0055) * scale, f.number("mu", 0.001),
-                f.number("lambda1", 0.01), f.number("mu1", 0.01), f.count("l", 5),
-                f.number("lambda2", 0.1), f.count("m", 3), service);
-            pt.params.max_users = f.count("max-users", 0);
-            pt.params.max_apps = f.count("max-apps", 0);
+            pt.params = model_at(f, scale, service);
             pt.coord = scale;
             grid.push_back(std::move(pt));
         }
@@ -327,16 +345,7 @@ int cmd_sweep_analytic(const cli::Flags& f, bool metrics) {
         }
     }
     if (!failures.empty()) json.failures_block(experiment::failures_block_json(failures));
-    if (metrics)
-        json.metrics_block(experiment::obs_metrics_json(obs::registry().snapshot()));
-    const std::string out = f.text("json", "");
-    if (!out.empty()) {
-        if (json.write_file(out))
-            std::printf("\njson results written to %s\n", out.c_str());
-        else
-            throw std::runtime_error("cannot write " + out);
-    }
-    if (metrics && out.empty()) std::fputs(obs::registry().report().c_str(), stdout);
+    finish_document(f, json, metrics);
     return rc;
 }
 
@@ -390,12 +399,7 @@ int cmd_sweep(const cli::Flags& f) {
             std::snprintf(name, sizeof(name), "sweep.service=%g.lambda=%g", service,
                           scale);
             sc.name = name;
-            sc.params = core::HapParams::homogeneous(
-                f.number("lambda", 0.0055) * scale, f.number("mu", 0.001),
-                f.number("lambda1", 0.01), f.number("mu1", 0.01), f.count("l", 5),
-                f.number("lambda2", 0.1), f.count("m", 3), service);
-            sc.params.max_users = f.count("max-users", 0);
-            sc.params.max_apps = f.count("max-apps", 0);
+            sc.params = model_at(f, scale, service);
             sc.horizon = horizon;
             sc.warmup = warmup;
             sc.buffer_capacity = f.count("buffer", 0);
@@ -507,19 +511,7 @@ int cmd_sweep(const cli::Flags& f) {
                     sweep.failures.size());
         json.failures_block(experiment::failures_block_json(sweep.failures));
     }
-    if (metrics) {
-        json.metrics_block(
-            experiment::obs_metrics_json(obs::registry().snapshot()));
-    }
-
-    const std::string out = f.text("json", "");
-    if (!out.empty()) {
-        if (json.write_file(out))
-            std::printf("\njson results written to %s\n", out.c_str());
-        else
-            throw std::runtime_error("cannot write " + out);
-    }
-    if (metrics && out.empty()) std::fputs(obs::registry().report().c_str(), stdout);
+    finish_document(f, json, metrics);
     return 0;
 }
 
