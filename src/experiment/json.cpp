@@ -354,9 +354,7 @@ private:
 
 Json Json::parse(std::string_view text) { return Parser(text).run(); }
 
-namespace {
-
-void escape_into(std::string& out, const std::string& s) {
+void append_json_string(std::string& out, std::string_view s) {
     out += '"';
     for (char c : s) {
         const auto u = static_cast<unsigned char>(c);
@@ -379,6 +377,19 @@ void escape_into(std::string& out, const std::string& s) {
     out += '"';
 }
 
+void append_json_number(std::string& out, double v) {
+    if (!std::isfinite(v)) {
+        out += "null";  // JSON has no NaN/Inf
+        return;
+    }
+    // Shortest round-trip representation.
+    char buf[32];
+    const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+    out.append(buf, res.ptr);
+}
+
+namespace {
+
 void newline_indent(std::string& out, int indent, int depth) {
     if (indent <= 0) return;
     out += '\n';
@@ -395,17 +406,9 @@ void Json::write(std::string& out, int indent, int depth) const {
         case Type::Bool:
             out += bool_ ? "true" : "false";
             break;
-        case Type::Number: {
-            if (!std::isfinite(num_)) {
-                out += "null";  // JSON has no NaN/Inf
-                break;
-            }
-            // Shortest round-trip representation.
-            char buf[32];
-            const auto res = std::to_chars(buf, buf + sizeof(buf), num_);
-            out.append(buf, res.ptr);
+        case Type::Number:
+            append_json_number(out, num_);
             break;
-        }
         case Type::Int: {
             char buf[24];
             const auto res = std::to_chars(buf, buf + sizeof(buf), int_);
@@ -413,7 +416,7 @@ void Json::write(std::string& out, int indent, int depth) const {
             break;
         }
         case Type::String:
-            escape_into(out, str_);
+            append_json_string(out, str_);
             break;
         case Type::Array: {
             if (items_.empty()) {
@@ -439,7 +442,7 @@ void Json::write(std::string& out, int indent, int depth) const {
             for (std::size_t i = 0; i < members_.size(); ++i) {
                 if (i > 0) out += ',';
                 newline_indent(out, indent, depth + 1);
-                escape_into(out, members_[i].first);
+                append_json_string(out, members_[i].first);
                 out += indent > 0 ? ": " : ":";
                 members_[i].second.write(out, indent, depth + 1);
             }

@@ -81,6 +81,13 @@ private:
     std::vector<std::pair<std::string, Json>> members_;    // Object
 };
 
+// Append exactly the bytes Json::dump writes for a string (quoted, escaped)
+// or a double (shortest round-trip; non-finite as null), without building a
+// Json. Callers that splice JSON text by hand go through these so their
+// bytes cannot drift from the document writer's.
+void append_json_string(std::string& out, std::string_view s);
+void append_json_number(std::string& out, double v);
+
 // Write `doc` to `path` (pretty-printed, trailing newline) atomically via
 // experiment::atomic_write_file; false on I/O error, in which case `path` is
 // left untouched.

@@ -4,7 +4,8 @@
 // Design rules (DESIGN.md §4e):
 //   * Zero dependencies, one mutex. Metric updates are rare (per-solve /
 //     per-replication, never per-event), so a single lock is cheaper and
-//     simpler than sharded atomics.
+//     simpler than sharded atomics. The busiest caller is hapd, at ~5
+//     updates per request (two latency timers, three counters on a hit).
 //   * Near-zero cost when disabled: every mutating entry point first checks
 //     the relaxed atomic enabled() flag and returns without touching the lock
 //     or the clock. Call sites additionally guard so they do not even build

@@ -1,5 +1,6 @@
 #include "service/cache.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
@@ -13,39 +14,71 @@ namespace {
 
 using experiment::Json;
 
-// Shortest-round-trip double text (what Json::number emits), so the key of a
-// parameter is exactly the bytes its JSON form would carry.
-std::string dtoa(double v) {
-    Json j = Json::number(v);
-    return j.dump(0);
+// Key fields are written straight into one reserved string: doubles as the
+// shortest-round-trip text Json::number emits ("null" when non-finite), so
+// the key of a parameter is exactly the bytes its JSON form would carry, and
+// counts in decimal, as std::to_string writes them.
+constexpr std::size_t kKeyReserve = 128;
+
+void append_count(std::string& out, std::size_t v) {
+    char buf[24];
+    const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+    out.append(buf, res.ptr);
+}
+
+// ";mu;lambda1;mu1;l;lambda2;m;service;max_users;max_apps": everything except
+// lambda (the continuation coordinate), in fixed order.
+void append_family_fields(std::string& out, const ModelSpec& model) {
+    const auto number = [&](double v) {
+        out += ';';
+        experiment::append_json_number(out, v);
+    };
+    const auto count = [&](std::size_t v) {
+        out += ';';
+        append_count(out, v);
+    };
+    number(model.mu);
+    number(model.lambda1);
+    number(model.mu1);
+    count(model.l);
+    number(model.lambda2);
+    count(model.m);
+    number(model.service);
+    count(model.max_users);
+    count(model.max_apps);
+}
+
+void append_solve_key(std::string& out, const ModelSpec& model) {
+    out += "s0:";
+    experiment::append_json_number(out, model.lambda);
+    append_family_fields(out, model);
 }
 
 }  // namespace
 
 std::string solve_key(const ModelSpec& model) {
-    std::string k = "s0:";
-    k += dtoa(model.lambda);
-    k += solve_family(model).substr(3);  // family already encodes the rest
+    std::string k;
+    k.reserve(kKeyReserve);
+    append_solve_key(k, model);
     return k;
 }
 
 std::string solve_family(const ModelSpec& model) {
-    // Everything except lambda (the continuation coordinate), in fixed order.
-    std::string f = "f0:";
-    f += ';' + dtoa(model.mu);
-    f += ';' + dtoa(model.lambda1);
-    f += ';' + dtoa(model.mu1);
-    f += ';' + std::to_string(model.l);
-    f += ';' + dtoa(model.lambda2);
-    f += ';' + std::to_string(model.m);
-    f += ';' + dtoa(model.service);
-    f += ';' + std::to_string(model.max_users);
-    f += ';' + std::to_string(model.max_apps);
+    std::string f;
+    f.reserve(kKeyReserve);
+    f += "f0:";
+    append_family_fields(f, model);
     return f;
 }
 
 std::string admission_key(const ModelSpec& model, double delay_budget) {
-    return "adm:" + dtoa(delay_budget) + ';' + solve_key(model);
+    std::string k;
+    k.reserve(kKeyReserve);
+    k += "adm:";
+    experiment::append_json_number(k, delay_budget);
+    k += ';';
+    append_solve_key(k, model);
+    return k;
 }
 
 PointCache::PointCache(std::string path, std::string config) {
@@ -55,27 +88,20 @@ PointCache::PointCache(std::string path, std::string config) {
         throw std::runtime_error("cache " + path + " was written with config \"" +
                                  raw.config + "\" (want \"" + config + "\")");
     }
+    const core::MutexLock lock(mutex_);
     for (std::size_t i = 0; i < raw.records.size(); ++i) {
         const Json& rec = raw.records[i];
         try {
             const Json& p = rec.at("point");
-            CachedPoint cp;
-            cp.key = p.at("key").as_string();
-            cp.family = p.find("family") != nullptr ? p.at("family").as_string() : "";
-            cp.coord = p.find("coord") != nullptr ? p.at("coord").as_number() : 0.0;
-            cp.kind = p.at("kind").as_string();
-            cp.quality = p.at("quality").as_string();
-            cp.result = p.at("result");
+            Entry e;
+            e.key = p.at("key").as_string();
+            e.family = p.find("family") != nullptr ? p.at("family").as_string() : "";
+            e.coord = p.find("coord") != nullptr ? p.at("coord").as_number() : 0.0;
+            (void)p.at("kind").as_string();  // required on disk, unused in memory
+            e.quality = p.at("quality").as_string();
+            e.result = p.at("result").dump(0);
             // Later records win (a re-solve of a torn point supersedes).
-            bool replaced = false;
-            for (CachedPoint& e : entries_) {
-                if (e.key == cp.key) {
-                    e = std::move(cp);
-                    replaced = true;
-                    break;
-                }
-            }
-            if (!replaced) entries_.push_back(std::move(cp));
+            put(std::move(e));
         } catch (const std::exception& e) {
             // A semantically incomplete FINAL record on a torn line is the
             // write the crash interrupted; anything else is corruption.
@@ -89,18 +115,18 @@ PointCache::PointCache(std::string path, std::string config) {
 
 std::optional<CacheLookup> PointCache::lookup(const std::string& key) const {
     const core::MutexLock lock(mutex_);
-    for (const CachedPoint& e : entries_) {
-        if (e.key == key) return CacheLookup{e.result, e.quality};
-    }
-    return std::nullopt;
+    const auto it = index_.find(key);
+    if (it == index_.end()) return std::nullopt;
+    const Entry& e = entries_[it->second];
+    return CacheLookup{e.result, e.quality};
 }
 
 std::optional<NearestState> PointCache::nearest(const std::string& family,
                                                 double coord) const {
     const core::MutexLock lock(mutex_);
-    const CachedPoint* best = nullptr;
+    const Entry* best = nullptr;
     double best_dist = 0.0;
-    for (const CachedPoint& e : entries_) {
+    for (const Entry& e : entries_) {
         if (e.family != family || e.state.empty() || e.quality != "ok") continue;
         const double dist = std::abs(e.coord - coord);
         if (best == nullptr || dist < best_dist ||
@@ -116,9 +142,9 @@ std::optional<NearestState> PointCache::nearest(const std::string& family,
 std::optional<NearestResult> PointCache::nearest_result(const std::string& family,
                                                         double coord) const {
     const core::MutexLock lock(mutex_);
-    const CachedPoint* best = nullptr;
+    const Entry* best = nullptr;
     double best_dist = 0.0;
-    for (const CachedPoint& e : entries_) {
+    for (const Entry& e : entries_) {
         if (e.family != family || e.quality != "ok") continue;
         const double dist = std::abs(e.coord - coord);
         if (best == nullptr || dist < best_dist ||
@@ -131,7 +157,20 @@ std::optional<NearestResult> PointCache::nearest_result(const std::string& famil
     return NearestResult{best->result, best->coord};
 }
 
-void PointCache::insert(CachedPoint point) {
+void PointCache::put(Entry entry) {
+    const auto [it, fresh] = index_.try_emplace(entry.key, entries_.size());
+    if (fresh) {
+        entries_.push_back(std::move(entry));
+    } else {
+        entries_[it->second] = std::move(entry);
+    }
+}
+
+std::string PointCache::insert(CachedPoint point) {
+    // Serialize outside the lock: the stored bytes, then the file record.
+    Entry e;
+    e.result = point.result.dump(0);
+    std::string result = e.result;
     Json rec = Json::object();
     {
         Json p = Json::object();
@@ -142,20 +181,17 @@ void PointCache::insert(CachedPoint point) {
         }
         p.set("kind", Json::string(point.kind));
         p.set("quality", Json::string(point.quality));
-        p.set("result", point.result);
+        p.set("result", std::move(point.result));
         rec.set("point", std::move(p));
     }
+    e.key = std::move(point.key);
+    e.family = std::move(point.family);
+    e.coord = point.coord;
+    e.quality = std::move(point.quality);
+    e.state = std::move(point.state);
 
     const core::MutexLock lock(mutex_);
-    bool replaced = false;
-    for (CachedPoint& e : entries_) {
-        if (e.key == point.key) {
-            e = std::move(point);
-            replaced = true;
-            break;
-        }
-    }
-    if (!replaced) entries_.push_back(std::move(point));
+    put(std::move(e));
     if (writer_.has_value()) {
         try {
             writer_->record_custom(rec);
@@ -167,6 +203,7 @@ void PointCache::insert(CachedPoint point) {
             ++persist_errors_;
         }
     }
+    return result;
 }
 
 std::size_t PointCache::size() const {

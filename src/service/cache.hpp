@@ -5,7 +5,9 @@
 // two requests name the same cache line iff their parameters are bit-equal —
 // no tolerance-based aliasing, which is what makes a cache hit a byte-exact
 // replay of the stored solve rather than "approximately the same answer".
-// Admission entries add the delay threshold under an "adm:" prefix.
+// Admission entries add the delay threshold under an "adm:" prefix. A hashed
+// key index makes a lookup one probe; each entry holds its result as the
+// compact JSON bytes every reply for that point splices (answer_response).
 //
 // Every solve entry remembers its FAMILY — the key with the swept coordinate
 // (the user arrival rate lambda, the paper's Fig. 12 load knob) struck out —
@@ -25,6 +27,7 @@
 #include <cstddef>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/solution0.hpp"
@@ -42,8 +45,9 @@ std::string solve_family(const ModelSpec& model);  // key minus lambda
 // Admission entries: solve key + threshold under a distinguishing prefix.
 std::string admission_key(const ModelSpec& model, double delay_budget);
 
-// One cached answer. `result` holds the exact response payload members the
-// original solve produced; replaying it is byte-identical by construction.
+// One answer to cache. `result` holds the exact result object the original
+// solve produced; the cache keeps its compact bytes, so replaying them is
+// byte-identical by construction.
 struct CachedPoint {
     std::string key;
     std::string family;   // empty for admission entries
@@ -55,7 +59,7 @@ struct CachedPoint {
 };
 
 struct CacheLookup {
-    experiment::Json result;
+    std::string result;  // compact JSON bytes of the stored result object
     std::string quality;
 };
 
@@ -69,7 +73,7 @@ struct NearestState {
 // cached "ok" ANSWER in a family — unlike NearestState it needs no in-memory
 // lattice, so entries restored from disk qualify too.
 struct [[nodiscard]] NearestResult {
-    experiment::Json result;
+    std::string result;  // compact JSON bytes, as CacheLookup::result
     double coord = 0.0;
 };
 
@@ -84,7 +88,8 @@ public:
     PointCache(const PointCache&) = delete;
     PointCache& operator=(const PointCache&) = delete;
 
-    // Exact-key lookup; copies the stored answer out (never the state).
+    // Exact-key lookup, one hash probe; copies the stored answer bytes out
+    // (never the state).
     std::optional<CacheLookup> lookup(const std::string& key) const;
 
     // Nearest solved "ok" neighbor in `family` by |coord - its coord| that
@@ -102,8 +107,10 @@ public:
     // persistence failure — including an injected write@<path> fault tearing
     // the record mid-line — is contained: the entry stays served from memory,
     // the writer is disabled for the rest of the process, and the failure is
-    // counted (hapd.cache.persist_errors) for the scrape endpoint.
-    void insert(CachedPoint point);
+    // counted (hapd.cache.persist_errors) for the scrape endpoint. An
+    // overwrite keeps the key's position in insertion order. Returns the
+    // result's compact bytes as stored, which the caller's reply splices.
+    std::string insert(CachedPoint point);
 
     std::size_t size() const;
     // Entries restored from disk by the constructor.
@@ -112,10 +119,22 @@ public:
     std::size_t persist_errors() const;
 
 private:
+    struct Entry {
+        std::string key;
+        std::string family;
+        double coord = 0.0;
+        std::string quality;
+        std::string result;  // compact JSON bytes
+        core::Solution0State state;
+    };
+    // Insert, or overwrite in place when the key is already held.
+    void put(Entry entry) HAP_REQUIRES(mutex_);
+
     mutable core::Mutex mutex_;
-    // Insertion-ordered (deterministic iteration for nearest()); linear scans
-    // are fine at the entry counts a key-exact cache sees.
-    std::vector<CachedPoint> entries_ HAP_GUARDED_BY(mutex_);
+    // Insertion-ordered, so nearest()'s scan and tie-break are deterministic;
+    // index_ maps each key to its position for the exact-key paths.
+    std::vector<Entry> entries_ HAP_GUARDED_BY(mutex_);
+    std::unordered_map<std::string, std::size_t> index_ HAP_GUARDED_BY(mutex_);
     std::optional<experiment::CheckpointWriter> writer_ HAP_GUARDED_BY(mutex_);
     std::size_t persist_errors_ HAP_GUARDED_BY(mutex_) = 0;
     std::size_t loaded_ = 0;  // set once in the constructor

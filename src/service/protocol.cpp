@@ -1,5 +1,6 @@
 #include "service/protocol.hpp"
 
+#include <charconv>
 #include <utility>
 
 #include "core/contracts.hpp"
@@ -248,6 +249,34 @@ std::string ok_response(const std::string& id, const experiment::Json& payload) 
     if (!id.empty()) j.set("id", Json::string(id));
     for (const auto& [key, value] : payload.members()) j.set(key, value);
     return j.dump(0);
+}
+
+std::string answer_response(const std::string& id, const Answer& answer) {
+    std::string out;
+    out.reserve(96 + id.size() + answer.result.size());
+    out += "{\"ok\":true";
+    if (!id.empty()) {
+        out += ",\"id\":";
+        experiment::append_json_string(out, id);
+    }
+    out += ",\"source\":";
+    experiment::append_json_string(out, answer.source);
+    out += ",\"quality\":";
+    experiment::append_json_string(out, answer.quality);
+    if (answer.batch > 1) {
+        char buf[24];
+        const auto res = std::to_chars(buf, buf + sizeof(buf), answer.batch);
+        out += ",\"batch\":";
+        out.append(buf, res.ptr);
+    }
+    if (answer.distance.has_value()) {
+        out += ",\"distance\":";
+        experiment::append_json_number(out, *answer.distance);
+    }
+    out += ",\"result\":";
+    out += answer.result;
+    out += '}';
+    return out;
 }
 
 }  // namespace hap::service

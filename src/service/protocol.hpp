@@ -144,6 +144,20 @@ std::string error_response(const std::string& id, std::string_view code,
 // Wrap `payload`'s members into {"ok":true,"id":...,<payload members>}.
 std::string ok_response(const std::string& id, const experiment::Json& payload);
 
+// One answer to a solve or admission query (hit, warm, cold, clamped, approx).
+struct Answer {
+    std::string source;              // "hit" | "warm" | "cold" | "approx"
+    std::string quality;             // "ok" | "degraded" | "clamped" | "approx"
+    std::size_t batch = 1;           // written only when one chain answered several points
+    std::optional<double> distance;  // approx answers: relative coordinate gap
+    std::string result;              // compact JSON bytes of the result object
+};
+// {"ok":true,"id":...,"source":...,"quality":...,["batch":N,]["distance":d,]
+// "result":<result bytes spliced verbatim>}: the bytes ok_response writes for
+// the same members, without building or copying a Json tree. Every answer
+// goes through here, so a hit's bytes are the miss reply's by construction.
+std::string answer_response(const std::string& id, const Answer& answer);
+
 // Shed frame: {"ok":false,...,"code":"overloaded","retry_after_ms":N}. The
 // hint is the server's deterministic backoff floor (ServeOptions, not a
 // clock), so shed responses replay byte-identically.

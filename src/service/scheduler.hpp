@@ -14,7 +14,6 @@
 #include <utility>
 #include <vector>
 
-#include "experiment/json.hpp"
 #include "service/protocol.hpp"
 
 namespace hap::service {
@@ -30,14 +29,14 @@ struct Admission {
 };
 
 // The answer every claimant of one point receives. The leader writes
-// `error` or `payload` outside the lock, BEFORE finish() sets done under it,
+// `error` or `answer` outside the lock, BEFORE finish() sets done under it,
 // so a woken claimant reads them race-free. `claims` counts the clients
 // still waiting for this answer.
 struct Waiter {
     bool done = false;
     std::size_t claims = 0;
-    std::string error;         // non-empty = solve failed
-    experiment::Json payload;  // the reply's members otherwise
+    std::string error;  // non-empty = solve failed
+    Answer answer;      // the reply otherwise
 };
 
 // One distinct operating point queued for a round; bit-equal keys share it.

@@ -80,17 +80,6 @@ Json solve_result_json(const core::Solution0Result& s0) {
     return r;
 }
 
-// The answer payload shape shared by hits, solves and admissions; `batch`
-// appears only when one chain answered several points.
-Json answer(std::string source, std::string quality, Json result, std::size_t batch = 1) {
-    Json payload = Json::object();
-    payload.set("source", Json::string(std::move(source)));
-    payload.set("quality", Json::string(std::move(quality)));
-    if (batch > 1) payload.set("batch", Json::integer(static_cast<std::uint64_t>(batch)));
-    payload.set("result", std::move(result));
-    return payload;
-}
-
 using Clock = SchedClock;
 
 // `ms` after `from`; 0 means no deadline.
@@ -147,8 +136,8 @@ struct Hapd::Impl {
         scheduler.release();
     }
 
-    // Exact cache hit: a byte-identical replay of the stored answer. Counts
-    // the lookup as a hit or a miss.
+    // Exact cache hit: the stored result bytes spliced into the reply.
+    // Counts the lookup as a hit or a miss.
     std::optional<std::string> hit_reply(const std::string& id, const std::string& key) {
         auto hit = point_cache.lookup(key);
         if (!hit) {
@@ -156,8 +145,8 @@ struct Hapd::Impl {
             return std::nullopt;
         }
         count("hapd.cache.hits");
-        return ok_response(
-            id, answer("hit", std::move(hit->quality), std::move(hit->result)));
+        return answer_response(
+            id, Answer{"hit", std::move(hit->quality), 1, std::nullopt, std::move(hit->result)});
     }
 
     std::string handle_solve(const Request& req, Clock::time_point arrival) {
@@ -195,12 +184,8 @@ struct Hapd::Impl {
                 if (dist <= opts.approx_rel_distance) {
                     release_depth();
                     count("hapd.overload.approx");
-                    Json payload = Json::object();
-                    payload.set("source", Json::string("approx"));
-                    payload.set("quality", Json::string("approx"));
-                    payload.set("distance", Json::number(dist));
-                    payload.set("result", std::move(near->result));
-                    return ok_response(req.id, payload);
+                    return answer_response(
+                        req.id, Answer{"approx", "approx", 1, dist, std::move(near->result)});
                 }
             }
             count("hapd.overload.clamped");
@@ -213,7 +198,7 @@ struct Hapd::Impl {
             return deadline_exceeded_response(req.id);
         }
         if (!w->error.empty()) return error_response(req.id, "solve-failed", w->error);
-        return ok_response(req.id, w->payload);
+        return answer_response(req.id, w->answer);
     }
 
     std::string handle_admission(const Request& req) {
@@ -234,9 +219,9 @@ struct Hapd::Impl {
         cp.key = key;
         cp.kind = "admission";
         cp.quality = "ok";
-        cp.result = r;
-        point_cache.insert(std::move(cp));
-        return ok_response(req.id, answer("cold", "ok", std::move(r)));
+        cp.result = std::move(r);
+        return answer_response(
+            req.id, Answer{"cold", "ok", 1, std::nullopt, point_cache.insert(std::move(cp))});
     }
 
     std::string handle_metrics(const Request& req) {
@@ -337,13 +322,15 @@ struct Hapd::Impl {
     // point's waiter (published afterwards by finish()). Runs unlocked.
     void solve_round(const Claim& leader, const std::vector<SolvePoint>& points) {
         count("hapd.batch.rounds");
-        // A solve that raced us may have landed these keys already.
+        // A solve that raced us may have landed these keys already. Each
+        // claimant already counted its lookup as a miss, so this re-check
+        // counts apart from hapd.cache.hits.
         std::vector<const SolvePoint*> todo;
         for (const SolvePoint& pt : points) {
             if (auto hit = point_cache.lookup(pt.key)) {
-                count("hapd.cache.hits");
-                pt.waiter->payload =
-                    answer("hit", std::move(hit->quality), std::move(hit->result));
+                count("hapd.batch.late_hits");
+                pt.waiter->answer = Answer{"hit", std::move(hit->quality), 1, std::nullopt,
+                                           std::move(hit->result)};
             } else {
                 todo.push_back(&pt);
             }
@@ -415,25 +402,28 @@ struct Hapd::Impl {
             if (pr.quality == "degraded") count("hapd.solve.degraded");
             Json result = solve_result_json(pr.s0);
 
-            if (!leader.clamped) {
+            std::string bytes;
+            if (leader.clamped) {
                 // Clamped answers are deliberately NOT cached: a later
                 // unloaded solve of the same point must run at full budget
                 // and land the real answer (also keeps the cache file
                 // byte-identical to a fault-free, unloaded run).
+                bytes = result.dump(0);
+            } else {
                 CachedPoint cp;
                 cp.key = pt.key;
                 cp.family = leader.family;
                 cp.coord = pt.model.lambda;
                 cp.kind = "solve";
                 cp.quality = pr.quality;
-                cp.result = result;
+                cp.result = std::move(result);
                 cp.state = std::move(pr.s0.state);
-                point_cache.insert(std::move(cp));
+                bytes = point_cache.insert(std::move(cp));
             }
 
-            pt.waiter->payload = answer(warm ? "warm" : "cold",
-                                        leader.clamped ? "clamped" : pr.quality,
-                                        std::move(result), todo.size());
+            pt.waiter->answer = Answer{warm ? "warm" : "cold",
+                                       leader.clamped ? "clamped" : pr.quality,
+                                       todo.size(), std::nullopt, std::move(bytes)};
         }
     }
 

@@ -6,7 +6,7 @@
 // a time, and a PointCache of solved operating points. The query path per
 // solve request:
 //
-//   exact cache hit  -> byte-identical replay of the stored answer
+//   exact cache hit  -> the stored result bytes spliced into the reply
 //   miss             -> continuation warm start from the family's nearest
 //                       solved neighbor (run_analytic_sweep seed, PR 4)
 //   no neighbor      -> budgeted cold solve (SolveBudget, PR 5) with the
@@ -21,9 +21,12 @@
 // answer from Solution 2 and cache under their own key.
 //
 // Observability: every stage counts into the obs metrics registry
-// (hapd.cache.hits/misses, hapd.solve.warm/cold/degraded/failed,
-// hapd.batch.*, hapd.protocol.errors, latency histograms) and the "metrics"
-// op serves the registry as a text scrape plus machine-readable counters.
+// (hapd.cache.hits/misses — one per solve/admission query, so they sum to
+// hapd.queries.solve + hapd.queries.admission — hapd.solve.warm/cold/
+// degraded/failed, hapd.batch.rounds/coalesced/followers/late_hits (a
+// leader's race re-check finding a point already cached), hapd.overload.*,
+// hapd.protocol.errors, latency histograms) and the "metrics" op serves the
+// registry as a text scrape plus machine-readable counters.
 //
 // The daemon never prints: diagnostics go through the optional log callback
 // (hapctl wires it to stdout; tests capture it).

@@ -218,9 +218,18 @@ TEST(HapdChaos, OverloadLadderApproxClampShedCountedExactly) {
     // B: miss at depth 2, neighbor 0.002 is ~1% away (inside the 50% bound)
     // -> approx, answered instantly, depth released.
     Client bc = Client::connect_tcp(port);
-    const Json b = call_json(
-        bc, hap::service::build_solve_request(light_model(0.00202), "B"));
+    const std::string b_reply =
+        bc.call(hap::service::build_solve_request(light_model(0.00202), "B"));
+    const Json b = Json::parse(b_reply);
     EXPECT_TRUE(b.at("ok").as_bool());
+    // The approx answer splices the neighbor's stored result bytes; they are
+    // exactly what ok_response writes for the same members.
+    {
+        Json payload = Json::object();
+        for (const auto& [key, value] : b.members())
+            if (key != "ok" && key != "id") payload.set(key, value);
+        EXPECT_EQ(hap::service::ok_response("B", payload), b_reply);
+    }
     EXPECT_EQ(b.at("quality").as_string(), "approx");
     EXPECT_EQ(b.at("source").as_string(), "approx");
     EXPECT_GT(b.at("distance").as_number(), 0.0);

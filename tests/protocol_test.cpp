@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -14,6 +16,8 @@
 namespace {
 
 using hap::experiment::Json;
+using hap::service::Answer;
+using hap::service::answer_response;
 using hap::service::build_admission_request;
 using hap::service::build_simple_request;
 using hap::service::build_solve_request;
@@ -21,6 +25,7 @@ using hap::service::encode_frame;
 using hap::service::FrameReader;
 using hap::service::kFrameHeaderBytes;
 using hap::service::ModelSpec;
+using hap::service::ok_response;
 using hap::service::Op;
 using hap::service::parse_request;
 using hap::service::ProtocolError;
@@ -318,6 +323,45 @@ TEST(Responses, EnvelopesAreWellFormed) {
     EXPECT_EQ(err.at("id").as_string(), "q2");
     EXPECT_EQ(err.at("code").as_string(), "bad-request");
     EXPECT_EQ(err.at("error").as_string(), "nope");
+}
+
+// The answer writer splices stored result bytes instead of serializing a
+// Json tree; its bytes must be exactly what ok_response writes for the same
+// members, for every envelope shape the daemon answers with.
+TEST(Responses, AnswerWriterMatchesOkResponseForEveryShape) {
+    const std::string result =
+        R"({"mean_delay":0.30000000000000004,"states":120,"converged":true,"sigma":null})";
+    const auto via_json = [&](const std::string& id, const Answer& a) {
+        Json p = Json::object();
+        p.set("source", Json::string(a.source));
+        p.set("quality", Json::string(a.quality));
+        if (a.batch > 1) p.set("batch", Json::integer(static_cast<std::uint64_t>(a.batch)));
+        if (a.distance.has_value()) p.set("distance", Json::number(*a.distance));
+        p.set("result", Json::parse(a.result));
+        return ok_response(id, p);
+    };
+    const std::vector<Answer> shapes = {
+        {"hit", "ok", 1, std::nullopt, result},
+        {"hit", "degraded", 1, std::nullopt, result},
+        {"cold", "ok", 1, std::nullopt, R"({"admit":true,"stable":false})"},
+        {"warm", "clamped", 6, std::nullopt, result},
+        {"approx", "approx", 1, 0.012, result},
+        {"approx", "approx", 1, 1e-300, result},
+        {"approx", "approx", 1, std::numeric_limits<double>::infinity(), result},
+    };
+    const std::vector<std::string> ids = {"", "q1", "quote\"back\\slash\nctl\x01", "\xc3\xa9"};
+    for (const Answer& a : shapes) {
+        for (const std::string& id : ids) {
+            EXPECT_EQ(answer_response(id, a), via_json(id, a))
+                << a.source << "/" << a.quality << " id=" << id;
+        }
+    }
+    EXPECT_EQ(answer_response("q", shapes[3]),
+              std::string(R"({"ok":true,"id":"q","source":"warm","quality":"clamped",)") +
+                  R"("batch":6,"result":)" + result + "}");
+    EXPECT_EQ(answer_response("", shapes[6]),
+              std::string(R"({"ok":true,"source":"approx","quality":"approx",)") +
+                  R"("distance":null,"result":)" + result + "}");
 }
 
 }  // namespace

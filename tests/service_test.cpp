@@ -4,13 +4,15 @@
 // solve), leader/follower batching, N concurrent clients with zero
 // cross-wired responses, protocol abuse over the socket, torn-write crash
 // recovery of the persistent cache, and warm restarts serving old points as
-// byte-identical hits.
+// byte-identical hits. Also pins the cache key text and PointCache's
+// keyed-index semantics (overwrite in place, later records win on restore).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -30,10 +32,12 @@ namespace {
 using hap::experiment::FaultPlan;
 using hap::experiment::Json;
 using hap::experiment::set_fault_plan;
+using hap::service::CachedPoint;
 using hap::service::Client;
 using hap::service::Hapd;
 using hap::service::ModelSpec;
 using hap::service::Op;
+using hap::service::PointCache;
 using hap::service::ServeOptions;
 
 std::string temp_path(const std::string& name) {
@@ -69,6 +73,26 @@ Json call_json(Client& c, const std::string& body) {
 std::uint64_t counter(const Json& metrics_response, const std::string& name) {
     const Json* v = metrics_response.at("counters").find(name);
     return v == nullptr ? 0 : v->as_uint();
+}
+
+// The check hapbench's reply_replay_identical makes, as a gate: an answer's
+// bytes are exactly ok_response(id, payload) rebuilt from its parsed members.
+void expect_replays_as_ok_response(const std::string& reply) {
+    const Json r = Json::parse(reply);
+    Json payload = Json::object();
+    for (const auto& [key, value] : r.members())
+        if (key != "ok" && key != "id") payload.set(key, value);
+    const Json* id = r.find("id");
+    EXPECT_EQ(hap::service::ok_response(id != nullptr ? id->as_string() : "", payload),
+              reply);
+}
+
+// The raw bytes of an answer's "result" member, which is always written last.
+std::string result_bytes(const std::string& reply) {
+    const std::string tag = "\"result\":";
+    const std::size_t at = reply.find(tag);
+    if (at == std::string::npos) return "";
+    return reply.substr(at + tag.size(), reply.size() - at - tag.size() - 1);
 }
 
 TEST(HapdServing, PingMetricsAndShutdownOps) {
@@ -114,6 +138,11 @@ TEST(HapdServing, CacheHitReplaysByteIdentical) {
     // The headline guarantee: the replayed result is the SAME BYTES the
     // original solve produced, not a re-derivation that happens to agree.
     EXPECT_EQ(j1.at("result").dump(0), j2.at("result").dump(0));
+    std::string as_hit = first;
+    as_hit.replace(as_hit.find("\"cold\""), 6, "\"hit\"");
+    EXPECT_EQ(second, as_hit);
+    expect_replays_as_ok_response(first);
+    expect_replays_as_ok_response(second);
     daemon.stop();
 }
 
@@ -210,6 +239,10 @@ TEST(HapdServing, ConcurrentClientsNoDroppedOrCrossWiredResponses) {
     const Json m =
         call_json(probe, hap::service::build_simple_request(Op::Metrics, "m"));
     EXPECT_GE(counter(m, "hapd.queries"), 208u);
+    // Every solve/admission query counts its lookup exactly once; a batch
+    // leader's race re-check counts apart, as hapd.batch.late_hits.
+    EXPECT_EQ(counter(m, "hapd.cache.hits") + counter(m, "hapd.cache.misses"),
+              counter(m, "hapd.queries.solve") + counter(m, "hapd.queries.admission"));
     // 6 distinct solve points + 6 admission points exist; everything else of
     // the ~166 solve/admission queries must have been served from cache.
     EXPECT_GE(counter(m, "hapd.cache.hits"), 100u);
@@ -231,14 +264,15 @@ TEST(HapdServing, ConcurrentFamilyMissesCoalesceIntoOneChain) {
     const double lambdas[] = {0.0015, 0.0017, 0.0019, 0.0021, 0.0023, 0.0025};
 
     std::atomic<int> failures{0};
+    std::vector<std::string> replies(std::size(lambdas));
     std::vector<std::thread> clients;  // haplint: allow(naked-thread) -- independent serving clients
-    for (double lambda : lambdas) {
-        clients.emplace_back([&, lambda] {
+    for (std::size_t i = 0; i < std::size(lambdas); ++i) {
+        clients.emplace_back([&, i] {
             try {
                 Client c = Client::connect_tcp(port);
-                const Json r = Json::parse(c.call(hap::service::build_solve_request(
-                    light_model(lambda), "b")));
-                if (!r.at("ok").as_bool()) failures.fetch_add(1);
+                replies[i] = c.call(hap::service::build_solve_request(
+                    light_model(lambdas[i]), "b"));
+                if (!Json::parse(replies[i]).at("ok").as_bool()) failures.fetch_add(1);
             } catch (const std::exception&) {
                 failures.fetch_add(1);
             }
@@ -246,6 +280,12 @@ TEST(HapdServing, ConcurrentFamilyMissesCoalesceIntoOneChain) {
     }
     for (std::thread& th : clients) th.join();  // haplint: allow(naked-thread) -- independent serving clients
     EXPECT_EQ(failures.load(), 0);
+    std::size_t batched = 0;
+    for (const std::string& reply : replies) {
+        expect_replays_as_ok_response(reply);
+        if (Json::parse(reply).find("batch") != nullptr) ++batched;
+    }
+    EXPECT_GE(batched, 2u);  // a coalesced round answers each of its points
 
     Client probe = Client::connect_tcp(port);
     const Json m =
@@ -384,14 +424,17 @@ TEST(HapdServing, TornCacheWriteIsContainedAndRecoveredOnRestart) {
         hap::service::build_solve_request(light_model(0.0026), "torn");
 
     std::string good_result;
+    std::string good_bytes;
     {
         hap::obs::registry().reset();
         Hapd daemon(o);
         daemon.start();
         Client c = Client::connect_tcp(daemon.port());
-        const Json g = Json::parse(c.call(good_req));
+        const std::string reply = c.call(good_req);
+        const Json g = Json::parse(reply);
         ASSERT_TRUE(g.at("ok").as_bool());
         good_result = g.at("result").dump(0);
+        good_bytes = result_bytes(reply);
 
         // Kill the writer mid-record for everything that follows.
         set_fault_plan(FaultPlan::parse("write@hap_svc_crash"));
@@ -420,9 +463,12 @@ TEST(HapdServing, TornCacheWriteIsContainedAndRecoveredOnRestart) {
         EXPECT_EQ(daemon.cache().loaded(), 1u);  // the completed point only
         Client c = Client::connect_tcp(daemon.port());
 
-        const Json g = Json::parse(c.call(good_req));
+        const std::string reply = c.call(good_req);
+        const Json g = Json::parse(reply);
         EXPECT_EQ(g.at("source").as_string(), "hit");
         EXPECT_EQ(g.at("result").dump(0), good_result);  // byte-identical
+        EXPECT_EQ(result_bytes(reply), good_bytes);     // restored from disk
+        expect_replays_as_ok_response(reply);
 
         const Json t = Json::parse(c.call(torn_req));  // torn point: re-solve
         EXPECT_TRUE(t.at("ok").as_bool());
@@ -459,8 +505,8 @@ TEST(HapdServing, AdmissionAgreesWithDirectEvaluation) {
     ModelSpec m = light_model(0.0055);
     m.service = 20.0;
     m.max_users = 20;
-    const Json r = call_json(
-        c, hap::service::build_admission_request(m, 0.1, "adm"));
+    const std::string first = c.call(hap::service::build_admission_request(m, 0.1, "adm"));
+    const Json r = Json::parse(first);
     ASSERT_TRUE(r.at("ok").as_bool());
 
     hap::core::AdmissionQuery q;
@@ -475,11 +521,125 @@ TEST(HapdServing, AdmissionAgreesWithDirectEvaluation) {
     EXPECT_EQ(r.at("result").at("sigma").as_number(), direct.sigma);
     EXPECT_EQ(r.at("result").at("mean_delay").as_number(), direct.mean_delay);
 
-    // Second ask is a cache hit under the admission key.
-    const Json again = call_json(
-        c, hap::service::build_admission_request(m, 0.1, "adm2"));
+    // Second ask is a cache hit under the admission key, replaying the
+    // first answer's result bytes.
+    const std::string second =
+        c.call(hap::service::build_admission_request(m, 0.1, "adm2"));
+    const Json again = Json::parse(second);
     EXPECT_EQ(again.at("source").as_string(), "hit");
+    EXPECT_EQ(result_bytes(second), result_bytes(first));
+    expect_replays_as_ok_response(first);
+    expect_replays_as_ok_response(second);
     daemon.stop();
+}
+
+// The cache key text is the persisted file's key column, so it is pinned
+// byte for byte: shortest round-trip doubles, "null" for non-finite values,
+// counts in plain decimal.
+TEST(CacheKeys, PinnedTextForBaselineAndEdgeValues) {
+    const ModelSpec base;  // the paper's Section-4 baseline
+    EXPECT_EQ(hap::service::solve_key(base), "s0:0.0055;0.001;0.01;0.01;5;0.1;3;20;0;0");
+    EXPECT_EQ(hap::service::solve_family(base), "f0:;0.001;0.01;0.01;5;0.1;3;20;0;0");
+    EXPECT_EQ(hap::service::admission_key(base, 0.1),
+              "adm:0.1;s0:0.0055;0.001;0.01;0.01;5;0.1;3;20;0;0");
+
+    ModelSpec edge;
+    edge.lambda = 1e-300;
+    edge.mu = 0.1 + 0.2;
+    edge.lambda1 = 2.5e-5;
+    edge.service = 1e21;
+    edge.max_users = std::numeric_limits<std::size_t>::max();
+    edge.max_apps = 123456789;
+    EXPECT_EQ(hap::service::solve_key(edge),
+              "s0:1e-300;0.30000000000000004;2.5e-05;0.01;5;0.1;3;1e+21;"
+              "18446744073709551615;123456789");
+    EXPECT_EQ(hap::service::solve_family(edge),
+              "f0:;0.30000000000000004;2.5e-05;0.01;5;0.1;3;1e+21;"
+              "18446744073709551615;123456789");
+    EXPECT_EQ(hap::service::admission_key(edge, std::numeric_limits<double>::infinity()),
+              "adm:null;s0:1e-300;0.30000000000000004;2.5e-05;0.01;5;0.1;3;1e+21;"
+              "18446744073709551615;123456789");
+    edge.lambda = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_EQ(hap::service::solve_key(edge).substr(0, 8), "s0:null;");
+}
+
+CachedPoint point(const std::string& key, const std::string& family, double coord,
+                  std::int64_t value) {
+    CachedPoint cp;
+    cp.key = key;
+    cp.family = family;
+    cp.coord = coord;
+    cp.kind = "solve";
+    cp.quality = "ok";
+    cp.result = Json::object();
+    cp.result.set("v", Json::integer(value));
+    return cp;
+}
+
+// An overwrite replaces the entry in place: the size stays, and nearest()'s
+// tie-break (equal distance, equal coordinate: first in insertion order)
+// still picks the overwritten key.
+TEST(PointCacheIndex, InsertOverwriteKeepsSizeAndNearestTieBreak) {
+    PointCache cache("");
+    const std::vector<std::pair<std::string, int>> inserts = {{"a", 1}, {"b", 2}, {"a", 3}};
+    for (const auto& [key, value] : inserts) {
+        CachedPoint cp = point(key, "fam", 1.0, value);
+        cp.state.pi.assign(1, static_cast<double>(value));
+        EXPECT_EQ(cache.insert(std::move(cp)), "{\"v\":" + std::to_string(value) + "}");
+    }
+    EXPECT_EQ(cache.size(), 2u);
+    const auto near = cache.nearest("fam", 1.0);
+    ASSERT_TRUE(near.has_value());
+    EXPECT_EQ(near->state.pi, std::vector<double>{3.0});
+    const auto answer = cache.nearest_result("fam", 1.0);
+    ASSERT_TRUE(answer.has_value());
+    EXPECT_EQ(answer->result, "{\"v\":3}");
+    EXPECT_EQ(cache.lookup("a")->result, "{\"v\":3}");
+    EXPECT_EQ(cache.lookup("b")->result, "{\"v\":2}");
+    EXPECT_FALSE(cache.lookup("c").has_value());
+}
+
+// A cache file that repeats a key restores the LAST record for it, in the
+// position of the FIRST: the same state an in-memory overwrite leaves.
+TEST(PointCacheIndex, RestoreRepeatedKeyLastRecordWinsInFirstPosition) {
+    const std::string path = temp_path("cache_repeat.ckpt");
+    {
+        PointCache cache(path);
+        (void)cache.insert(point("a", "fam", 1.0, 1));
+        (void)cache.insert(point("b", "fam", 1.0, 2));
+        (void)cache.insert(point("a", "fam", 1.0, 3));
+    }
+    const PointCache restored(path);
+    EXPECT_EQ(restored.loaded(), 2u);
+    EXPECT_EQ(restored.size(), 2u);
+    EXPECT_EQ(restored.lookup("a")->result, "{\"v\":3}");
+    const auto answer = restored.nearest_result("fam", 1.0);
+    ASSERT_TRUE(answer.has_value());
+    EXPECT_EQ(answer->result, "{\"v\":3}");  // "a" still sorts first
+    (void)std::remove(path.c_str());
+}
+
+TEST(PointCacheIndex, TenThousandEntryRestoreAnswersEveryKey) {
+    constexpr int kEntries = 10000;
+    const std::string path = temp_path("cache_10k.ckpt");
+    std::string text = R"({"schema":"hap.ckpt/v1","config":"hapd-cache/v1"})" "\n";
+    const auto record = [&](int i, int value) {
+        text += R"({"point":{"key":"adm:0.1;k)" + std::to_string(i) +
+                R"(","kind":"admission","quality":"ok","result":{"v":)" +
+                std::to_string(value) + "}}}\n";
+    };
+    for (int i = 0; i < kEntries; ++i) record(i, i);
+    for (int i = 0; i < kEntries; i += 7) record(i, -i);  // later records win
+    ASSERT_TRUE(hap::experiment::atomic_write_file(path, text));
+
+    const PointCache cache(path);
+    EXPECT_EQ(cache.loaded(), static_cast<std::size_t>(kEntries));
+    for (int i = 0; i < kEntries; ++i) {
+        const auto hit = cache.lookup("adm:0.1;k" + std::to_string(i));
+        ASSERT_TRUE(hit.has_value()) << i;
+        EXPECT_EQ(hit->result, "{\"v\":" + std::to_string(i % 7 == 0 ? -i : i) + "}");
+    }
+    (void)std::remove(path.c_str());
 }
 
 // The resident worker pool under the daemon, in isolation.
