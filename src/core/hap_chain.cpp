@@ -154,40 +154,54 @@ markov::SolveResult LumpedChain::solve(const markov::SolveOptions& opts) const {
 
 std::vector<double> LumpedChain::solve_direct() const {
     obs::ScopedTimer timer("chain.direct_solve_s");
+    const std::size_t nx = x_hi_ - x_lo_ + 1;
     const std::size_t ny = y_hi_ + 1;
-    const std::size_t nlev = x_hi_ - x_lo_ + 1;
     using numerics::Matrix;
 
-    // Bin the transitions into block-tridiagonal form by user level:
-    // a1 = local (same x), a0 = up (x -> x+1), a2 = down (x -> x-1). A user
-    // move keeps y, so A0 and A2 are diagonal and are kept as vectors.
-    std::vector<Matrix> a1(nlev, Matrix(ny, ny, 0.0));
-    std::vector<std::vector<double>> a0(nlev, std::vector<double>(ny, 0.0));
-    std::vector<std::vector<double>> a2(nlev, std::vector<double>(ny, 0.0));
+    // The chain is block tridiagonal both ways: a user move keeps y and an
+    // app move keeps x. Levels run along the longer axis so that the dense
+    // blocks span the shorter one: along y (nx-by-nx blocks) when nx < ny,
+    // otherwise along x (ny-by-ny blocks). A state idx = x_off * ny + y sits
+    // at (level, position) = (y, x_off) or (x_off, y) respectively.
+    const bool by_apps = nx < ny;
+    const std::size_t nlev = by_apps ? ny : nx;
+    const std::size_t npos = by_apps ? nx : ny;
+    const std::size_t lev_stride = by_apps ? 1 : ny;
+    const std::size_t pos_stride = by_apps ? ny : 1;
+    const auto level_of = [&](std::size_t st) { return by_apps ? st % ny : st / ny; };
+    const auto pos_of = [&](std::size_t st) { return by_apps ? st / ny : st % ny; };
+
+    // Bin the transitions into block-tridiagonal form by level: a1 = local
+    // (same level), a0 = up (level + 1), a2 = down (level - 1). A move
+    // between levels keeps the position, so A0 and A2 are diagonal and are
+    // kept as vectors.
+    std::vector<Matrix> a1(nlev, Matrix(npos, npos, 0.0));
+    std::vector<std::vector<double>> a0(nlev, std::vector<double>(npos, 0.0));
+    std::vector<std::vector<double>> a2(nlev, std::vector<double>(npos, 0.0));
     for (std::size_t from = 0; from < ctmc_.num_states(); ++from) {
         const markov::Ctmc::OutEdges out = ctmc_.out_edges(from);
-        const std::size_t lf = from / ny;
-        const std::size_t yf = from % ny;
+        const std::size_t lf = level_of(from);
+        const std::size_t pf = pos_of(from);
         for (std::size_t e = 0; e < out.count; ++e) {
             const std::size_t to = out.to[e];
-            const std::size_t lt = to / ny;
-            const std::size_t yt = to % ny;
+            const std::size_t lt = level_of(to);
+            const std::size_t pt = pos_of(to);
             if (lt == lf) {
-                a1[lf](yf, yt) += out.rate[e];
-            } else if (yt != yf) {
-                return {};  // a user move that changes y: A0/A2 not diagonal
+                a1[lf](pf, pt) += out.rate[e];
+            } else if (pt != pf) {
+                return {};  // a level move that changes position: A0/A2 not diagonal
             } else if (lt == lf + 1) {
-                a0[lf][yf] += out.rate[e];
+                a0[lf][pf] += out.rate[e];
             } else if (lf == lt + 1) {
-                a2[lf][yf] += out.rate[e];
+                a2[lf][pf] += out.rate[e];
             } else {
-                return {};  // |dx| > 1: not block tridiagonal
+                return {};  // a jump of two levels: not block tridiagonal
             }
         }
     }
     for (std::size_t lev = 0; lev < nlev; ++lev)
-        for (std::size_t y = 0; y < ny; ++y)
-            a1[lev](y, y) -= ctmc_.exit_rate(lev * ny + y);
+        for (std::size_t p = 0; p < npos; ++p)
+            a1[lev](p, p) -= ctmc_.exit_rate(lev * lev_stride + p * pos_stride);
 
     // Backward censoring: S_L = A1_L, then S_l = A1_l + R_l A2_{l+1} with
     // R_l = A0_l (-S_{l+1})^{-1}. The R matrices drive the forward pass
@@ -203,26 +217,26 @@ std::vector<double> LumpedChain::solve_direct() const {
     try {
         for (std::size_t lev = nlev - 1; lev-- > 0;) {
             Matrix& r = rmat[lev] = numerics::inverse(s * -1.0);
-            for (std::size_t i = 0; i < ny; ++i)
-                for (std::size_t j = 0; j < ny; ++j) r(i, j) *= a0[lev][i];
+            for (std::size_t i = 0; i < npos; ++i)
+                for (std::size_t j = 0; j < npos; ++j) r(i, j) *= a0[lev][i];
             s = r;
-            for (std::size_t i = 0; i < ny; ++i)
-                for (std::size_t j = 0; j < ny; ++j) s(i, j) *= a2[lev + 1][j];
+            for (std::size_t i = 0; i < npos; ++i)
+                for (std::size_t j = 0; j < npos; ++j) s(i, j) *= a2[lev + 1][j];
             s += a1[lev];
         }
         // Left null vector of S_0 with unit mass: transpose and replace one
         // balance equation by the normalization row.
         Matrix m = s.transposed();
-        for (std::size_t j = 0; j < ny; ++j) m(ny - 1, j) = 1.0;
-        std::vector<double> rhs(ny, 0.0);
-        rhs[ny - 1] = 1.0;
+        for (std::size_t j = 0; j < npos; ++j) m(npos - 1, j) = 1.0;
+        std::vector<double> rhs(npos, 0.0);
+        rhs[npos - 1] = 1.0;
         std::vector<double> level = numerics::solve(m, rhs);
 
         std::vector<double> pi(ctmc_.num_states(), 0.0);
-        std::copy(level.begin(), level.end(), pi.begin());
-        for (std::size_t lev = 1; lev < nlev; ++lev) {
-            level = rmat[lev - 1].apply_left(level);
-            std::copy(level.begin(), level.end(), pi.begin() + lev * ny);
+        for (std::size_t lev = 0; lev < nlev; ++lev) {
+            if (lev > 0) level = rmat[lev - 1].apply_left(level);
+            for (std::size_t p = 0; p < npos; ++p)
+                pi[lev * lev_stride + p * pos_stride] = level[p];
         }
 
         // Roundoff guard: clamp negligible negatives, reject anything worse,

@@ -271,4 +271,43 @@ LatticeObservables measure_lattice(const LatticeGrid& g, const LatticeRates& r,
             .boundary_z = boundary_z};
 }
 
+namespace {
+
+// Scale one line to `target` mass, or put all of it at z = 0 when the line
+// holds none.
+void scale_line(double* cur, std::size_t nz, double total, double target) {
+    if (total > 0.0) {
+        const double f = target / total;
+        for (std::size_t z = 0; z < nz; ++z) cur[z] *= f;
+    } else {
+        for (std::size_t z = 0; z < nz; ++z) cur[z] = 0.0;
+        cur[0] = target;
+    }
+}
+
+}  // namespace
+
+void project_marginal(const LatticeGrid& g, const std::vector<double>& marginal,
+                      std::vector<double>& pi) {
+    const std::size_t lines = g.nx * g.ny;
+    const std::size_t nz = g.nz;
+    std::size_t line = 0;
+    // kLanes lines at a time: one independent ascending-z sum per line, so
+    // the adds of different lines overlap instead of each waiting on the last.
+    for (; line + kLanes <= lines; line += kLanes) {
+        double* cur = pi.data() + line * nz;
+        double total[kLanes] = {};
+        for (std::size_t z = 0; z < nz; ++z)
+            for (std::size_t k = 0; k < kLanes; ++k) total[k] += cur[k * nz + z];
+        for (std::size_t k = 0; k < kLanes; ++k)
+            scale_line(cur + k * nz, nz, total[k], marginal[line + k]);
+    }
+    for (; line < lines; ++line) {
+        double* cur = pi.data() + line * nz;
+        double total = 0.0;
+        for (std::size_t z = 0; z < nz; ++z) total += cur[z];
+        scale_line(cur, nz, total, marginal[line]);
+    }
+}
+
 }  // namespace hap::core::detail

@@ -1,8 +1,9 @@
 // Internal: the Solution 0 lattice kernels. One line-relaxation sweep over
 // the (x, y, z) lattice — Gauss-Seidel over (x, y) lines, an exact tridiagonal
-// (Thomas) solve along each z line — and the observables pass. Shared by solution0.cpp and the
-// byte-identity tests that pin the sweep against the lexicographic reference;
-// not part of the public solver surface.
+// (Thomas) solve along each z line — the observables pass and the marginal
+// projection. Shared by solution0.cpp and the byte-identity tests that pin
+// them against their plain reference forms; not part of the public solver
+// surface.
 #pragma once
 
 #include <cstddef>
@@ -75,5 +76,18 @@ struct LatticeObservables {
 // all summed in lattice order.
 LatticeObservables measure_lattice(const LatticeGrid& g, const LatticeRates& r,
                                    TruncationCuts cuts, const std::vector<double>& pi);
+
+// Pin every (x, y) line's total mass to the exact modulating-chain marginal
+// (`marginal`: one entry per line, in lattice order). The modulating chain is
+// autonomous (its dynamics do not depend on z), so its stationary law is
+// known independently and cheaply; enforcing it after each sweep removes the
+// slow "mass migration between lines" error mode that otherwise makes
+// Gauss-Seidel crawl on this nearly-decomposable system — the very
+// metastability that cost the paper two weeks of SUN-4/280 time. Each line
+// is summed in ascending z and scaled by target / total; a line with no mass
+// gets its whole target at z = 0. Bit-identical to projecting the lines one
+// at a time.
+void project_marginal(const LatticeGrid& g, const std::vector<double>& marginal,
+                      std::vector<double>& pi);
 
 }  // namespace hap::core::detail

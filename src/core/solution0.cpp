@@ -22,6 +22,7 @@ namespace {
 using detail::LineWorkspace;
 using detail::make_lattice_grid;
 using detail::measure_lattice;
+using detail::project_marginal;
 using Grid = detail::LatticeGrid;
 using Rates = detail::LatticeRates;
 
@@ -43,30 +44,6 @@ void normalize(std::vector<double>& pi) {
     for (double v : pi) total += v;
     const double inv = 1.0 / total;
     for (double& v : pi) v *= inv;
-}
-
-// Pin every (x, y) line's total mass to the exact modulating-chain marginal.
-// The modulating chain is autonomous (its dynamics do not depend on z), so
-// its stationary law is known independently and cheaply; enforcing it after
-// each sweep removes the slow "mass migration between lines" error mode that
-// otherwise makes Gauss-Seidel crawl on this nearly-decomposable system —
-// the very metastability that cost the paper two weeks of SUN-4/280 time.
-void project_marginal(const Grid& g, const std::vector<double>& marginal,
-                      std::vector<double>& pi) {
-    const std::size_t lines = g.nx * g.ny;
-    for (std::size_t line = 0; line < lines; ++line) {
-        double* cur = pi.data() + line * g.nz;
-        double total = 0.0;
-        for (std::size_t z = 0; z < g.nz; ++z) total += cur[z];
-        const double target = marginal[line];
-        if (total > 0.0) {
-            const double f = target / total;
-            for (std::size_t z = 0; z < g.nz; ++z) cur[z] *= f;
-        } else {
-            for (std::size_t z = 0; z < g.nz; ++z) cur[z] = 0.0;
-            cur[0] = target;
-        }
-    }
 }
 
 // Zero-pad / crop a lattice from one box onto another: overlapping

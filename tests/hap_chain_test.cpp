@@ -190,8 +190,8 @@ TEST(LumpedChainTest, DirectSolveMatchesIterative) {
 }
 
 TEST(LumpedChainTest, DirectSolveMatchesIterativeForPinnedUsers) {
-    // Degenerate level structure (x_lo == x_hi): a single block, no
-    // elimination sweep — the boundary case of the censoring recursion.
+    // Degenerate shape (x_lo == x_hi): one user level, so the levels run
+    // along y with 1 x 1 blocks.
     const HapParams p = HapParams::two_level(0.5, 0.5, 2.0, 50.0);
     const LumpedChain chain(p, ChainBounds::defaults_for(p));
     const auto direct = chain.solve_direct();
@@ -203,31 +203,40 @@ TEST(LumpedChainTest, DirectSolveMatchesIterativeForPinnedUsers) {
 }
 
 // Test oracle: solve_direct's censoring in its dense form, A0, A1 and A2 as
-// full blocks and R = A0 (-S)^-1, S = A1 + R A2 as matrix products.
+// full blocks and R = A0 (-S)^-1, S = A1 + R A2 as matrix products, with
+// levels along the same axis: y (positions x) when nx < ny, otherwise x.
 std::vector<double> dense_direct_solve(const LumpedChain& chain) {
     using hap::numerics::Matrix;
     const hap::markov::Ctmc& ctmc = chain.ctmc();
+    const std::size_t nx = chain.x_hi() - chain.x_lo() + 1;
     const std::size_t ny = chain.y_hi() + 1;
-    const std::size_t nlev = chain.x_hi() - chain.x_lo() + 1;
+    const bool by_apps = nx < ny;
+    const std::size_t nlev = by_apps ? ny : nx;
+    const std::size_t npos = by_apps ? nx : ny;
+    const auto level_of = [&](std::size_t st) { return by_apps ? st % ny : st / ny; };
+    const auto pos_of = [&](std::size_t st) { return by_apps ? st / ny : st % ny; };
+    const auto state = [&](std::size_t lev, std::size_t p) {
+        return by_apps ? p * ny + lev : lev * ny + p;
+    };
     std::vector<Matrix> a0(nlev), a1(nlev), a2(nlev);
     for (std::size_t lev = 0; lev < nlev; ++lev) {
-        a1[lev] = Matrix(ny, ny, 0.0);
-        if (lev + 1 < nlev) a0[lev] = Matrix(ny, ny, 0.0);
-        if (lev > 0) a2[lev] = Matrix(ny, ny, 0.0);
+        a1[lev] = Matrix(npos, npos, 0.0);
+        if (lev + 1 < nlev) a0[lev] = Matrix(npos, npos, 0.0);
+        if (lev > 0) a2[lev] = Matrix(npos, npos, 0.0);
     }
     for (std::size_t from = 0; from < ctmc.num_states(); ++from) {
         const hap::markov::Ctmc::OutEdges out = ctmc.out_edges(from);
-        const std::size_t lf = from / ny;
-        const std::size_t yf = from % ny;
+        const std::size_t lf = level_of(from);
+        const std::size_t pf = pos_of(from);
         for (std::size_t e = 0; e < out.count; ++e) {
-            const std::size_t lt = out.to[e] / ny;
-            const std::size_t yt = out.to[e] % ny;
+            const std::size_t lt = level_of(out.to[e]);
+            const std::size_t pt = pos_of(out.to[e]);
             Matrix& block = lt == lf ? a1[lf] : lt == lf + 1 ? a0[lf] : a2[lf];
-            block(yf, yt) += out.rate[e];
+            block(pf, pt) += out.rate[e];
         }
     }
     for (std::size_t lev = 0; lev < nlev; ++lev)
-        for (std::size_t y = 0; y < ny; ++y) a1[lev](y, y) -= ctmc.exit_rate(lev * ny + y);
+        for (std::size_t p = 0; p < npos; ++p) a1[lev](p, p) -= ctmc.exit_rate(state(lev, p));
 
     std::vector<Matrix> rmat(nlev);
     Matrix s = a1[nlev - 1];
@@ -236,15 +245,14 @@ std::vector<double> dense_direct_solve(const LumpedChain& chain) {
         s = a1[lev] + rmat[lev] * a2[lev + 1];
     }
     Matrix m = s.transposed();
-    for (std::size_t j = 0; j < ny; ++j) m(ny - 1, j) = 1.0;
-    std::vector<double> rhs(ny, 0.0);
-    rhs[ny - 1] = 1.0;
+    for (std::size_t j = 0; j < npos; ++j) m(npos - 1, j) = 1.0;
+    std::vector<double> rhs(npos, 0.0);
+    rhs[npos - 1] = 1.0;
     std::vector<double> level = hap::numerics::solve(m, rhs);
     std::vector<double> pi(ctmc.num_states(), 0.0);
-    std::copy(level.begin(), level.end(), pi.begin());
-    for (std::size_t lev = 1; lev < nlev; ++lev) {
-        level = rmat[lev - 1].apply_left(level);
-        std::copy(level.begin(), level.end(), pi.begin() + lev * ny);
+    for (std::size_t lev = 0; lev < nlev; ++lev) {
+        if (lev > 0) level = rmat[lev - 1].apply_left(level);
+        for (std::size_t p = 0; p < npos; ++p) pi[state(lev, p)] = level[p];
     }
     double total = 0.0;
     for (double& v : pi) {
@@ -263,14 +271,20 @@ void expect_direct_solve_bit_equal(const LumpedChain& chain) {
 }
 
 TEST(LumpedChainTest, DirectSolveBitEqualToDenseOracle) {
+    // 13 x 41 states (levels along y) and 41 x 13 (levels along x): 13 x 13
+    // blocks either way.
     const HapParams p = HapParams::paper_baseline(20.0);
     ChainBounds b;
     b.max_users = 12;
     b.max_apps_total = 40;
     expect_direct_solve_bit_equal(LumpedChain(p, b));
+    b.max_users = 40;
+    b.max_apps_total = 12;
+    expect_direct_solve_bit_equal(LumpedChain(p, b));
 }
 
 TEST(LumpedChainTest, DirectSolveBitEqualToDenseOraclePinnedUsers) {
+    // One user level: levels along y, 1 x 1 blocks.
     const HapParams p = HapParams::two_level(0.1, 0.01, 0.1, 4.0);
     expect_direct_solve_bit_equal(LumpedChain(p, ChainBounds::defaults_for(p)));
 }
@@ -279,6 +293,62 @@ TEST(LumpedChainTest, DirectSolveBitEqualToDenseOracleUserBound) {
     HapParams p = small_hap();
     p.max_users = 4;
     expect_direct_solve_bit_equal(LumpedChain(p, ChainBounds::defaults_for(p)));
+}
+
+// Elimination-order-free oracle: Grassmann-Taksar-Heyman state reduction of
+// the dense rate matrix in long double. It never subtracts, so it has no
+// cancellation error, and its order of elimination (states n-1 down to 1)
+// is unrelated to solve_direct's levels.
+std::vector<double> gth_stationary(const LumpedChain& chain) {
+    const hap::markov::Ctmc& ctmc = chain.ctmc();
+    const std::size_t n = ctmc.num_states();
+    std::vector<long double> a(n * n, 0.0L);  // off-diagonal rates, row-major
+    for (std::size_t from = 0; from < n; ++from) {
+        const hap::markov::Ctmc::OutEdges out = ctmc.out_edges(from);
+        for (std::size_t e = 0; e < out.count; ++e)
+            if (out.to[e] != from) a[from * n + out.to[e]] += out.rate[e];
+    }
+    for (std::size_t k = n; k-- > 1;) {
+        long double exit = 0.0L;
+        for (std::size_t j = 0; j < k; ++j) exit += a[k * n + j];
+        for (std::size_t i = 0; i < k; ++i) {
+            const long double f = a[i * n + k] / exit;
+            a[i * n + k] = f;
+            if (f == 0.0L) continue;
+            for (std::size_t j = 0; j < k; ++j) a[i * n + j] += f * a[k * n + j];
+        }
+    }
+    std::vector<long double> x(n, 0.0L);
+    x[0] = 1.0L;
+    long double total = 1.0L;
+    for (std::size_t j = 1; j < n; ++j) {
+        for (std::size_t i = 0; i < j; ++i) x[j] += x[i] * a[i * n + j];
+        total += x[j];
+    }
+    std::vector<double> pi(n);
+    for (std::size_t s = 0; s < n; ++s) pi[s] = static_cast<double>(x[s] / total);
+    return pi;
+}
+
+void expect_direct_solve_matches_gth(const LumpedChain& chain) {
+    ASSERT_LE(chain.num_states(), 300u);  // dense O(n^3) oracle: keep it fast
+    const std::vector<double> got = chain.solve_direct();
+    const std::vector<double> want = gth_stationary(chain);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t s = 0; s < got.size(); ++s) EXPECT_NEAR(got[s], want[s], 1e-14) << s;
+}
+
+TEST(LumpedChainTest, DirectSolveMatchesGthOracle) {
+    ChainBounds b;
+    b.max_users = 5;  // 6 x 41 states: levels along y
+    b.max_apps_total = 40;
+    expect_direct_solve_matches_gth(LumpedChain(HapParams::paper_baseline(20.0), b));
+    b.max_users = 20;  // 21 x 10 states: levels along x
+    b.max_apps_total = 9;
+    expect_direct_solve_matches_gth(LumpedChain(small_hap(), b));
+    // One user level: levels along y, 1 x 1 blocks.
+    const HapParams pinned = HapParams::two_level(0.5, 0.5, 2.0, 50.0);
+    expect_direct_solve_matches_gth(LumpedChain(pinned, ChainBounds::defaults_for(pinned)));
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 // projection on the (x, y, z) lattice).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstring>
 #include <utility>
 #include <vector>
@@ -186,6 +188,52 @@ TEST(LatticeSweep, MeasureBitEqualToBranchyOracle) {
         expect_measure_identical({3, 3, 7, z_hi});  // pinned users, nx = 1
     }
     expect_measure_identical({0, 20, 50, 64});  // a sweep_analytic-sized box
+}
+
+// Test oracle: the one-line-at-a-time marginal projection that
+// project_marginal replaced. project_marginal must reproduce it bit for bit.
+void reference_project(const LatticeGrid& g, const std::vector<double>& marginal,
+                       std::vector<double>& pi) {
+    for (std::size_t line = 0; line < g.nx * g.ny; ++line) {
+        double* cur = pi.data() + line * g.nz;
+        double total = 0.0;
+        for (std::size_t z = 0; z < g.nz; ++z) total += cur[z];
+        const double target = marginal[line];
+        if (total > 0.0) {
+            const double f = target / total;
+            for (std::size_t z = 0; z < g.nz; ++z) cur[z] *= f;
+        } else {
+            for (std::size_t z = 0; z < g.nz; ++z) cur[z] = 0.0;
+            cur[0] = target;
+        }
+    }
+}
+
+void expect_projection_identical(const Box& b) {
+    const LatticeGrid g = detail::make_lattice_grid(b.x_lo, b.x_hi, b.y_hi, b.z_hi);
+    hap::sim::RandomStream rng(0x9e0c0000 + g.size());
+    std::vector<double> want(g.size());
+    for (double& v : want) v = rng.uniform(0.0, 1e-3);
+    // An all-zero line takes the no-mass branch; put it both inside a group
+    // of eight lines and in the tail.
+    const std::size_t lines = g.nx * g.ny;
+    for (const std::size_t line : {std::size_t{1}, lines - 1})
+        std::fill_n(want.begin() + static_cast<std::ptrdiff_t>(line * g.nz), g.nz, 0.0);
+    std::vector<double> marginal(lines);
+    for (double& m : marginal) m = rng.uniform(0.0, 1.0) / static_cast<double>(lines);
+    std::vector<double> got = want;
+    reference_project(g, marginal, want);
+    detail::project_marginal(g, marginal, got);
+    EXPECT_EQ(std::memcmp(want.data(), got.data(), want.size() * sizeof(double)), 0)
+        << "box x " << b.x_lo << ".." << b.x_hi << " y_hi " << b.y_hi << " z_hi " << b.z_hi;
+}
+
+TEST(LatticeSweep, ProjectMarginalBitEqualToPerLineOracle) {
+    for (std::size_t z_hi : {0, 1, 30, 128}) {
+        expect_projection_identical({0, 20, 50, z_hi});  // 1,071 lines: 133 groups + 7
+        expect_projection_identical({3, 3, 7, z_hi});    // 8 lines: one group, no tail
+        expect_projection_identical({0, 1, 2, z_hi});    // 6 lines: tail only
+    }
 }
 
 TEST(Solution0, RejectsUnsupportedShapes) {
