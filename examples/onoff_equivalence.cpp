@@ -20,8 +20,9 @@ struct StreamStats {
     double rate, scv, idc_short, idc_long, delay;
 };
 
-StreamStats measure(hap::traffic::ArrivalProcess& src, double service_rate,
-                    std::uint64_t seed) {
+// A template so each stream runs the queue kernel with its own concrete type.
+template <typename Source>
+StreamStats measure(Source& src, double service_rate, std::uint64_t seed) {
     hap::sim::RandomStream rng(seed);
     hap::sim::Exponential service(service_rate);
     hap::queueing::QueueSimOptions opts;

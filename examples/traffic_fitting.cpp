@@ -14,8 +14,9 @@
 
 namespace {
 
-double queue_delay(hap::traffic::ArrivalProcess& src, double mu, double horizon,
-                   std::uint64_t seed) {
+// A template so each model runs the queue kernel with its own concrete type.
+template <typename Source>
+double queue_delay(Source& src, double mu, double horizon, std::uint64_t seed) {
     hap::sim::Exponential service(mu);
     hap::sim::RandomStream rng(seed);
     hap::queueing::QueueSimOptions opts;

@@ -137,8 +137,7 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     return snap;
 }
 
-std::string MetricsRegistry::report() const {
-    const MetricsSnapshot snap = snapshot();
+std::string report(const MetricsSnapshot& snap) {
     std::string out;
     char line[256];
     const auto emit = [&out, &line](int n) {

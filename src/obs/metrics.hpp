@@ -76,7 +76,6 @@ public:
     void record_solver(SolverTelemetry record);         // fills empty label from scope
 
     MetricsSnapshot snapshot() const;
-    std::string report() const;  // human-readable table (for hapctl metrics-dump)
     void reset();
 
 private:
@@ -89,6 +88,10 @@ private:
 
 // The process-wide registry all instrumentation reports into.
 MetricsRegistry& registry();
+
+// Human-readable table of one snapshot (hapctl metrics-dump, hapd's metrics
+// "text"), so a caller that also serializes the snapshot reports one instant.
+std::string report(const MetricsSnapshot& snap);
 
 // Thread-local label scope: while alive, solver records with an empty label
 // inherit this label (used by hapctl to tag per-sweep-point solves). Scopes

@@ -1,10 +1,6 @@
 #include "queueing/queue_sim.hpp"
 
 #include "obs/metrics.hpp"
-#include "traffic/mmpp.hpp"
-#include "traffic/onoff.hpp"
-#include "traffic/packet_train.hpp"
-#include "traffic/poisson.hpp"
 
 namespace hap::queueing {
 
@@ -15,27 +11,6 @@ void emit_queue_sim_metrics(const QueueSimResult& res) {
     reg.add_counter("queue_sim.events", res.events);
     reg.add_counter("queue_sim.arrivals", res.arrivals);
     reg.add_counter("queue_sim.losses", res.losses);
-}
-
-QueueSimResult simulate_queue(traffic::ArrivalProcess& arrivals,
-                              const sim::Distribution& service,
-                              sim::RandomStream& rng,
-                              const QueueSimOptions& opts) {
-    // Devirtualize the loop for the concrete types the scenario suite uses
-    // (all of them `final`, so the casts are exact). core::HapSource cannot
-    // appear here — core already links queueing — but callers can reach its
-    // fast path via simulate_queue_t directly.
-    if (const auto* exp = dynamic_cast<const sim::Exponential*>(&service)) {
-        if (auto* p = dynamic_cast<traffic::PoissonSource*>(&arrivals))
-            return simulate_queue_t(*p, *exp, rng, opts);
-        if (auto* o = dynamic_cast<traffic::OnOffSource*>(&arrivals))
-            return simulate_queue_t(*o, *exp, rng, opts);
-        if (auto* m = dynamic_cast<traffic::Mmpp*>(&arrivals))
-            return simulate_queue_t(*m, *exp, rng, opts);
-        if (auto* t = dynamic_cast<traffic::PacketTrainSource*>(&arrivals))
-            return simulate_queue_t(*t, *exp, rng, opts);
-    }
-    return simulate_queue_t(arrivals, service, rng, opts);
 }
 
 }  // namespace hap::queueing

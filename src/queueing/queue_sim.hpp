@@ -1,16 +1,15 @@
 // Single-server FIFO queue simulation kernel, driven by any ArrivalProcess
 // and any service-time Distribution. Used for every baseline comparison
-// (M/M/1, on-off/M/1, MMPP/M/1, packet-train/M/1); the HAP-specific fast
+// (M/M/1, on-off/M/1, MMPP/M/1, trace-driven/M/1); the HAP-specific fast
 // path lives in core/hap_sim.hpp.
 //
-// The kernel is a function template over the concrete (Arrivals, Service)
-// pair: simulate_queue() dispatches to instantiations for the traffic types
-// used by the scenario suite, so their next()/sample() calls devirtualize
-// and inline into the event loop. The template also runs with the abstract
-// bases (the generic fallback), which reproduces the historical virtual-call
-// loop unchanged — every instantiation performs the same operations on the
-// same RandomStream in the same order, so results are byte-identical across
-// dispatch paths.
+// The kernel is a function template over the (Arrivals, Service) pair, and
+// each call site's static types pick the instantiation: a caller holding a
+// concrete `final` source and distribution gets next()/sample() calls that
+// devirtualize and inline into the event loop, while a caller holding the
+// abstract bases gets the virtual-call loop. Every instantiation performs
+// the same operations on the same RandomStream in the same order, so results
+// are byte-identical across instantiations.
 #pragma once
 
 #include <cstdint>
@@ -198,15 +197,15 @@ private:
 
 }  // namespace detail
 
-// Run the FIFO kernel with statically known arrival/service types (no
-// virtual dispatch in the inner loop). Byte-identical to simulate_queue()
-// on the same inputs; callers outside the queueing library (e.g. tests
-// pairing core::HapSource with sim::Exponential) can instantiate it
-// directly for type pairs the runtime dispatcher does not know.
+// Run the FIFO kernel. Arrivals/Service are the static types at the call
+// site: concrete `final` types (PoissonSource, core::HapSource,
+// sim::Exponential, ...) run without virtual dispatch in the inner loop,
+// traffic::ArrivalProcess / sim::Distribution run through the virtual
+// interfaces, with identical draws either way.
 template <typename Arrivals, typename Service>
-QueueSimResult simulate_queue_t(Arrivals& arrivals, const Service& service,
-                                sim::RandomStream& rng,
-                                const QueueSimOptions& opts = {}) {
+QueueSimResult simulate_queue(Arrivals& arrivals, const Service& service,
+                              sim::RandomStream& rng,
+                              const QueueSimOptions& opts = {}) {
     QueueSimResult res;
     res.horizon = opts.horizon;
     res.number = stats::TimeWeightedStats(opts.warmup, 0.0);
@@ -222,13 +221,5 @@ QueueSimResult simulate_queue_t(Arrivals& arrivals, const Service& service,
     emit_queue_sim_metrics(res);
     return res;
 }
-
-// Type-erased entry point: dispatches to a devirtualized instantiation when
-// the runtime types are recognized, otherwise runs the generic instantiation
-// through the virtual interfaces (identical draw sequence either way).
-QueueSimResult simulate_queue(traffic::ArrivalProcess& arrivals,
-                              const sim::Distribution& service,
-                              sim::RandomStream& rng,
-                              const QueueSimOptions& opts = {});
 
 }  // namespace hap::queueing

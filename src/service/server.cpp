@@ -241,7 +241,7 @@ struct Hapd::Impl {
                        Json::integer(
                            static_cast<std::uint64_t>(point_cache.persist_errors())));
         payload.set("cache", std::move(cache_info));
-        payload.set("text", Json::string(obs::registry().report()));
+        payload.set("text", Json::string(obs::report(snap)));
         return ok_response(req.id, payload);
     }
 

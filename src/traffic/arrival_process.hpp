@@ -1,5 +1,5 @@
 // Abstract arrival-stream interface shared by every traffic source in the
-// library (Poisson, on-off, MMPP, packet trains, HAP). A source owns its
+// library (Poisson, on-off, MMPP, trace replay, HAP). A source owns its
 // internal clock and phase; successive calls to next() return strictly
 // increasing absolute arrival times.
 #pragma once
@@ -14,7 +14,8 @@ class ArrivalProcess {
 public:
     virtual ~ArrivalProcess() = default;
 
-    // Absolute time of the next arrival (advances internal state).
+    // Absolute time of the next arrival (advances internal state), or
+    // +infinity if the stream has no further arrivals.
     virtual double next(sim::RandomStream& rng) = 0;
 
     // Long-run mean arrival rate, if known analytically.

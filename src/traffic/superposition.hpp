@@ -24,6 +24,7 @@ public:
 
     double next(sim::RandomStream& rng) override {
         if (!primed_) prime(rng);
+        if (heap_.empty()) return std::numeric_limits<double>::infinity();
         const auto [t, idx] = heap_.top();
         heap_.pop();
         const double nt = sources_[idx]->next(rng);

@@ -250,6 +250,15 @@ TEST(HapdServing, ConcurrentClientsNoDroppedOrCrossWiredResponses) {
                                  counter(m, "hapd.solve.warm") +
                                  counter(m, "hapd.solve.failed");
     EXPECT_EQ(solves, 6u);  // each unique operating point solved exactly once
+    // "counters" and "text" format one snapshot: every counter line of the
+    // table carries exactly the serialized value.
+    const std::string text = m.at("text").as_string();
+    for (const auto& [name, value] : m.at("counters").members()) {
+        const std::string head = "\n  " + name + " ";
+        const std::size_t at = text.find(head);
+        ASSERT_NE(at, std::string::npos) << name;
+        EXPECT_EQ(std::stoull(text.substr(at + head.size())), value.as_uint()) << name;
+    }
     daemon.stop();
 }
 

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "core/hap_params.hpp"
@@ -14,8 +15,11 @@
 #include "sim/distributions.hpp"
 #include "sim/ring_buffer.hpp"
 #include "sim/rng.hpp"
+#include "trace/arrival_log.hpp"
+#include "traffic/mmpp.hpp"
 #include "traffic/onoff.hpp"
 #include "traffic/poisson.hpp"
+#include "traffic/superposition.hpp"
 
 namespace {
 
@@ -26,11 +30,16 @@ using hap::core::simulate_hap_queue;
 using hap::queueing::QueueSimOptions;
 using hap::queueing::QueueSimResult;
 using hap::queueing::simulate_queue;
-using hap::queueing::simulate_queue_t;
 using hap::sim::BlockRng;
+using hap::sim::Deterministic;
 using hap::sim::Exponential;
 using hap::sim::RandomStream;
 using hap::sim::RingBuffer;
+using hap::trace::TraceReplaySource;
+using hap::traffic::Mmpp;
+using hap::traffic::OnOffSource;
+using hap::traffic::PoissonSource;
+using hap::traffic::SuperpositionSource;
 
 // --------------------------------------------------------------------------
 // RingBuffer
@@ -154,89 +163,97 @@ void expect_identical(const QueueSimResult& a, const QueueSimResult& b) {
     EXPECT_EQ(a.busy.busy_lengths().mean(), b.busy.busy_lengths().mean());
 }
 
+// Runs the kernel on a source built by `make` twice with equal seeds: once
+// with the concrete static types (the devirtualized instantiation) and once
+// through the abstract bases (the virtual-call instantiation). The two must
+// agree on every statistic and leave their streams at the same point.
+// Returns the devirtualized run.
+template <typename Make, typename Service>
+QueueSimResult expect_devirt_matches_virtual(Make make, const Service& svc,
+                                             std::uint64_t seed,
+                                             const QueueSimOptions& opts) {
+    auto a = make();
+    RandomStream rng_a(seed);
+    const QueueSimResult devirt = simulate_queue(a, svc, rng_a, opts);
+
+    auto b = make();
+    RandomStream rng_b(seed);
+    hap::traffic::ArrivalProcess& base_arr = b;
+    const hap::sim::Distribution& base_svc = svc;
+    expect_identical(devirt, simulate_queue(base_arr, base_svc, rng_b, opts));
+    for (int i = 0; i < 100; ++i) EXPECT_EQ(rng_a.uniform(), rng_b.uniform());
+    return devirt;
+}
+
 TEST(QueueSimDevirt, PoissonExponentialByteIdentical) {
     QueueSimOptions opts;
     opts.horizon = 5e4;
     opts.warmup = 1e3;
-    const Exponential svc(1.25);
-
-    hap::traffic::PoissonSource a(1.0);
-    RandomStream rng_a(424242);
-    // simulate_queue recognizes the concrete pair and devirtualizes.
-    const QueueSimResult devirt = simulate_queue(a, svc, rng_a, opts);
-
-    hap::traffic::PoissonSource b(1.0);
-    RandomStream rng_b(424242);
-    // Forcing the generic instantiation through the abstract interfaces
-    // reproduces the historical virtual-dispatch loop.
-    hap::traffic::ArrivalProcess& base_arr = b;
-    const hap::sim::Distribution& base_svc = svc;
-    const QueueSimResult virt = simulate_queue_t(base_arr, base_svc, rng_b, opts);
-
-    expect_identical(devirt, virt);
-    // And the two streams must have advanced identically.
-    for (int i = 0; i < 100; ++i) EXPECT_EQ(rng_a.uniform(), rng_b.uniform());
+    const QueueSimResult res = expect_devirt_matches_virtual(
+        [] { return PoissonSource(1.0); }, Exponential(1.25), 424242, opts);
+    EXPECT_GT(res.departures, 0u);
 }
 
 TEST(QueueSimDevirt, OnOffExponentialByteIdentical) {
     QueueSimOptions opts;
     opts.horizon = 5e4;
-    const Exponential svc(4.0);
+    const QueueSimResult res = expect_devirt_matches_virtual(
+        [] { return OnOffSource(0.2, 0.6, 3.0); }, Exponential(4.0), 7, opts);
+    EXPECT_GT(res.departures, 0u);
+}
 
-    hap::traffic::OnOffSource a(0.2, 0.6, 3.0);
-    RandomStream rng_a(7);
-    const QueueSimResult devirt = simulate_queue(a, svc, rng_a, opts);
+TEST(QueueSimDevirt, MmppExponentialByteIdentical) {
+    QueueSimOptions opts;
+    opts.horizon = 5e4;
+    opts.warmup = 1e3;
+    const QueueSimResult res = expect_devirt_matches_virtual(
+        [] { return Mmpp::two_state(0.1, 0.9, 0.5, 6.0); }, Exponential(2.5), 31, opts);
+    EXPECT_GT(res.departures, 0u);
+}
 
-    hap::traffic::OnOffSource b(0.2, 0.6, 3.0);
-    RandomStream rng_b(7);
-    hap::traffic::ArrivalProcess& base_arr = b;
-    const hap::sim::Distribution& base_svc = svc;
-    const QueueSimResult virt = simulate_queue_t(base_arr, base_svc, rng_b, opts);
+TEST(QueueSimDevirt, OnOffDeterministicByteIdentical) {
+    // A non-exponential service: sample() draws nothing, so the arrival
+    // stream alone advances the RNG.
+    QueueSimOptions opts;
+    opts.horizon = 5e4;
+    opts.warmup = 1e3;
+    const QueueSimResult res = expect_devirt_matches_virtual(
+        [] { return OnOffSource(0.2, 0.6, 3.0); }, Deterministic(1.0), 13, opts);
+    EXPECT_GT(res.departures, 0u);
+}
 
-    expect_identical(devirt, virt);
+TEST(QueueSimDevirt, TraceReplayExponentialByteIdentical) {
+    // The trace ends well before the horizon, so both loops stop on the
+    // +infinity arrival once the queue drains.
+    std::vector<double> times;
+    PoissonSource gen(1.0);
+    RandomStream trace_rng(5);
+    for (int i = 0; i < 2000; ++i) times.push_back(gen.next(trace_rng));
+    QueueSimOptions opts;
+    opts.horizon = 1e5;
+    const QueueSimResult res = expect_devirt_matches_virtual(
+        [&] { return TraceReplaySource(times); }, Exponential(1.5), 17, opts);
+    EXPECT_EQ(res.arrivals, times.size());
+    EXPECT_EQ(res.departures, times.size());
 }
 
 TEST(QueueSimDevirt, FiniteBufferByteIdentical) {
     QueueSimOptions opts;
     opts.horizon = 2e4;
     opts.buffer_capacity = 3;
-    const Exponential svc(0.9);
-
-    hap::traffic::PoissonSource a(1.0);
-    RandomStream rng_a(11);
-    const QueueSimResult devirt = simulate_queue(a, svc, rng_a, opts);
-    EXPECT_GT(devirt.losses, 0u);
-
-    hap::traffic::PoissonSource b(1.0);
-    RandomStream rng_b(11);
-    hap::traffic::ArrivalProcess& base_arr = b;
-    const hap::sim::Distribution& base_svc = svc;
-    expect_identical(devirt, simulate_queue_t(base_arr, base_svc, rng_b, opts));
+    const QueueSimResult res = expect_devirt_matches_virtual(
+        [] { return PoissonSource(1.0); }, Exponential(0.9), 11, opts);
+    EXPECT_GT(res.losses, 0u);
 }
 
 TEST(QueueSimDevirt, HapSourceExponentialByteIdentical) {
-    // The dispatcher cannot name core::HapSource (queueing sits below core),
-    // so callers instantiate the template themselves; that instantiation must
-    // match the generic virtual loop draw for draw.
     QueueSimOptions opts;
     opts.horizon = 2e4;
     opts.warmup = 1e3;
     const HapParams params = HapParams::paper_baseline(17.0);
-    const Exponential svc(17.0);
-
-    HapSource a(params);
-    RandomStream rng_a(2024);
-    const QueueSimResult devirt = simulate_queue_t(a, svc, rng_a, opts);
-    EXPECT_GT(devirt.departures, 0u);
-
-    HapSource b(params);
-    RandomStream rng_b(2024);
-    hap::traffic::ArrivalProcess& base_arr = b;
-    const hap::sim::Distribution& base_svc = svc;
-    const QueueSimResult virt = simulate_queue_t(base_arr, base_svc, rng_b, opts);
-
-    expect_identical(devirt, virt);
-    for (int i = 0; i < 100; ++i) EXPECT_EQ(rng_a.uniform(), rng_b.uniform());
+    const QueueSimResult res = expect_devirt_matches_virtual(
+        [&] { return HapSource(params); }, Exponential(17.0), 2024, opts);
+    EXPECT_GT(res.departures, 0u);
 }
 
 // --------------------------------------------------------------------------
@@ -254,6 +271,23 @@ TEST(EventSemantics, QueueSimCountsOnlyExecutedEvents) {
     const QueueSimResult res = simulate_queue(src, svc, rng, opts);
     EXPECT_GT(res.events, 0u);
     EXPECT_EQ(res.events, res.arrivals + res.departures);
+}
+
+TEST(EventSemantics, QueueSimStopsWhenMergedReplaysRunDry) {
+    // A merge of two finite replays runs dry after three arrivals; the
+    // kernel keeps asking the exhausted merge for its next arrival and must
+    // stop cleanly once the queue drains, long before the horizon.
+    std::vector<hap::traffic::ArrivalProcessPtr> sources;
+    sources.push_back(std::make_unique<TraceReplaySource>(std::vector<double>{1.0, 3.0}));
+    sources.push_back(std::make_unique<TraceReplaySource>(std::vector<double>{2.0}));
+    SuperpositionSource merged(std::move(sources));
+    QueueSimOptions opts;
+    opts.horizon = 1e3;
+    RandomStream rng(19);
+    const QueueSimResult res = simulate_queue(merged, Exponential(5.0), rng, opts);
+    EXPECT_EQ(res.arrivals, 3u);
+    EXPECT_EQ(res.departures, 3u);
+    EXPECT_EQ(res.events, 6u);
 }
 
 TEST(EventSemantics, HapSimCountsOnlyExecutedEvents) {

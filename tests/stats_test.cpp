@@ -6,14 +6,12 @@
 
 #include "sim/rng.hpp"
 #include "stats/busy_period.hpp"
-#include "stats/histogram.hpp"
 #include "stats/online_stats.hpp"
 #include "stats/series.hpp"
 
 namespace {
 
 using hap::stats::BusyPeriodTracker;
-using hap::stats::Histogram;
 using hap::stats::OnlineStats;
 using hap::stats::TimeWeightedStats;
 
@@ -150,56 +148,6 @@ TEST(BusyPeriod, MergeEqualsSequentialPassWhenSplitAtBusyEnd) {
     EXPECT_NEAR(first.heights().mean(), whole.heights().mean(), 1e-12);
     EXPECT_NEAR(first.heights().variance(), whole.heights().variance(), 1e-12);
     EXPECT_NEAR(first.busy_fraction(), whole.busy_fraction(), 1e-12);
-}
-
-TEST(Histogram, MergeAddsCountsAndTails) {
-    Histogram a(0.0, 10.0, 10), b(0.0, 10.0, 10);
-    a.add(1.5);
-    a.add(-2.0);
-    b.add(1.7);
-    b.add(42.0);
-    b.add(9.9);
-    a.merge(b);
-    EXPECT_EQ(a.count(), 5u);
-    EXPECT_EQ(a.bin_count(1), 2u);
-    EXPECT_EQ(a.bin_count(9), 1u);
-    EXPECT_EQ(a.underflow(), 1u);
-    EXPECT_EQ(a.overflow(), 1u);
-}
-
-TEST(Histogram, MergeRejectsBinningMismatch) {
-    Histogram a(0.0, 10.0, 10);
-    EXPECT_THROW(a.merge(Histogram(0.0, 10.0, 20)), std::invalid_argument);
-    EXPECT_THROW(a.merge(Histogram(0.0, 5.0, 10)), std::invalid_argument);
-}
-
-TEST(Histogram, CountsAndDensity) {
-    Histogram h(0.0, 10.0, 10);
-    for (int i = 0; i < 100; ++i) h.add(0.05 + i * 0.1);  // uniform over [0,10)
-    EXPECT_EQ(h.count(), 100u);
-    EXPECT_EQ(h.overflow(), 0u);
-    for (std::size_t b = 0; b < h.bins(); ++b) {
-        EXPECT_EQ(h.bin_count(b), 10u);
-        EXPECT_NEAR(h.density(b), 0.1, 1e-12);
-    }
-}
-
-TEST(Histogram, OverflowUnderflow) {
-    Histogram h(0.0, 1.0, 4);
-    h.add(-1.0);
-    h.add(2.0);
-    h.add(0.5);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.count(), 3u);
-}
-
-TEST(Histogram, QuantileOfUniform) {
-    Histogram h(0.0, 1.0, 100);
-    hap::sim::RandomStream rng(7);
-    for (int i = 0; i < 200000; ++i) h.add(rng.uniform());
-    EXPECT_NEAR(h.quantile(0.5), 0.5, 0.01);
-    EXPECT_NEAR(h.quantile(0.9), 0.9, 0.01);
 }
 
 TEST(Series, AutocorrelationOfAlternatingSequence) {

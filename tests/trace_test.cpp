@@ -1,42 +1,13 @@
-// Unit tests for CSV emission and the coalescing series recorder.
+// Unit tests for the coalescing series recorder.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 
-#include "trace/csv.hpp"
 #include "trace/recorder.hpp"
 
 namespace {
 
-using hap::trace::CsvWriter;
 using hap::trace::SeriesRecorder;
-
-TEST(Csv, WritesHeaderAndRows) {
-    const std::string path = testing::TempDir() + "hap_csv_test.csv";
-    {
-        CsvWriter w(path, {"t", "value"});
-        w.row(std::vector<double>{1.0, 2.5});
-        w.row(std::vector<double>{2.0, -3.5});
-    }
-    std::ifstream in(path);
-    std::string line;
-    ASSERT_TRUE(std::getline(in, line));
-    EXPECT_EQ(line, "t,value");
-    ASSERT_TRUE(std::getline(in, line));
-    EXPECT_EQ(line, "1,2.5");
-    ASSERT_TRUE(std::getline(in, line));
-    EXPECT_EQ(line, "2,-3.5");
-    std::remove(path.c_str());
-}
-
-TEST(Csv, RejectsWrongColumnCount) {
-    const std::string path = testing::TempDir() + "hap_csv_test2.csv";
-    CsvWriter w(path, {"a", "b"});
-    EXPECT_THROW(w.row(std::vector<double>{1.0}), std::invalid_argument);
-    std::remove(path.c_str());
-}
 
 TEST(Recorder, KeepsEverythingAtZeroResolution) {
     SeriesRecorder rec(0.0);

@@ -1,15 +1,15 @@
-// Unit tests for the traffic sources: Poisson, on-off, MMPP, packet trains,
-// superposition.
+// Unit tests for the traffic sources: Poisson, on-off, MMPP, superposition.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "sim/rng.hpp"
 #include "stats/online_stats.hpp"
 #include "stats/series.hpp"
+#include "trace/arrival_log.hpp"
 #include "traffic/mmpp.hpp"
 #include "traffic/onoff.hpp"
-#include "traffic/packet_train.hpp"
 #include "traffic/poisson.hpp"
 #include "traffic/superposition.hpp"
 
@@ -18,7 +18,6 @@ namespace {
 using hap::sim::RandomStream;
 using hap::traffic::Mmpp;
 using hap::traffic::OnOffSource;
-using hap::traffic::PacketTrainSource;
 using hap::traffic::PoissonSource;
 using hap::traffic::SuperpositionSource;
 
@@ -112,20 +111,6 @@ TEST(Mmpp, SwitchedProcessIdcAboveOne) {
     EXPECT_NEAR(sim_idc, idc, 0.25 * idc);
 }
 
-TEST(PacketTrain, MeanRate) {
-    PacketTrainSource src(0.5, 0.8, 0.01);  // mean length 5
-    RandomStream rng(7);
-    const auto times = collect(src, rng, 200000);
-    EXPECT_NEAR(empirical_rate(times), src.mean_rate(), 0.05 * src.mean_rate());
-}
-
-TEST(PacketTrain, TrainsAreBursty) {
-    PacketTrainSource src(0.1, 0.9, 0.001);
-    RandomStream rng(8);
-    const auto times = collect(src, rng, 100000);
-    EXPECT_GT(hap::stats::interarrival_scv(times), 3.0);
-}
-
 TEST(Superposition, RateAdds) {
     std::vector<hap::traffic::ArrivalProcessPtr> sources;
     sources.push_back(std::make_unique<PoissonSource>(2.0));
@@ -158,7 +143,7 @@ TEST(Superposition, SmoothsIndependentOnOff) {
 TEST(Superposition, MergedStreamIsSorted) {
     std::vector<hap::traffic::ArrivalProcessPtr> sources;
     sources.push_back(std::make_unique<PoissonSource>(1.0));
-    sources.push_back(std::make_unique<PacketTrainSource>(0.3, 0.7, 0.05));
+    sources.push_back(std::make_unique<OnOffSource>(0.3, 0.7, 20.0));
     SuperpositionSource sup(std::move(sources));
     RandomStream rng(11);
     double prev = -1.0;
@@ -167,6 +152,24 @@ TEST(Superposition, MergedStreamIsSorted) {
         ASSERT_GE(t, prev);
         prev = t;
     }
+}
+
+TEST(Superposition, ExhaustedSourcesYieldInfinity) {
+    // Two finite replays: once all three times are out, every further call
+    // must report the merged stream exhausted instead of reading an empty
+    // heap.
+    std::vector<hap::traffic::ArrivalProcessPtr> sources;
+    sources.push_back(std::make_unique<hap::trace::TraceReplaySource>(
+        std::vector<double>{1.0, 3.0}));
+    sources.push_back(
+        std::make_unique<hap::trace::TraceReplaySource>(std::vector<double>{2.0}));
+    SuperpositionSource sup(std::move(sources));
+    RandomStream rng(12);
+    EXPECT_EQ(sup.next(rng), 1.0);
+    EXPECT_EQ(sup.next(rng), 2.0);
+    EXPECT_EQ(sup.next(rng), 3.0);
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    for (int i = 0; i < 4; ++i) EXPECT_EQ(sup.next(rng), kInf);
 }
 
 }  // namespace

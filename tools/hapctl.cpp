@@ -105,7 +105,8 @@ void finish_document(const cli::Flags& f, experiment::JsonWriter& json, bool met
         else
             throw std::runtime_error("cannot write " + out);
     }
-    if (metrics && out.empty()) std::fputs(obs::registry().report().c_str(), stdout);
+    if (metrics && out.empty())
+        std::fputs(obs::report(obs::registry().snapshot()).c_str(), stdout);
 }
 
 int cmd_analyze(const cli::Flags& f) {
@@ -562,7 +563,7 @@ int cmd_metrics_dump(const cli::Flags& f) {
         const experiment::ExperimentRunner runner(f.count("threads", 0));
         (void)runner.run(sc);
     }
-    std::fputs(obs::registry().report().c_str(), stdout);
+    std::fputs(obs::report(obs::registry().snapshot()).c_str(), stdout);
     return 0;
 }
 
