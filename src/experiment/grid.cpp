@@ -3,12 +3,17 @@
 #include <cmath>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 
 #include "core/contracts.hpp"
 
 namespace hap::experiment {
 
 namespace {
+
+// Cap on a range's point count: far beyond any sweep a front end can run,
+// and small enough that reserving it cannot exhaust memory.
+constexpr std::size_t kMaxGridPoints = 1000000;
 
 double parse_value(const std::string& tok, const std::string& spec) {
     char* end = nullptr;
@@ -39,9 +44,14 @@ std::vector<double> parse_range(const std::string& spec) {
                                     "' (want lo:hi:step with step > 0 and hi >= lo)");
     }
     // Point count fixed up front: lo + k*step for k = 0..count-1, with half a
-    // step of slack so "0.1:0.5:0.1" reliably includes 0.5.
-    const auto count =
-        static_cast<std::size_t>(std::floor((hi - lo) / step + 0.5)) + 1;
+    // step of slack so "0.1:0.5:0.1" reliably includes 0.5. Checked before
+    // the cast: (hi - lo) / step can overflow to inf or exceed size_t.
+    const double steps = std::floor((hi - lo) / step + 0.5);
+    if (!(steps < static_cast<double>(kMaxGridPoints))) {
+        throw std::invalid_argument("bad grid spec '" + spec + "' (more than " +
+                                    std::to_string(kMaxGridPoints) + " points)");
+    }
+    const auto count = static_cast<std::size_t>(steps) + 1;
     std::vector<double> out;
     out.reserve(count);
     for (std::size_t k = 0; k < count; ++k) {

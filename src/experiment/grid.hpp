@@ -13,8 +13,8 @@
 namespace hap::experiment {
 
 // Parse a grid axis spec. Throws std::invalid_argument on malformed input:
-// empty spec, empty list items, non-numeric values, non-finite values, or a
-// range with step <= 0 or hi < lo.
+// empty spec, empty list items, non-numeric values, non-finite values, a
+// range with step <= 0 or hi < lo, or a range of more than a million points.
 std::vector<double> parse_grid(const std::string& spec);
 
 // Sweep-wide argument validation shared by hapctl and bench front ends.

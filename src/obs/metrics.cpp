@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <tuple>
 
@@ -135,58 +134,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
                                 std::tie(b.label, b.solver, b.run_id);
                      });
     return snap;
-}
-
-std::string report(const MetricsSnapshot& snap) {
-    std::string out;
-    char line[256];
-    const auto emit = [&out, &line](int n) {
-        if (n > 0) out.append(line, std::min<std::size_t>(static_cast<std::size_t>(n),
-                                                          sizeof(line) - 1));
-    };
-
-    out += "== metrics ==\n";
-    if (!snap.counters.empty()) {
-        out += "counters:\n";
-        for (const auto& [name, value] : snap.counters) {
-            emit(std::snprintf(line, sizeof(line), "  %-34s %12llu\n", name.c_str(),
-                               static_cast<unsigned long long>(value)));
-        }
-    }
-    if (!snap.gauges.empty()) {
-        out += "gauges:\n";
-        for (const auto& [name, value] : snap.gauges)
-            emit(std::snprintf(line, sizeof(line), "  %-34s %12.6g\n", name.c_str(), value));
-    }
-    if (!snap.histograms.empty()) {
-        out += "histograms:\n";
-        for (const auto& [name, h] : snap.histograms) {
-            emit(std::snprintf(line, sizeof(line),
-                               "  %-34s n=%-8llu mean=%-12.6g min=%-12.6g max=%.6g\n",
-                               name.c_str(), static_cast<unsigned long long>(h.count),
-                               h.mean(), h.min, h.max));
-        }
-    }
-    if (!snap.solvers.empty()) {
-        out += "solver telemetry (label / solver / run):\n";
-        emit(std::snprintf(line, sizeof(line), "  %-24s %-16s %4s %10s %10s %9s %12s %s\n",
-                           "label", "solver", "run", "iters", "trunc", "conv",
-                           "residual", "wall_s"));
-        for (const auto& t : snap.solvers) {
-            emit(std::snprintf(line, sizeof(line),
-                               "  %-24s %-16s %4llu %10llu %10llu %9s %12.4g %.4g\n",
-                               t.label.empty() ? "-" : t.label.c_str(), t.solver.c_str(),
-                               static_cast<unsigned long long>(t.run_id),
-                               static_cast<unsigned long long>(t.iterations),
-                               static_cast<unsigned long long>(t.truncation),
-                               t.converged ? "yes" : "NO", t.residual, t.wall_time_s));
-        }
-    }
-    if (snap.counters.empty() && snap.gauges.empty() && snap.histograms.empty() &&
-        snap.solvers.empty()) {
-        out += "(empty)\n";
-    }
-    return out;
 }
 
 void MetricsRegistry::reset() {

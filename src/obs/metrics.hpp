@@ -89,10 +89,6 @@ private:
 // The process-wide registry all instrumentation reports into.
 MetricsRegistry& registry();
 
-// Human-readable table of one snapshot (hapctl metrics-dump, hapd's metrics
-// "text"), so a caller that also serializes the snapshot reports one instant.
-std::string report(const MetricsSnapshot& snap);
-
 // Thread-local label scope: while alive, solver records with an empty label
 // inherit this label (used by hapctl to tag per-sweep-point solves). Scopes
 // nest; destruction restores the previous label.

@@ -244,11 +244,17 @@ std::string deadline_exceeded_response(const std::string& id) {
 }
 
 std::string ok_response(const std::string& id, const experiment::Json& payload) {
-    Json j = Json::object();
-    j.set("ok", Json::boolean(true));
-    if (!id.empty()) j.set("id", Json::string(id));
-    for (const auto& [key, value] : payload.members()) j.set(key, value);
-    return j.dump(0);
+    // The envelope's bytes spliced before the payload's own: no second tree,
+    // however large the payload (a metrics scrape carries the whole registry).
+    std::string out = "{\"ok\":true";
+    if (!id.empty()) {
+        out += ",\"id\":";
+        experiment::append_json_string(out, id);
+    }
+    const std::string members = payload.dump(0);  // "{}" or "{...}"
+    if (members.size() > 2) out += ',';
+    out.append(members, 1, std::string::npos);
+    return out;
 }
 
 std::string answer_response(const std::string& id, const Answer& answer) {

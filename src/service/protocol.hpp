@@ -142,6 +142,7 @@ std::string build_simple_request(Op op, const std::string& id);
 std::string error_response(const std::string& id, std::string_view code,
                            std::string_view message);
 // Wrap `payload`'s members into {"ok":true,"id":...,<payload members>}.
+// `payload` is an object without "ok" or "id" members.
 std::string ok_response(const std::string& id, const experiment::Json& payload);
 
 // One answer to a solve or admission query (hit, warm, cold, clamped, approx).

@@ -23,6 +23,7 @@
 
 #include "experiment/analytic.hpp"
 #include "experiment/faultinject.hpp"
+#include "experiment/json_writer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timer.hpp"
 #include "parallel/pool.hpp"
@@ -226,22 +227,13 @@ struct Hapd::Impl {
 
     std::string handle_metrics(const Request& req) {
         count("hapd.queries.metrics");
-        Json payload = Json::object();
-        const obs::MetricsSnapshot snap = obs::registry().snapshot();
-        Json counters = Json::object();
-        for (const auto& [name, value] : snap.counters)
-            counters.set(name, Json::integer(value));
-        payload.set("counters", std::move(counters));
-        Json cache_info = Json::object();
-        cache_info.set("size",
-                       Json::integer(static_cast<std::uint64_t>(point_cache.size())));
-        cache_info.set("loaded",
-                       Json::integer(static_cast<std::uint64_t>(point_cache.loaded())));
-        cache_info.set("persist_errors",
-                       Json::integer(
-                           static_cast<std::uint64_t>(point_cache.persist_errors())));
-        payload.set("cache", std::move(cache_info));
-        payload.set("text", Json::string(obs::report(snap)));
+        Json payload = experiment::obs_metrics_json(obs::registry().snapshot());
+        Json cache = Json::object();
+        cache.set("size", Json::integer(std::uint64_t{point_cache.size()}));
+        cache.set("loaded", Json::integer(std::uint64_t{point_cache.loaded()}));
+        cache.set("persist_errors",
+                  Json::integer(std::uint64_t{point_cache.persist_errors()}));
+        payload.set("cache", std::move(cache));
         return ok_response(req.id, payload);
     }
 
@@ -258,6 +250,22 @@ struct Hapd::Impl {
             count("hapd.protocol.errors");
             return {error_response("", "bad-request", e.what()), false};
         }
+        auto reply = dispatch(req, arrival);
+        // A reply past the frame cap (a scrape of a registry grown large)
+        // cannot be framed: answer a structured error in its place, so the
+        // connection keeps serving.
+        if (reply.first.size() > kMaxFrameBody) {
+            count("hapd.internal.errors");
+            reply.first = error_response(
+                req.id, "response-too-large",
+                "reply of " + std::to_string(reply.first.size()) + " bytes exceeds the " +
+                    std::to_string(kMaxFrameBody) + "-byte frame cap");
+        }
+        return reply;
+    }
+
+    // The op's reply; a throwing handler becomes an "internal" error.
+    std::pair<std::string, bool> dispatch(const Request& req, Clock::time_point arrival) {
         try {
             switch (req.op) {
                 case Op::Ping: {

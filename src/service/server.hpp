@@ -26,7 +26,7 @@
 // degraded/failed, hapd.batch.rounds/coalesced/followers/late_hits (a
 // leader's race re-check finding a point already cached), hapd.overload.*,
 // hapd.protocol.errors, latency histograms) and the "metrics" op serves the
-// registry as a text scrape plus machine-readable counters.
+// registry as the hap.obs.metrics/v1 document plus a "cache" object.
 //
 // The daemon never prints: diagnostics go through the optional log callback
 // (hapctl wires it to stdout; tests capture it).

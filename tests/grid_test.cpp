@@ -53,6 +53,10 @@ TEST(ParseGrid, RejectsMalformedSpecs) {
     EXPECT_THROW(parse_grid("1:2:3:4"), std::invalid_argument);    // extra field
     EXPECT_THROW(parse_grid("nan,1"), std::invalid_argument);
     EXPECT_THROW(parse_grid("inf"), std::invalid_argument);
+    // Point counts past size_t, past double (inf) and past any memory.
+    EXPECT_THROW(parse_grid("0:1e20:1"), std::invalid_argument);
+    EXPECT_THROW(parse_grid("0:1e300:1e-300"), std::invalid_argument);
+    EXPECT_THROW(parse_grid("0:1:1e-17"), std::invalid_argument);
 }
 
 SweepArgs good_args() {

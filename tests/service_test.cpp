@@ -109,7 +109,8 @@ TEST(HapdServing, PingMetricsAndShutdownOps) {
     const Json m = call_json(c, hap::service::build_simple_request(Op::Metrics, "m1"));
     EXPECT_TRUE(m.at("ok").as_bool());
     EXPECT_GE(counter(m, "hapd.queries.ping"), 1u);
-    EXPECT_NE(m.at("text").as_string().find("hapd.queries"), std::string::npos);
+    EXPECT_EQ(m.at("schema").as_string(), "hap.obs.metrics/v1");
+    EXPECT_EQ(m.find("text"), nullptr);
 
     const Json bye = call_json(c, hap::service::build_simple_request(Op::Shutdown, "s1"));
     EXPECT_TRUE(bye.at("ok").as_bool());
@@ -186,6 +187,36 @@ TEST(HapdServing, WarmStartStaysWithinRelTolOfColdSolve) {
 // The gating harness: 8 concurrent clients, >200 queries total, a mixed
 // hit/miss/batched workload — every response ok, every response carrying the
 // id of the request that asked for it (no drops, no cross-wiring).
+// The solver records grow with every solve, so a scrape can outgrow the
+// frame cap. That reply is a structured error, and the connection it came
+// from keeps serving.
+TEST(HapdServing, OversizedScrapeIsAnErrorAndTheConnectionServesOn) {
+    hap::obs::registry().reset();
+    Hapd daemon(fast_opts());
+    daemon.start();
+    hap::obs::SolverTelemetry filler;
+    filler.solver = "filler";
+    filler.label = std::string(1000, 'x');
+    for (std::uint64_t run = 0; run < 1200; ++run) {  // > 1.2 MB of labels
+        filler.run_id = run;
+        hap::obs::registry().record_solver(filler);
+    }
+
+    Client c = Client::connect_tcp(daemon.port());
+    const Json m = call_json(c, hap::service::build_simple_request(Op::Metrics, "big"));
+    EXPECT_FALSE(m.at("ok").as_bool());
+    EXPECT_EQ(m.at("id").as_string(), "big");
+    EXPECT_EQ(m.at("code").as_string(), "response-too-large");
+    const Json pong = call_json(c, hap::service::build_simple_request(Op::Ping, "p"));
+    EXPECT_TRUE(pong.at("pong").as_bool());
+
+    hap::obs::registry().reset();
+    const Json small = call_json(c, hap::service::build_simple_request(Op::Metrics, "m"));
+    EXPECT_TRUE(small.at("ok").as_bool());
+    EXPECT_EQ(small.at("schema").as_string(), "hap.obs.metrics/v1");
+    daemon.stop();
+}
+
 TEST(HapdServing, ConcurrentClientsNoDroppedOrCrossWiredResponses) {
     hap::obs::registry().reset();
     Hapd daemon(fast_opts());
@@ -250,15 +281,15 @@ TEST(HapdServing, ConcurrentClientsNoDroppedOrCrossWiredResponses) {
                                  counter(m, "hapd.solve.warm") +
                                  counter(m, "hapd.solve.failed");
     EXPECT_EQ(solves, 6u);  // each unique operating point solved exactly once
-    // "counters" and "text" format one snapshot: every counter line of the
-    // table carries exactly the serialized value.
-    const std::string text = m.at("text").as_string();
-    for (const auto& [name, value] : m.at("counters").members()) {
-        const std::string head = "\n  " + name + " ";
-        const std::size_t at = text.find(head);
-        ASSERT_NE(at, std::string::npos) << name;
-        EXPECT_EQ(std::stoull(text.substr(at + head.size())), value.as_uint()) << name;
-    }
+    // The scrape is one hap.obs.metrics/v1 snapshot: every finished request
+    // is in the latency histogram (the +1 is this scrape, still in flight),
+    // and its sparse buckets account for every sample.
+    EXPECT_EQ(m.at("schema").as_string(), "hap.obs.metrics/v1");
+    const Json& latency = m.at("histograms").at("hapd.latency.request");
+    EXPECT_EQ(latency.at("count").as_uint() + 1, counter(m, "hapd.queries"));
+    std::uint64_t in_buckets = 0;
+    for (const Json& b : latency.at("buckets").items()) in_buckets += b.at("n").as_uint();
+    EXPECT_EQ(in_buckets, latency.at("count").as_uint());
     daemon.stop();
 }
 

@@ -3,7 +3,9 @@
 // external dependencies.
 #pragma once
 
+#include <cstddef>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -45,6 +47,9 @@ public:
     std::size_t count(const std::string& name, std::size_t fallback) const {
         const double v = number(name, static_cast<double>(fallback));
         if (v < 0.0) throw std::invalid_argument("--" + name + " must be >= 0");
+        // NaN fails this test too; SIZE_MAX rounds up to 2^64 as a double.
+        if (!(v < static_cast<double>(std::numeric_limits<std::size_t>::max())))
+            throw std::invalid_argument("--" + name + " must be a finite count");
         return static_cast<std::size_t>(v);
     }
 

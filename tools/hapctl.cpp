@@ -21,7 +21,8 @@
 //                   [--budget-iters N] [--budget-states N] [--budget-wall-ms T]
 //       replicated simulation over a parameter grid, fanned across the
 //       experiment thread pool; SPEC is "a,b,c" or "lo:hi:step". --metrics
-//       appends the "hap.obs.metrics/v1" telemetry block to the JSON.
+//       appends the "hap.obs.metrics/v1" telemetry block to the JSON, which
+//       goes to stdout when there is no --json FILE.
 //       --analytic solves the grid with Solution 0 instead, in lambda order
 //       as a warm-started continuation chain on adaptively grown boxes
 //       (--warm-start, default 1, turns the engine off for A/B comparison).
@@ -38,7 +39,7 @@
 //       rejects it.
 //   hapctl metrics-dump [model flags] [--horizon T] [--reps N] [--solve0]
 //       run a representative slice of the solver/simulation stack with the
-//       observability registry enabled and print the text report.
+//       observability registry enabled and print its hap.obs.metrics/v1 JSON.
 //
 // Model flags (defaults = the paper's Section-4 baseline):
 //   --lambda --mu --lambda1 --mu1 --l --lambda2 --m --service
@@ -93,8 +94,7 @@ core::HapParams model_from_flags(const cli::Flags& f) {
 }
 
 // The result document's epilogue: the telemetry block under --metrics, then
-// the document to --json FILE; with --metrics and no FILE the text report
-// goes to stdout instead.
+// the document to --json FILE, or to stdout when --metrics has no FILE.
 void finish_document(const cli::Flags& f, experiment::JsonWriter& json, bool metrics) {
     if (metrics)
         json.metrics_block(experiment::obs_metrics_json(obs::registry().snapshot()));
@@ -104,9 +104,9 @@ void finish_document(const cli::Flags& f, experiment::JsonWriter& json, bool met
             std::printf("\njson results written to %s\n", out.c_str());
         else
             throw std::runtime_error("cannot write " + out);
+    } else if (metrics) {
+        std::printf("%s\n", json.dump().c_str());
     }
-    if (metrics && out.empty())
-        std::fputs(obs::report(obs::registry().snapshot()).c_str(), stdout);
 }
 
 int cmd_analyze(const cli::Flags& f) {
@@ -519,7 +519,7 @@ int cmd_sweep(const cli::Flags& f) {
 // hapctl metrics-dump: run a representative slice of the stack (Solutions 1/2,
 // a small matrix-geometric solve, optionally Solution 0, and a short
 // replicated simulation) with the observability registry on, then print the
-// text report. Fast by default; --solve0 adds the full lattice sweep.
+// hap.obs.metrics/v1 document. Fast by default; --solve0 adds the lattice sweep.
 int cmd_metrics_dump(const cli::Flags& f) {
     f.reject_unknown(with(kModelFlags, {"horizon", "seed", "reps", "threads",
                                         "solve0", "zmax", "sweeps"}));
@@ -563,7 +563,8 @@ int cmd_metrics_dump(const cli::Flags& f) {
         const experiment::ExperimentRunner runner(f.count("threads", 0));
         (void)runner.run(sc);
     }
-    std::fputs(obs::report(obs::registry().snapshot()).c_str(), stdout);
+    std::printf("%s\n",
+                experiment::obs_metrics_json(obs::registry().snapshot()).dump().c_str());
     return 0;
 }
 
@@ -689,11 +690,6 @@ int cmd_query(const cli::Flags& f) {
     const std::string& response = outcome.body;
     const experiment::Json j = experiment::Json::parse(response);
     std::printf("%s\n", response.c_str());
-    if (op == "metrics") {
-        // The scrape text, verbatim, after the JSON envelope.
-        if (const experiment::Json* text = j.find("text"))
-            std::fputs(text->as_string().c_str(), stdout);
-    }
     const experiment::Json* ok = j.find("ok");
     return (ok != nullptr && ok->is_bool() && ok->as_bool()) ? 0 : 1;
 }
@@ -718,7 +714,7 @@ void usage() {
         "                   block, and --checkpoint/--resume make sweeps\n"
         "                   crash-safe — see README \"Fault tolerance & resume\")\n"
         "  hapctl metrics-dump [model flags] [--horizon T --reps N --solve0]\n"
-        "                   solver-telemetry text report (see DESIGN.md 4e)\n"
+        "                   solver-telemetry JSON document (see DESIGN.md 4e)\n"
         "  hapctl serve     [--socket PATH | --port N] [--threads N]\n"
         "                   [--cache FILE] [--tol E --trunc-tol E --sweeps N\n"
         "                   --zmax N --timeout-ms T\n"

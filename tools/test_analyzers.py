@@ -227,6 +227,10 @@ double f(double a) {{
         self.assertNotIn("naked-thread",
                          self.fix.rules("src/parallel/parallel_for.cpp",
                                         "std::thread t(f);\n"))
+        # The replication runner fans out through parallel_for, not threads.
+        self.assertIn("naked-thread",
+                      self.fix.rules("src/experiment/runner.cpp",
+                                     "#include <thread>\nstd::thread t(f);\n"))
         self.assertNotIn(
             "naked-thread",
             self.fix.rules("src/solver/y.cpp",
