@@ -1,7 +1,9 @@
 #include "core/hap_cs.hpp"
 
-#include <deque>
 #include <stdexcept>
+
+#include "core/hap_population.hpp"
+#include "sim/ring_buffer.hpp"
 
 namespace hap::core {
 
@@ -53,29 +55,20 @@ struct CsMsg {
 
 }  // namespace
 
+// The population kernel (hap_population.hpp) with two service categories
+// appended after its own: the forward (request) queue head, then the
+// reverse (response) queue head. Admission bounds are the kernel's.
 HapCsResult simulate_hap_cs(const HapCsParams& params, sim::RandomStream& rng,
                             const HapCsOptions& opts) {
     params.validate();
-    const HapParams& hp = params.hap;
-    const std::size_t l = hp.num_app_types();
-    const bool dynamic_users = hp.permanent_users == 0;
+    detail::Population pop(params.hap);
 
     HapCsResult res;
     res.forward_number = stats::TimeWeightedStats(opts.warmup, 0.0);
     res.reverse_number = stats::TimeWeightedStats(opts.warmup, 0.0);
 
-    std::deque<CsMsg> fwd, rev;
+    sim::RingBuffer<CsMsg> fwd, rev;
     double now = 0.0;
-    std::uint64_t users = hp.permanent_users > 0
-                              ? hp.permanent_users
-                              : static_cast<std::uint64_t>(hp.mean_users() + 0.5);
-    std::vector<std::uint64_t> apps(l, 0);
-    for (std::size_t i = 0; i < l; ++i) {
-        apps[i] = static_cast<std::uint64_t>(
-            static_cast<double>(users) * hp.apps[i].arrival_rate /
-                hp.apps[i].departure_rate + 0.5);
-    }
-
     double fwd_busy_time = 0.0;
     double rev_busy_time = 0.0;
 
@@ -87,26 +80,13 @@ HapCsResult simulate_hap_cs(const HapCsParams& params, sim::RandomStream& rng,
     };
 
     while (true) {
-        const double xd = static_cast<double>(users);
-        double total = 0.0;
-        const double r_user_arr = dynamic_users ? hp.user_arrival_rate : 0.0;
-        const double r_user_dep = dynamic_users ? xd * hp.user_departure_rate : 0.0;
-        total += r_user_arr + r_user_dep;
-        double app_arr_total = 0.0, app_dep_total = 0.0, gen_total = 0.0;
-        for (std::size_t i = 0; i < l; ++i) {
-            const double yd = static_cast<double>(apps[i]);
-            app_arr_total += xd * hp.apps[i].arrival_rate;
-            app_dep_total += yd * hp.apps[i].departure_rate;
-            gen_total += yd * hp.apps[i].total_message_rate();
-        }
-        total += app_arr_total + app_dep_total + gen_total;
         const double r_fwd =
             fwd.empty() ? 0.0
                         : params.behavior[fwd.front().i][fwd.front().j].request_service_rate;
         const double r_rev =
             rev.empty() ? 0.0
                         : params.behavior[rev.front().i][rev.front().j].response_service_rate;
-        total += r_fwd + r_rev;
+        const double total = pop.base_sum() + r_fwd + r_rev;
         if (total <= 0.0) break;
 
         const double dt = rng.exponential(total);
@@ -117,11 +97,26 @@ HapCsResult simulate_hap_cs(const HapCsParams& params, sim::RandomStream& rng,
         now += dt;
         if (now >= opts.horizon) break;
 
-        double u = rng.uniform() * total;
-        if (u < r_fwd) {
-            // Request served.
-            CsMsg m = fwd.front();
-            fwd.pop_front();
+        const double u = rng.uniform() * total;
+        const std::size_t k = pop.pick(u, total);
+        if (k < pop.categories()) {
+            if (!detail::Population::is_message(k)) {
+                pop.apply(k);
+                continue;
+            }
+            // New original request: pick message type j within type i.
+            const std::size_t i = detail::Population::app_type(k);
+            const detail::RateTable& rates = pop.rates();
+            const std::uint32_t j =
+                pop.message_type(i, rng.uniform() * rates.message_rate[i]) -
+                rates.msg_off[i];
+            fwd.push_back(CsMsg{now, now, static_cast<std::uint32_t>(i), j, 0});
+            if (now >= opts.warmup)
+                res.forward_number.update(now, static_cast<double>(fwd.size()));
+        } else if (!fwd.empty() && (rev.empty() || u - pop.base_sum() < r_fwd)) {
+            // Request served. (The empty-queue guards matter only when the
+            // walk's rounding carries a draw just past a zero service rate.)
+            CsMsg m = fwd.pop_front();
             if (m.arrival >= opts.warmup) {
                 res.request_delay.add(now - m.arrival);
                 ++res.requests;
@@ -138,13 +133,9 @@ HapCsResult simulate_hap_cs(const HapCsParams& params, sim::RandomStream& rng,
                 res.forward_number.update(now, static_cast<double>(fwd.size()));
                 res.reverse_number.update(now, static_cast<double>(rev.size()));
             }
-            continue;
-        }
-        u -= r_fwd;
-        if (u < r_rev) {
+        } else if (!rev.empty()) {
             // Response served.
-            CsMsg m = rev.front();
-            rev.pop_front();
+            CsMsg m = rev.pop_front();
             if (m.arrival >= opts.warmup) {
                 res.response_delay.add(now - m.arrival);
                 ++res.responses;
@@ -160,52 +151,6 @@ HapCsResult simulate_hap_cs(const HapCsParams& params, sim::RandomStream& rng,
                 res.forward_number.update(now, static_cast<double>(fwd.size()));
                 res.reverse_number.update(now, static_cast<double>(rev.size()));
             }
-            continue;
-        }
-        u -= r_rev;
-        if (u < r_user_arr) {
-            ++users;
-            continue;
-        }
-        u -= r_user_arr;
-        if (u < r_user_dep) {
-            --users;
-            continue;
-        }
-        u -= r_user_dep;
-        bool handled = false;
-        for (std::size_t i = 0; i < l && !handled; ++i) {
-            const double arr = xd * hp.apps[i].arrival_rate;
-            if (u < arr) {
-                ++apps[i];
-                handled = true;
-                break;
-            }
-            u -= arr;
-            const double dep = static_cast<double>(apps[i]) * hp.apps[i].departure_rate;
-            if (u < dep) {
-                --apps[i];
-                handled = true;
-                break;
-            }
-            u -= dep;
-            const double gen = static_cast<double>(apps[i]) * hp.apps[i].total_message_rate();
-            if (u < gen) {
-                // New original request: pick message type j within type i.
-                double v = rng.uniform() * hp.apps[i].total_message_rate();
-                std::uint32_t j = 0;
-                while (j + 1 < hp.apps[i].messages.size() &&
-                       v >= hp.apps[i].messages[j].arrival_rate) {
-                    v -= hp.apps[i].messages[j].arrival_rate;
-                    ++j;
-                }
-                fwd.push_back(CsMsg{now, now, static_cast<std::uint32_t>(i), j, 0});
-                if (now >= opts.warmup)
-                    res.forward_number.update(now, static_cast<double>(fwd.size()));
-                handled = true;
-                break;
-            }
-            u -= gen;
         }
     }
 

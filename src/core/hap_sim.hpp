@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/hap_params.hpp"
+#include "core/hap_population.hpp"
 #include "sim/rng.hpp"
 #include "stats/busy_period.hpp"
 #include "stats/online_stats.hpp"
@@ -78,22 +79,9 @@ public:
     void reset() override;
 
 private:
-    void recompute_rates();
-
     HapParams params_;
     double time_ = 0.0;
-    std::uint64_t users_ = 0;
-    std::vector<std::uint64_t> apps_;  // per type
-    // Incrementally maintained population total and cached aggregate rates,
-    // refreshed (in the exact historical reduction order) only after a
-    // population change instead of on every transition.
-    std::uint64_t total_apps_ = 0;
-    bool rates_valid_ = false;
-    bool app_ok_ = true;
-    double r_user_arr_ = 0.0;
-    double r_user_dep_ = 0.0;
-    double msg_total_ = 0.0;
-    double total_ = 0.0;
+    detail::Population pop_;
 };
 
 }  // namespace hap::core

@@ -13,29 +13,6 @@ namespace hap::markov {
 
 using numerics::Matrix;
 
-namespace {
-
-// Power-iteration estimate of the spectral radius; R is nonnegative so the
-// iteration converges to the Perron root.
-double spectral_radius(const Matrix& r) {
-    const std::size_t n = r.rows();
-    std::vector<double> v(n, 1.0);
-    double lambda = 0.0;
-    for (int iter = 0; iter < 500; ++iter) {
-        std::vector<double> w = r.apply(v);
-        double norm = 0.0;
-        for (double x : w) norm = std::max(norm, std::abs(x));
-        if (norm == 0.0) return 0.0;  // haplint: allow(float-equality) exact-zero vector short-circuit before normalizing
-        for (double& x : w) x /= norm;
-        if (std::abs(norm - lambda) < 1e-13 * std::max(1.0, norm)) return norm;
-        lambda = norm;
-        v.swap(w);
-    }
-    return lambda;
-}
-
-}  // namespace
-
 QbdResult solve_mmpp_m1(const Matrix& phase_generator,
                         const std::vector<double>& arrival_rates,
                         double service_rate, const QbdOptions& opts) {
@@ -161,7 +138,6 @@ QbdResult solve_mmpp_m1(const Matrix& phase_generator,
     for (std::size_t i = 0; i < n; ++i)
         for (std::size_t j = 0; j < n; ++j) res.r(i, j) *= arrival_rates[i];
 
-    res.spectral_radius = spectral_radius(res.r);  // diagnostic only
     if (!res.stable) {
         record(res);
         return res;

@@ -29,7 +29,6 @@ struct [[nodiscard]] QbdResult {
     double mean_rate = 0.0;         // stationary mean arrival rate
     double mean_delay = 0.0;        // E[time in system] via Little
     double utilization = 0.0;       // P(level > 0)
-    double spectral_radius = 0.0;   // sp(R): stability requires < 1
     double residual = 0.0;          // final row-sum defect of G (see solver)
     int iterations = 0;
     bool stable = false;

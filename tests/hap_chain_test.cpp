@@ -171,6 +171,28 @@ TEST(ToMmpp, MeanRateMatchesChain) {
     EXPECT_GT(mmpp.asymptotic_idc(), 1.0);  // HAP is burstier than Poisson
 }
 
+TEST(ToMmpp, GeneralChainMeanRateMatchesChain) {
+    // Heterogeneous types: the general chain's MMPP carries the chain's
+    // stationary rate, which is Eq. 4 up to truncation.
+    HapParams p = HapParams::homogeneous(0.5, 0.5, 0.3, 0.6, 2, 1.0, 1, 20.0);
+    p.apps[1].arrival_rate = 0.2;
+    p.apps[1].departure_rate = 0.8;
+    p.apps[1].messages[0].arrival_rate = 3.0;
+    ASSERT_FALSE(p.homogeneous_types());
+    ChainBounds b;
+    b.max_users = 8;
+    b.max_apps_per_type = 8;
+    const GeneralChain chain(p, b);
+    const auto res = chain.solve();
+    ASSERT_TRUE(res.converged);
+    double rate = 0.0;
+    for (std::size_t s = 0; s < chain.num_states(); ++s)
+        rate += res.pi[s] * chain.arrival_rates()[s];
+    const auto mmpp = chain.to_mmpp();
+    EXPECT_NEAR(mmpp.mean_rate(), rate, 1e-8);
+    EXPECT_NEAR(mmpp.mean_rate(), p.mean_message_rate(), 1e-3);
+}
+
 TEST(LumpedChainTest, DirectSolveMatchesIterative) {
     // Block-tridiagonal elimination and Gauss-Seidel must agree state by
     // state — the direct path is exact, the iterative one converged to

@@ -1,6 +1,10 @@
 // Tests for the HAP-CS client-server model (paper Section 2.2).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
+#include "core/hap_chain.hpp"
 #include "core/hap_cs.hpp"
 
 namespace {
@@ -97,6 +101,44 @@ TEST(HapCs, TransactionTimeGrowsWithFeedback) {
     const auto one = simulate_hap_cs(rlogin_like(0.5, 0.2), rng1, opts);
     const auto two = simulate_hap_cs(rlogin_like(0.9, 0.8), rng2, opts);
     EXPECT_GT(two.transaction_time.mean(), one.transaction_time.mean());
+}
+
+TEST(HapCs, HonorsAdmissionBounds) {
+    // With max_users / max_apps set, the (x, y) box is the whole model, so
+    // the rate of original requests is the bounded chain's exact pi . lambda.
+    // No feedback (ps = 0): every request is original and served once.
+    HapCsParams p = rlogin_like(0.0, 0.0);
+    p.hap.max_users = 1;
+    p.hap.max_apps = 1;
+    const LumpedChain chain(p.hap, ChainBounds::defaults_for(p.hap));
+    const std::vector<double> pi = chain.stationary(1e-13).pi;
+    double exact = 0.0;
+    for (std::size_t s = 0; s < pi.size(); ++s) exact += pi[s] * chain.arrival_rates()[s];
+    const double unbounded = p.hap.mean_message_rate();  // Eq. 4: 2.0
+    ASSERT_LT(exact, 0.5 * unbounded);
+
+    // Ten replications; the tolerance is four standard errors of their
+    // mean (a two-sided t_9 test at ~0.3%), and the seeds are fixed.
+    HapCsOptions opts;
+    opts.horizon = 2e4;
+    opts.warmup = 1e2;
+    const int reps = 10;
+    std::vector<double> rates;
+    for (int r = 0; r < reps; ++r) {
+        hap::sim::RandomStream rng = hap::sim::RandomStream::substream(
+            131, static_cast<std::uint64_t>(r), hap::sim::component_id("hap_cs.bounds"));
+        const auto res = simulate_hap_cs(p, rng, opts);
+        rates.push_back(static_cast<double>(res.requests) / (opts.horizon - opts.warmup));
+    }
+    double mean = 0.0;
+    for (double x : rates) mean += x;
+    mean /= reps;
+    double ss = 0.0;
+    for (double x : rates) ss += (x - mean) * (x - mean);
+    const double se = std::sqrt(ss / (reps - 1) / reps);
+    EXPECT_LT(se, 0.01 * exact);
+    EXPECT_NEAR(mean, exact, 4.0 * se) << "se " << se;
+    EXPECT_LT(mean, unbounded - 100.0 * se);
 }
 
 }  // namespace

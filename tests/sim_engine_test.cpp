@@ -1,15 +1,17 @@
 // Event-engine overhaul tests: ring-buffer FIFO semantics, the BlockRng
 // draw-sequence contract, devirtualized-vs-virtual kernel identity, the
-// "events executed" counter semantics, and the HapSource incremental-rate
-// regression against a per-iteration re-derivation of the historical code.
+// "events executed" counter semantics, the population kernel's fast pick
+// against its defining walk, and HapSource's rates against exact ones.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <vector>
 
+#include "core/hap_chain.hpp"
 #include "core/hap_params.hpp"
+#include "core/hap_population.hpp"
 #include "core/hap_sim.hpp"
 #include "queueing/queue_sim.hpp"
 #include "sim/distributions.hpp"
@@ -26,6 +28,7 @@ namespace {
 using hap::core::HapParams;
 using hap::core::HapSimOptions;
 using hap::core::HapSource;
+using hap::core::detail::Population;
 using hap::core::simulate_hap_queue;
 using hap::queueing::QueueSimOptions;
 using hap::queueing::QueueSimResult;
@@ -309,107 +312,93 @@ TEST(EventSemantics, HapSimCountsOnlyExecutedEvents) {
 }
 
 // --------------------------------------------------------------------------
-// HapSource incremental bookkeeping regression
+// Population kernel (core/hap_population.hpp)
 
-// Per-iteration re-derivation of the historical HapSource::next: re-sums the
-// app population and rebuilds every aggregate rate on each loop pass. The
-// production class keeps these incrementally; the sequences must agree
-// bit-for-bit.
-class ReferenceHapSource {
-public:
-    explicit ReferenceHapSource(HapParams params) : params_(std::move(params)) {
-        users_ = params_.permanent_users > 0
-                     ? params_.permanent_users
-                     : static_cast<std::uint64_t>(params_.mean_users() + 0.5);
-        apps_.assign(params_.num_app_types(), 0);
-        for (std::size_t i = 0; i < apps_.size(); ++i) {
-            const auto& a = params_.apps[i];
-            apps_[i] = static_cast<std::uint64_t>(
-                static_cast<double>(users_) * a.arrival_rate / a.departure_rate +
-                0.5);
+// Drive the kernel through seeded population events and, in every state
+// visited, compare the guarded fast pick with the defining sequential walk:
+// on uniform draws and on draws within 1e-12 * total of every prefix
+// boundary, where the fast path's margin test decides which method answers.
+void expect_fast_pick_matches_walk(const HapParams& params, std::uint64_t seed) {
+    Population pop(params);
+    RandomStream rng(seed);
+    const std::size_t nb = pop.categories();
+    std::uint64_t boundary_draws = 0;
+    for (int step = 0; step < 400; ++step) {
+        // The caller's categories (a service head) sit past the population.
+        const double svc = step % 2 == 0 ? 0.0 : 17.0;
+        const double total = pop.base_sum() + svc;
+        ASSERT_GT(total, 0.0);
+        for (int d = 0; d < 200; ++d) {
+            const double u = rng.uniform() * total;
+            ASSERT_EQ(pop.pick(u, total), pop.walk(u)) << "step " << step << " u " << u;
         }
-    }
-
-    double next(RandomStream& rng) {
-        const bool dynamic_users = params_.permanent_users == 0;
-        const std::size_t l = params_.num_app_types();
-        for (;;) {
-            const double xd = static_cast<double>(users_);
-            std::uint64_t total_apps = 0;
-            for (std::uint64_t y : apps_) total_apps += y;
-
-            const bool user_ok = dynamic_users &&
-                                 (params_.max_users == 0 || users_ < params_.max_users);
-            const bool app_ok =
-                params_.max_apps == 0 || total_apps < params_.max_apps;
-
-            double total = 0.0;
-            const double r_user_arr = user_ok ? params_.user_arrival_rate : 0.0;
-            const double r_user_dep =
-                dynamic_users ? xd * params_.user_departure_rate : 0.0;
-            total += r_user_arr + r_user_dep;
-            double msg_total = 0.0;
-            for (std::size_t i = 0; i < l; ++i) {
-                const auto& a = params_.apps[i];
-                const double yd = static_cast<double>(apps_[i]);
-                total += (app_ok ? xd * a.arrival_rate : 0.0) + yd * a.departure_rate;
-                msg_total += yd * a.total_message_rate();
+        // Every prefix boundary, recovered as the walk's cut points.
+        double edge = 0.0;
+        for (std::size_t k = 0; k < nb; ++k) {
+            const std::size_t before = pop.walk(edge);
+            double hi = total;
+            double lo = edge;
+            if (pop.walk(hi) == before) continue;  // no boundary above `edge`
+            for (int it = 0; it < 200 && lo < hi; ++it) {
+                const double mid = lo + (hi - lo) / 2;
+                if (mid <= lo || mid >= hi) break;
+                if (pop.walk(mid) == before) lo = mid; else hi = mid;
             }
-            total += msg_total;
-            if (total <= 0.0) return std::numeric_limits<double>::infinity();
-
-            time_ += rng.exponential(total);
-            double u = rng.uniform() * total;
-
-            if (u < msg_total) return time_;
-            u -= msg_total;
-            if (u < r_user_arr) {
-                ++users_;
-                continue;
-            }
-            u -= r_user_arr;
-            if (u < r_user_dep) {
-                --users_;
-                continue;
-            }
-            u -= r_user_dep;
-            for (std::size_t i = 0; i < l; ++i) {
-                const auto& a = params_.apps[i];
-                const double arr = app_ok ? xd * a.arrival_rate : 0.0;
-                if (u < arr) {
-                    ++apps_[i];
-                    break;
+            // `hi` is the first double the walk places past category `before`.
+            for (double f : {0.0, 0.25, 0.5, 0.99, 1.0, 1.01, 1.5, 2.0, 10.0}) {
+                for (double sign : {-1.0, 1.0}) {
+                    const double u = hi + sign * f * 1e-12 * total;
+                    if (u < 0.0 || u >= total) continue;
+                    ASSERT_EQ(pop.pick(u, total), pop.walk(u))
+                        << "step " << step << " boundary " << k << " offset " << sign * f;
+                    ++boundary_draws;
                 }
-                u -= arr;
-                const double dep = static_cast<double>(apps_[i]) * a.departure_rate;
-                if (u < dep) {
-                    --apps_[i];
-                    break;
-                }
-                u -= dep;
             }
+            for (double u : {std::nextafter(hi, 0.0), hi, std::nextafter(hi, total)})
+                ASSERT_EQ(pop.pick(u, total), pop.walk(u)) << "step " << step;
+            edge = hi;
         }
+        // Move to the next state by a population event drawn from the
+        // kernel itself (messages leave the population unchanged).
+        const std::size_t k = pop.pick(rng.uniform() * pop.base_sum(), pop.base_sum());
+        if (k < nb && !Population::is_message(k)) pop.apply(k);
     }
-
-private:
-    HapParams params_;
-    double time_ = 0.0;
-    std::uint64_t users_ = 0;
-    std::vector<std::uint64_t> apps_;
-};
-
-TEST(HapSourceIncremental, LongDrawSequenceMatchesReference) {
-    const HapParams params = HapParams::paper_baseline(17.0);
-    HapSource fast(params);
-    ReferenceHapSource ref(params);
-    RandomStream rng_fast(20260809);
-    RandomStream rng_ref(20260809);
-    for (int i = 0; i < 200000; ++i) {
-        const double tf = fast.next(rng_fast);
-        const double tr = ref.next(rng_ref);
-        ASSERT_EQ(tf, tr) << "message " << i;
-    }
+    EXPECT_GT(boundary_draws, 0u);
 }
+
+HapParams heterogeneous(std::size_t l) {
+    HapParams p;
+    p.user_arrival_rate = 0.3;
+    p.user_departure_rate = 0.1;
+    for (std::size_t i = 0; i < l; ++i) {
+        hap::core::ApplicationType a;
+        a.arrival_rate = 0.2 + 0.1 * static_cast<double>(i);
+        a.departure_rate = 0.5 / (1.0 + static_cast<double>(i));
+        for (std::size_t j = 0; j <= i % 3; ++j)
+            a.messages.push_back({0.7 + 0.3 * static_cast<double>(j), 20.0, ""});
+        p.apps.push_back(a);
+    }
+    return p;
+}
+
+TEST(PopulationKernel, FastPickMatchesSequentialWalk) {
+    for (std::size_t l : {1u, 5u, 7u}) {
+        SCOPED_TRACE(l);
+        expect_fast_pick_matches_walk(heterogeneous(l), 100 + l);
+        HapParams bounded = heterogeneous(l);
+        bounded.max_users = 3;
+        bounded.max_apps = 4;
+        expect_fast_pick_matches_walk(bounded, 200 + l);
+    }
+    HapParams baseline = HapParams::paper_baseline(17.0);
+    expect_fast_pick_matches_walk(baseline, 7);
+    baseline.max_users = 6;
+    baseline.max_apps = 30;
+    expect_fast_pick_matches_walk(baseline, 8);
+}
+
+// --------------------------------------------------------------------------
+// HapSource
 
 TEST(HapSourceIncremental, ResetRestartsSequence) {
     const HapParams params = HapParams::paper_baseline(20.0);
@@ -422,17 +411,61 @@ TEST(HapSourceIncremental, ResetRestartsSequence) {
     for (int i = 0; i < 1000; ++i) EXPECT_EQ(src.next(b), first[static_cast<std::size_t>(i)]);
 }
 
-// Bounded-population configuration exercises the cached app_ok_/user-bound
-// branches of the incremental path.
-TEST(HapSourceIncremental, BoundedPopulationMatchesReference) {
-    HapParams params = HapParams::paper_baseline(17.0);
-    params.max_users = 20;
-    params.max_apps = 60;
-    HapSource fast(params);
-    ReferenceHapSource ref(params);
-    RandomStream rng_fast(77);
-    RandomStream rng_ref(77);
-    for (int i = 0; i < 50000; ++i) ASSERT_EQ(fast.next(rng_fast), ref.next(rng_ref)) << i;
+// HapSource's message rate over `reps` independent replications of
+// `horizon`: the replication mean and its standard error.
+struct RateEstimate {
+    double mean = 0.0;
+    double se = 0.0;
+};
+
+RateEstimate hap_source_rate(const HapParams& params, double horizon, int reps) {
+    std::vector<double> rates;
+    for (int r = 0; r < reps; ++r) {
+        HapSource src(params);
+        RandomStream rng = RandomStream::substream(
+            2024, static_cast<std::uint64_t>(r), hap::sim::component_id("hap_source.rate"));
+        std::uint64_t n = 0;
+        while (src.next(rng) < horizon) ++n;
+        rates.push_back(static_cast<double>(n) / horizon);
+    }
+    RateEstimate e;
+    for (double x : rates) e.mean += x;
+    e.mean /= static_cast<double>(reps);
+    double ss = 0.0;
+    for (double x : rates) ss += (x - e.mean) * (x - e.mean);
+    e.se = std::sqrt(ss / static_cast<double>(reps - 1) / static_cast<double>(reps));
+    return e;
+}
+
+// Statistical (ctest label `statistical`): the stream's long-run rate is
+// Eq. 4's lambda-bar. Ten replications; the tolerance is four standard
+// errors of their mean (a two-sided t_9 test at ~0.3%), and the seeds are
+// fixed, so a failure means the dynamics changed.
+TEST(HapSourceRate, UnboundedMatchesMeanMessageRate) {
+    const HapParams params = HapParams::paper_baseline(17.0);
+    const RateEstimate e = hap_source_rate(params, 2e5, 10);
+    const double exact = params.mean_message_rate();
+    EXPECT_LT(e.se, 0.03 * exact);
+    EXPECT_NEAR(e.mean, exact, 4.0 * e.se) << "se " << e.se;
+}
+
+// Bounded admission: the rate is the bounded chain's exact pi . lambda
+// (the (x, y) box is the whole model), well below the unbounded Eq. 4.
+TEST(HapSourceRate, BoundedMatchesExactChainRate) {
+    // The paper's baseline with user and application dynamics ten times
+    // faster, so each replication spans many user lifetimes.
+    HapParams params = HapParams::homogeneous(0.055, 0.01, 0.1, 0.1, 5, 0.1, 3, 17.0);
+    params.max_users = 4;
+    params.max_apps = 12;
+    const hap::core::LumpedChain chain(params, hap::core::ChainBounds::defaults_for(params));
+    const std::vector<double> pi = chain.stationary(1e-13).pi;
+    double exact = 0.0;
+    for (std::size_t s = 0; s < pi.size(); ++s) exact += pi[s] * chain.arrival_rates()[s];
+    ASSERT_LT(exact, 0.5 * params.mean_message_rate());
+
+    const RateEstimate e = hap_source_rate(params, 2e4, 10);
+    EXPECT_LT(e.se, 0.01 * exact);
+    EXPECT_NEAR(e.mean, exact, 4.0 * e.se) << "se " << e.se;
 }
 
 }  // namespace
