@@ -18,6 +18,10 @@ namespace {
 // of different lines overlap instead of each waiting on its own divides.
 constexpr std::size_t kLanes = 8;
 
+// Narrowest x-block a team sweep hands a thread. Narrower blocks fill fewer
+// lanes per group and sync more often per line.
+constexpr std::size_t kMinBlockWidth = 5;
+
 // One group of up to kLanes independent lines, structure-of-arrays so the
 // per-z lane loops vectorize.
 struct LineGroup {
@@ -146,34 +150,50 @@ LatticeGrid make_lattice_grid(std::size_t x_lo, std::size_t x_hi, std::size_t y_
     return g;
 }
 
+namespace {
+
+// Sized by the caller before a team sweep, so no helper thread allocates.
+void fit_workspace(LineWorkspace& ws, std::size_t nz) {
+    ws.cp.resize(nz * kLanes);
+    ws.denom.resize(nz * kLanes);
+    ws.rhs.resize(nz * kLanes);
+    if (ws.zero.size() != nz) ws.zero.assign(nz, 0.0);
+}
+
 // Gauss-Seidel over (x, y) lines in lexicographic order reads the x-1 and
 // y-1 neighbor lines after this sweep updated them and the x+1 and y+1 lines
 // before. Visiting anti-diagonals xi + yi = d in order reads exactly the same
 // values — the d-1 lines are done, the d+1 lines untouched — so the lines of
 // one anti-diagonal are independent and are solved kLanes at a time. The
 // reverse sweep walks the anti-diagonals backwards, mirroring it.
-void sweep_lattice(const LatticeGrid& g, const LatticeRates& r, std::vector<double>& pi,
-                   bool forward, LineWorkspace& ws) {
+//
+// A block clips every anti-diagonal to its x-range. Only its edge line next
+// to the upstream block touches another block's lines: it reads the upstream
+// line of the previous anti-diagonal, which must hold this sweep's values,
+// and the upstream block's edge line reads it one anti-diagonal earlier,
+// which must still see the last sweep's. Both hold when the block starts
+// step di only after the upstream block has finished step di - 1.
+void sweep_block(const LatticeGrid& g, const LatticeRates& r, double* pi, bool forward,
+                 LineWorkspace& ws, std::size_t xi_begin, std::size_t xi_end,
+                 const parallel::Progress* upstream, parallel::Progress* published) {
     const std::size_t nz = g.nz;
     const std::size_t xy_stride = g.ny * nz;
-    ws.cp.resize(nz * kLanes);
-    ws.denom.resize(nz * kLanes);
-    ws.rhs.resize(nz * kLanes);
-    if (ws.zero.size() != nz) ws.zero.assign(nz, 0.0);
     const double* zero = ws.zero.data();
 
     LineGroup k;
     const std::size_t diagonals = g.nx + g.ny - 1;
     for (std::size_t di = 0; di < diagonals; ++di) {
         const std::size_t d = forward ? di : diagonals - 1 - di;
-        const std::size_t xi_first = d < g.ny ? 0 : d - (g.ny - 1);
-        const std::size_t xi_last = std::min(d, g.nx - 1);
+        const std::size_t xi_first = std::max(xi_begin, d < g.ny ? 0 : d - (g.ny - 1));
+        const std::size_t xi_last = std::min({d, g.nx - 1, xi_end - 1});
+        if (xi_first <= xi_last && upstream != nullptr)
+            upstream->wait_at_least(static_cast<std::uint32_t>(di));
         for (std::size_t xi0 = xi_first; xi0 <= xi_last; xi0 += kLanes) {
             k.lanes = std::min(kLanes, xi_last + 1 - xi0);
             for (std::size_t l = 0; l < k.lanes; ++l) {
                 const std::size_t xi = xi0 + l;
                 const std::size_t y = d - xi;
-                double* cur = pi.data() + xi * xy_stride + y * nz;
+                double* cur = pi + xi * xy_stride + y * nz;
                 k.cur[l] = cur;
                 k.xlo[l] = xi > 0 ? cur - xy_stride : zero;
                 k.xhi[l] = xi + 1 < g.nx ? cur + xy_stride : zero;
@@ -208,7 +228,16 @@ void sweep_lattice(const LatticeGrid& g, const LatticeRates& r, std::vector<doub
             else
                 solve_group<0>(g, r, k, ws);
         }
+        if (published != nullptr) published->set(static_cast<std::uint32_t>(di + 1));
     }
+}
+
+}  // namespace
+
+void sweep_lattice(const LatticeGrid& g, const LatticeRates& r, std::vector<double>& pi,
+                   bool forward, LineWorkspace& ws) {
+    fit_workspace(ws, g.nz);
+    sweep_block(g, r, pi.data(), forward, ws, 0, g.nx, nullptr, nullptr);
 }
 
 // mean_z, the throughput and the sigma sums are fused multiply-adds, mean_x
@@ -285,29 +314,83 @@ void scale_line(double* cur, std::size_t nz, double total, double target) {
     }
 }
 
-}  // namespace
-
-void project_marginal(const LatticeGrid& g, const std::vector<double>& marginal,
-                      std::vector<double>& pi) {
-    const std::size_t lines = g.nx * g.ny;
-    const std::size_t nz = g.nz;
-    std::size_t line = 0;
-    // kLanes lines at a time: one independent ascending-z sum per line, so
-    // the adds of different lines overlap instead of each waiting on the last.
-    for (; line + kLanes <= lines; line += kLanes) {
-        double* cur = pi.data() + line * nz;
+// Project lines [line, end): kLanes lines at a time, one independent
+// ascending-z sum per line, so the adds of different lines overlap instead
+// of each waiting on the last.
+void project_lines(std::size_t nz, const double* marginal, double* pi, std::size_t line,
+                   std::size_t end) {
+    for (; line + kLanes <= end; line += kLanes) {
+        double* cur = pi + line * nz;
         double total[kLanes] = {};
         for (std::size_t z = 0; z < nz; ++z)
             for (std::size_t k = 0; k < kLanes; ++k) total[k] += cur[k * nz + z];
         for (std::size_t k = 0; k < kLanes; ++k)
             scale_line(cur + k * nz, nz, total[k], marginal[line + k]);
     }
-    for (; line < lines; ++line) {
-        double* cur = pi.data() + line * nz;
+    for (; line < end; ++line) {
+        double* cur = pi + line * nz;
         double total = 0.0;
         for (std::size_t z = 0; z < nz; ++z) total += cur[z];
         scale_line(cur, nz, total, marginal[line]);
     }
+}
+
+}  // namespace
+
+void project_marginal(const LatticeGrid& g, const std::vector<double>& marginal,
+                      std::vector<double>& pi) {
+    project_lines(g.nz, marginal.data(), pi.data(), 0, g.nx * g.ny);
+}
+
+std::size_t sweep_blocks(std::size_t nx, std::size_t workers) noexcept {
+    return std::clamp<std::size_t>(nx / kMinBlockWidth, 1, std::max<std::size_t>(workers, 1));
+}
+
+// Block b holds x columns [b * nx / blocks, (b + 1) * nx / blocks). Worker w
+// runs a contiguous run of blocks, upstream first, so with fewer workers
+// than blocks every wait is on a block that is already done or running
+// elsewhere. A block is projected once both neighbors, the only blocks that
+// read its lines, have finished the sweep.
+void sweep_and_project(const LatticeGrid& g, const LatticeRates& r,
+                       const std::vector<double>& marginal, std::vector<double>& pi,
+                       bool forward, std::size_t blocks, TeamSweep& team) {
+    blocks = std::clamp<std::size_t>(blocks, 1, g.nx);
+    if (team.ws.size() < blocks) team.ws.resize(blocks);
+    if (blocks == 1) {
+        sweep_lattice(g, r, pi, forward, team.ws[0]);
+        project_marginal(g, marginal, pi);
+        return;
+    }
+    for (std::size_t b = 0; b < blocks; ++b) fit_workspace(team.ws[b], g.nz);
+    // Atomics do not move, so a longer counter array is built afresh.
+    if (team.progress.size() < blocks) team.progress = std::vector<BlockProgress>(blocks);
+    for (std::size_t b = 0; b < blocks; ++b) team.progress[b].steps.set(0);
+
+    const std::size_t workers = std::min(blocks, team.workers());
+    const auto steps = static_cast<std::uint32_t>(g.nx + g.ny - 1);
+    auto work = [&](std::size_t w) {
+        const std::size_t first = w * blocks / workers;
+        const std::size_t last = (w + 1) * blocks / workers;
+        for (std::size_t i = first; i < last; ++i) {
+            const std::size_t b = forward ? i : first + last - 1 - i;
+            const std::size_t up = forward ? b - 1 : b + 1;
+            const bool has_up = forward ? b > 0 : b + 1 < blocks;
+            sweep_block(g, r, pi.data(), forward, team.ws[b], b * g.nx / blocks,
+                        (b + 1) * g.nx / blocks,
+                        has_up ? &team.progress[up].steps : nullptr,
+                        &team.progress[b].steps);
+        }
+        for (std::size_t b = first; b < last; ++b) {
+            if (b > 0) team.progress[b - 1].steps.wait_at_least(steps);
+            if (b + 1 < blocks) team.progress[b + 1].steps.wait_at_least(steps);
+            project_lines(g.nz, marginal.data(), pi.data(), b * g.nx / blocks * g.ny,
+                          (b + 1) * g.nx / blocks * g.ny);
+        }
+    };
+    if (workers == 1)
+        work(0);
+    else
+        team.lease->run(workers, work);
 }
 
 }  // namespace hap::core::detail

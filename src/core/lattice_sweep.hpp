@@ -9,6 +9,8 @@
 #include <cstddef>
 #include <vector>
 
+#include "parallel/team.hpp"
+
 namespace hap::core::detail {
 
 // Truncation box [x_lo, x_hi] x [0, y_hi] x [0, z_hi], stored row-major with
@@ -46,9 +48,10 @@ struct LineWorkspace {
     std::vector<double> zero;
 };
 
-// One sweep, updating `pi` in place. `forward` sweeps from (x_lo, 0) to
-// (x_hi, y_hi), otherwise the reverse; either way the result is bit-identical
-// to visiting the lines in lexicographic order in that direction.
+// One sweep, updating `pi` in place, on the calling thread. `forward` sweeps
+// from (x_lo, 0) to (x_hi, y_hi), otherwise the reverse; either way the
+// result is bit-identical to visiting the lines in lexicographic order in
+// that direction.
 void sweep_lattice(const LatticeGrid& g, const LatticeRates& r, std::vector<double>& pi,
                    bool forward, LineWorkspace& ws);
 
@@ -89,5 +92,39 @@ LatticeObservables measure_lattice(const LatticeGrid& g, const LatticeRates& r,
 // at a time.
 void project_marginal(const LatticeGrid& g, const std::vector<double>& marginal,
                       std::vector<double>& pi);
+
+// The x-blocks a team sweep splits an nx-wide box into with `workers`
+// threads: one per thread, each at least a few columns wide, at least one.
+std::size_t sweep_blocks(std::size_t nx, std::size_t workers) noexcept;
+
+// Anti-diagonal steps one x-block has finished in the current sweep. Padded
+// to a cache line so the blocks' counters do not share one.
+struct alignas(64) BlockProgress {
+    parallel::Progress steps;
+};
+
+// What a solve's sweeps keep between calls: the team lease they run on
+// (null or empty: the calling thread alone), and one line workspace and one
+// progress counter per x-block.
+struct TeamSweep {
+    parallel::TeamLease* lease = nullptr;
+    std::vector<LineWorkspace> ws;
+    std::vector<BlockProgress> progress;
+
+    std::size_t workers() const noexcept { return lease != nullptr ? lease->workers() : 1; }
+};
+
+// One sweep and then the marginal projection, with the box split into
+// `blocks` contiguous x-blocks (clamped to [1, nx]) that run at once on the
+// lease's threads. Block b walks the sweep's anti-diagonals clipped to its
+// x-range and starts each one only after its upstream neighbor (b - 1, or
+// b + 1 on the reverse sweep) has published the one before. Every line sees
+// the neighbor values of the lexicographic sweep and runs the same scalar
+// recurrence, and projection sums each line on its own, so `pi` comes out
+// bit-identical to sweep_lattice + project_marginal at any block count and
+// any number of threads. One block is exactly those two calls.
+void sweep_and_project(const LatticeGrid& g, const LatticeRates& r,
+                       const std::vector<double>& marginal, std::vector<double>& pi,
+                       bool forward, std::size_t blocks, TeamSweep& team);
 
 }  // namespace hap::core::detail

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -14,15 +15,16 @@
 #include "core/lattice_sweep.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timer.hpp"
+#include "parallel/team.hpp"
 
 namespace hap::core {
 
 namespace {
 
-using detail::LineWorkspace;
 using detail::make_lattice_grid;
 using detail::measure_lattice;
 using detail::project_marginal;
+using detail::TeamSweep;
 using Grid = detail::LatticeGrid;
 using Rates = detail::LatticeRates;
 
@@ -91,7 +93,7 @@ struct CheckHistory {
 // the iteration or its convergence history.
 BoxSolve solve_box(const Grid& g, const Rates& r, Cuts cuts,
                    const std::vector<double>& marginal, std::vector<double>& pi, double tol, std::size_t check_every,
-                   std::size_t max_sweeps, const char* pass, bool verbose, LineWorkspace& ws,
+                   std::size_t max_sweeps, const char* pass, bool verbose, TeamSweep& team,
                    const WallDeadline& deadline, CheckHistory& hist) {
     BoxSolve out;
     const auto loop_start = std::chrono::steady_clock::now();
@@ -101,8 +103,9 @@ BoxSolve solve_box(const Grid& g, const Rates& r, Cuts cuts,
             .count();
     };
     for (std::size_t s = 1; s <= max_sweeps; ++s) {
-        detail::sweep_lattice(g, r, pi, (s % 2) == 1, ws);
-        project_marginal(g, marginal, pi);
+        // Blocks follow the threads free at this sweep; the bytes do not.
+        const std::size_t blocks = detail::sweep_blocks(g.nx, team.workers());
+        detail::sweep_and_project(g, r, marginal, pi, (s % 2) == 1, blocks, team);
         if (s % check_every == 0 || s == max_sweeps) {
             const Observables o = measure_lattice(g, r, cuts, pi);
             const double delay = o.throughput > 0.0 ? o.mean_z / o.throughput : 0.0;
@@ -275,7 +278,17 @@ Solution0Result solve_solution0(const HapParams& params, const Solution0Options&
         if (obs::enabled()) obs::registry().add_counter("solution0.warm_starts");
     }
 
-    LineWorkspace ws;
+    // One team lease for every box and check of this solve. A box too
+    // narrow to split leaves the team alone; a solve that finds it leased
+    // runs on its own thread.
+    std::optional<parallel::TeamLease> lease;
+    if (detail::sweep_blocks(g.nx, 2) > 1) {
+        lease.emplace();
+        if (!lease->held() && obs::enabled())
+            obs::registry().add_counter("solution0.team_busy");
+    }
+    TeamSweep team;
+    team.lease = lease ? &*lease : nullptr;
     // One CSR builder for every modulating-chain rebuild along the y growths:
     // the assembly arenas are reused instead of re-grown per box.
     markov::CsrBuilder mod_arena;
@@ -344,7 +357,7 @@ Solution0Result solve_solution0(const HapParams& params, const Solution0Options&
             // that still needs growing never pays for a tight solve.
             const double coarse_tol = std::max(opts.tol, 1e-6);
             const BoxSolve b = solve_box(g, r, cuts, marginal, pi, coarse_tol, ck, budget,
-                                         "coarse", opts.verbose, ws, deadline, hist);
+                                         "coarse", opts.verbose, team, deadline, hist);
             total_sweeps += b.sweeps;
             sweep_s_total += b.sweep_s;
             state_updates += static_cast<std::uint64_t>(b.sweeps) * g.size();
@@ -387,7 +400,7 @@ Solution0Result solve_solution0(const HapParams& params, const Solution0Options&
         }
 
         fin = solve_box(g, r, cuts, marginal, pi, opts.tol, ck, budget, "final",
-                        opts.verbose, ws, deadline, hist);
+                        opts.verbose, team, deadline, hist);
         total_sweeps += fin.sweeps;
         sweep_s_total += fin.sweep_s;
         state_updates += static_cast<std::uint64_t>(fin.sweeps) * g.size();

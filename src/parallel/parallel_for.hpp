@@ -2,13 +2,14 @@
 //
 // parallel_for(threads, n, fn) runs fn(i) for every i in [0, n) on up to
 // `threads` workers (the calling thread participates) and blocks until all
-// jobs finish. It is the ONLY place in the tree that spawns threads: the
-// replication engine (experiment::ExperimentRunner) drains its work through
-// it, so the repo's determinism contract — results bit-identical at any
-// thread count — has a single concurrency primitive to reason about. The
-// primitive itself promises: every job runs exactly once, a throwing job
-// never stops the others, and the collected failure set is ordered by job
-// index (deterministic for any schedule).
+// jobs finish. The replication engine (experiment::ExperimentRunner) drains
+// its work through it. Threads are spawned only in src/parallel/ — this
+// batch primitive, the resident service Pool (pool.hpp) and the lattice
+// sweep team (team.hpp) — so the repo's determinism contract, results
+// bit-identical at any thread count, has one thread layer to reason about.
+// The primitive itself promises: every job runs exactly once, a throwing
+// job never stops the others, and the collected failure set is ordered by
+// job index (deterministic for any schedule).
 //
 // This module sits BELOW experiment/service and depends on nothing but the
 // standard library.

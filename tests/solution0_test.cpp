@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstddef>
 #include <cstring>
@@ -12,6 +13,8 @@
 #include "core/hap.hpp"
 #include "core/lattice_sweep.hpp"
 #include "obs/metrics.hpp"
+#include "parallel/parallel_for.hpp"
+#include "parallel/team.hpp"
 #include "sim/rng.hpp"
 
 namespace {
@@ -236,6 +239,48 @@ TEST(LatticeSweep, ProjectMarginalBitEqualToPerLineOracle) {
     }
 }
 
+// Six sweeps each way, each followed by the marginal projection, through the
+// team sweep at a forced block count and through the serial pair
+// sweep_lattice + project_marginal: identical bytes.
+void expect_team_sweep_identical(const Box& b, std::size_t blocks,
+                                 hap::parallel::TeamLease& lease) {
+    const LatticeGrid g = detail::make_lattice_grid(b.x_lo, b.x_hi, b.y_hi, b.z_hi);
+    const LatticeRates r{b.x_lo != b.x_hi, 0.4, 0.2, 0.5, 0.5, 2.0, 10.0};
+    hap::sim::RandomStream rng(0x7ea40000 + g.size());
+    std::vector<double> want(g.size());
+    for (double& v : want) v = rng.uniform(0.1, 1.0);
+    std::vector<double> marginal(g.nx * g.ny);
+    for (double& m : marginal) m = rng.uniform(0.0, 1.0) / static_cast<double>(marginal.size());
+    std::vector<double> got = want;
+    detail::LineWorkspace ws;
+    detail::TeamSweep team;
+    team.lease = &lease;
+    for (int s = 1; s <= 12; ++s) {
+        detail::sweep_lattice(g, r, want, s % 2 == 1, ws);
+        detail::project_marginal(g, marginal, want);
+        detail::sweep_and_project(g, r, marginal, got, s % 2 == 1, blocks, team);
+    }
+    EXPECT_EQ(std::memcmp(want.data(), got.data(), want.size() * sizeof(double)), 0)
+        << blocks << " blocks, box x " << b.x_lo << ".." << b.x_hi << " y_hi " << b.y_hi
+        << " z_hi " << b.z_hi;
+}
+
+TEST(LatticeSweep, TeamSweepBitEqualToSerial) {
+    // Holds the team when it is free; with an empty lease, or fewer threads
+    // than blocks, the blocks share the threads there are.
+    hap::parallel::TeamLease lease;
+    for (std::size_t blocks = 1; blocks <= 4; ++blocks) {
+        for (std::size_t z_hi : {0, 1, 64}) {
+            expect_team_sweep_identical({3, 3, 7, z_hi}, blocks, lease);   // nx = 1
+            expect_team_sweep_identical({0, 2, 9, z_hi}, blocks, lease);   // nx = 3 < 4
+            expect_team_sweep_identical({0, 10, 12, z_hi}, blocks, lease); // nx = 11: uneven
+            expect_team_sweep_identical({0, 9, 0, z_hi}, blocks, lease);   // ny = 1
+        }
+        expect_team_sweep_identical({0, 20, 50, 64}, blocks, lease);  // a sweep_analytic box
+        expect_team_sweep_identical({0, 29, 154, 30}, blocks, lease); // a hapd box
+    }
+}
+
 TEST(Solution0, RejectsUnsupportedShapes) {
     HapParams het = HapParams::homogeneous(0.4, 0.2, 0.5, 0.5, 2, 1.0, 1, 10.0);
     het.apps[1].arrival_rate = 0.9;
@@ -430,6 +475,57 @@ TEST(Solution0, AdaptiveMatchesFixedBox) {
     EXPECT_LE(ad.states, fixed.states);
     EXPECT_NEAR(ad.mean_delay, fixed.mean_delay, 1e-6 * fixed.mean_delay);
     EXPECT_NEAR(ad.utilization, fixed.utilization, 1e-6 * fixed.utilization);
+}
+
+bool same_state(const Solution0Result& a, const Solution0Result& b) {
+    return a.sweeps == b.sweeps && a.state.pi.size() == b.state.pi.size() &&
+           std::memcmp(a.state.pi.data(), b.state.pi.data(),
+                       a.state.pi.size() * sizeof(double)) == 0;
+}
+
+TEST(Solution0, ConcurrentSolvesMatchSerialBytes) {
+    // Two solves of different points at once: one leases the team, the
+    // other finds it taken and sweeps on its own thread. Each exported
+    // state is the bytes of the same solve run alone.
+    const HapParams points[2] = {small_hap(10.0), small_hap(8.0)};
+    Solution0Options o;
+    o.max_messages = 64;
+    o.tol = 1e-8;
+    o.keep_state = true;
+    const Solution0Result alone[2] = {solve_solution0(points[0], o),
+                                      solve_solution0(points[1], o)};
+    ASSERT_TRUE(alone[0].converged);
+    ASSERT_TRUE(alone[1].converged);
+
+    Solution0Result at_once[2];
+    std::atomic<int> ready{0};
+    hap::parallel::parallel_for(2, 2, [&](std::size_t i) {
+        ready.fetch_add(1);
+        while (ready.load() < 2) {
+        }
+        at_once[i] = solve_solution0(points[i], o);
+    });
+    EXPECT_TRUE(same_state(at_once[0], alone[0]));
+    EXPECT_TRUE(same_state(at_once[1], alone[1]));
+
+    // The fallback on demand: this thread holds the team, so the solve
+    // finds it taken, counts itself in solution0.team_busy and runs alone.
+    const bool was_enabled = hap::obs::enabled();
+    hap::obs::set_enabled(true);
+    hap::obs::registry().reset();
+    Solution0Result fallback;
+    {
+        const hap::parallel::TeamLease held;
+        ASSERT_TRUE(held.held());
+        fallback = solve_solution0(points[0], o);
+    }
+    std::uint64_t busy = 0;
+    for (const auto& [name, value] : hap::obs::registry().snapshot().counters)
+        if (name == "solution0.team_busy") busy = value;
+    hap::obs::registry().reset();
+    hap::obs::set_enabled(was_enabled);
+    EXPECT_EQ(busy, 1u);
+    EXPECT_TRUE(same_state(fallback, alone[0]));
 }
 
 }  // namespace

@@ -227,6 +227,13 @@ double f(double a) {{
         self.assertNotIn("naked-thread",
                          self.fix.rules("src/parallel/parallel_for.cpp",
                                         "std::thread t(f);\n"))
+        # The sweep team is a thread home; the solver that leases it is not.
+        self.assertNotIn("naked-thread",
+                         self.fix.rules("src/parallel/team.cpp",
+                                        "std::thread t(f);\n"))
+        self.assertIn("naked-thread",
+                      self.fix.rules("src/core/solution0.cpp",
+                                     "#include <thread>\nstd::thread t(f);\n"))
         # The replication runner fans out through parallel_for, not threads.
         self.assertIn("naked-thread",
                       self.fix.rules("src/experiment/runner.cpp",
