@@ -1,4 +1,4 @@
-// Deterministic resource budgets for the steady-state solvers.
+// Deterministic resource budgets for Solution 0's lattice solve.
 //
 // A SolveBudget caps how much work a single solve may do before it stops at a
 // CHECKABLE boundary — a result flagged `budget_exhausted` — instead of
@@ -17,11 +17,11 @@
 namespace hap::core {
 
 struct SolveBudget {
-    // Hard cap on solver iterations (Gauss-Seidel sweeps, QBD reductions).
-    // Tightens the solver's own max_iter / max_sweeps; 0 = unlimited.
+    // Hard cap on Solution 0 lattice sweeps. Tightens the solve's own
+    // max_sweeps; 0 = unlimited.
     std::size_t max_iterations = 0;
-    // Hard cap on the truncated state-space size. A solve whose lattice (or
-    // chain) exceeds this refuses to allocate and returns budget_exhausted,
+    // Hard cap on the truncated state-space size. A solve whose lattice
+    // exceeds this refuses to allocate and returns budget_exhausted,
     // and adaptive truncation growth never crosses it. 0 = unlimited.
     std::size_t max_states = 0;
     // Wall-clock backstop in milliseconds, checked at the solver's existing
@@ -45,8 +45,7 @@ struct SolveBudget {
 // The wall-clock backstop of a solve budget, evaluated lazily at check
 // boundaries (one clock read per check, none when unarmed). Deterministic
 // budgets (iterations, states) are preferred; this exists so an operator can
-// bound a sweep's wall time no matter what. Shared by every solver that
-// honors SolveBudget::wall_ms.
+// bound a sweep's wall time no matter what.
 class WallDeadline {
 public:
     explicit WallDeadline(std::uint64_t wall_ms) {

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/contracts.hpp"
-#include "numerics/quadrature.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timer.hpp"
 
@@ -198,8 +197,8 @@ double Solution2::laplace(double s) const {
         throw std::logic_error(
             "Solution2: bounded HAPs require homogeneous application types");
     }
-    return numerics::integrate_to_infinity(
-        [&](double t) { return interarrival_density(t) * std::exp(-s * t); });
+    return numerics::laplace_transform(
+        [this](double t) { return interarrival_density(t); }, s);
 }
 
 queueing::Gm1Result Solution2::solve_queue(double service_rate) const {

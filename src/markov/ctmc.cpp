@@ -69,17 +69,15 @@ Ctmc::OutEdges Ctmc::out_edges(std::size_t s) const {
     return OutEdges{r.idx, r.val, r.count};
 }
 
-const Csr& Ctmc::out_matrix() const {
-    if (!finalized_) throw std::logic_error("Ctmc: not finalized");
-    return out_;
-}
-
 const Csr& Ctmc::in_matrix() const {
     if (!finalized_) throw std::logic_error("Ctmc: not finalized");
     return in_;
 }
 
 namespace {
+
+constexpr std::size_t kMaxIter = 200000;
+constexpr std::size_t kCheckEvery = 10;
 
 // Returns false when the iterate's total mass is non-finite or non-positive:
 // a diverged iterate must abort the solve as non-converged rather than be
@@ -97,9 +95,24 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 // `loop_start` is the start of the iteration loop (for sweep_time_s /
-// states_per_sec); a default-constructed one means no loop ran.
+// states_per_sec).
 void record_solve(const char* solver, const SolveResult& res, std::size_t n,
-                  obs::ScopedTimer& timer, Clock::time_point loop_start = {});
+                  obs::ScopedTimer& timer, Clock::time_point loop_start) {
+    if (!obs::enabled()) return;
+    obs::SolverTelemetry t;
+    t.solver = solver;
+    t.iterations = static_cast<std::uint64_t>(res.iterations);
+    t.residual = res.residual;
+    t.truncation = n;
+    t.wall_time_s = timer.stop();
+    t.converged = res.converged;
+    const std::chrono::duration<double> loop = Clock::now() - loop_start;
+    t.sweep_time_s = loop.count();
+    if (t.sweep_time_s > 0.0 && res.iterations > 0)
+        t.states_per_sec = static_cast<double>(res.iterations) *
+                           static_cast<double>(n) / t.sweep_time_s;
+    obs::registry().record_solver(std::move(t));
+}
 
 // The degenerate-mass exit shared by both solvers: mark non-converged,
 // surface an infinite residual, and leave a telemetry trail.
@@ -199,9 +212,7 @@ bool aitken_extrapolate(const std::vector<double>& h0, const std::vector<double>
 // previous checked iterates plus scratch) is allocated lazily.
 class Accelerator {
 public:
-    explicit Accelerator(bool on) : on_(on) {}
-
-    // `may_extrapolate` is false on the last budgeted iteration, whose
+    // `may_extrapolate` is false on the last iteration, whose
     // iterate must stay the one the residual describes.
     void on_check(SolveResult& res, bool may_extrapolate) {
         if (on_ && res.accelerations > 0) {
@@ -236,7 +247,7 @@ private:
         if (obs::enabled()) obs::registry().add_counter("ctmc.accel_fused");
     }
 
-    bool on_;
+    bool on_ = true;
     std::vector<double> h0_, h1_, h2_, scratch_;
     std::size_t hist_ = 0;
     double prev_check_ = std::numeric_limits<double>::infinity();
@@ -249,39 +260,6 @@ private:
 // diverged to NaN or negative mass fails here, not in the caller's tables.
 void check_distribution(const std::vector<double>& pi) {
     for (double p : pi) HAP_CHECK_PROB(p);
-}
-
-void record_solve(const char* solver, const SolveResult& res, std::size_t n,
-                  obs::ScopedTimer& timer, Clock::time_point loop_start) {
-    if (!obs::enabled()) return;
-    obs::SolverTelemetry t;
-    t.solver = solver;
-    t.iterations = static_cast<std::uint64_t>(res.iterations);
-    t.residual = res.residual;
-    t.truncation = n;
-    t.wall_time_s = timer.stop();
-    t.converged = res.converged;
-    if (loop_start != Clock::time_point{}) {
-        const std::chrono::duration<double> loop = Clock::now() - loop_start;
-        t.sweep_time_s = loop.count();
-        if (t.sweep_time_s > 0.0 && res.iterations > 0)
-            t.states_per_sec = static_cast<double>(res.iterations) *
-                               static_cast<double>(n) / t.sweep_time_s;
-    }
-    obs::registry().record_solver(std::move(t));
-}
-
-// The state-budget refusal shared by both solvers: too many states to even
-// allocate under the budget, so hand back a uniform non-converged iterate
-// flagged budget_exhausted.
-SolveResult refuse_states(const char* solver, std::size_t n, obs::ScopedTimer& timer) {
-    SolveResult res;
-    res.pi.assign(n, 1.0 / static_cast<double>(n));
-    res.residual = std::numeric_limits<double>::infinity();
-    res.budget_exhausted = true;
-    if (obs::enabled()) obs::registry().add_counter("ctmc.budget_exhausted");
-    record_solve(solver, res, n, timer);
-    return res;
 }
 
 double max_relative_change(const std::vector<double>& a, const std::vector<double>& b) {
@@ -299,12 +277,8 @@ double max_relative_change(const std::vector<double>& a, const std::vector<doubl
 
 SolveResult solve_steady_state(const Ctmc& chain, const SolveOptions& opts) {
     if (!chain.finalized()) throw std::logic_error("solve_steady_state: finalize first");
-    HAP_PRECOND(opts.check_every > 0);
     obs::ScopedTimer timer("ctmc.gs_s");
     const std::size_t n = chain.num_states();
-    if (opts.budget.states_exceeded(n)) return refuse_states("ctmc.gs", n, timer);
-    const std::size_t max_iter = opts.budget.cap_iterations(opts.max_iter);
-    const core::WallDeadline deadline(opts.budget.wall_ms);
     const Csr& in = chain.in_matrix();
     const double* exit_rates = chain.exit_rates().data();
 
@@ -312,13 +286,13 @@ SolveResult solve_steady_state(const Ctmc& chain, const SolveOptions& opts) {
     res.pi.assign(n, 1.0 / static_cast<double>(n));
     // The residual is folded into the check sweep itself, so the plain path
     // never copies the full iterate.
-    Accelerator accel(opts.accelerate);
+    Accelerator accel;
     const Clock::time_point loop_start = Clock::now();
 
-    for (std::size_t iter = 1; iter <= max_iter; ++iter) {
-        // The last budgeted iteration is a forced check so the reported
-        // residual is always fresh, never stale from a skipped window.
-        const bool check = (iter % opts.check_every) == 0 || iter == max_iter;
+    for (std::size_t iter = 1; iter <= kMaxIter; ++iter) {
+        // The last iteration is a forced check so the reported residual is
+        // always fresh, never stale from a skipped window.
+        const bool check = (iter % kCheckEvery) == 0 || iter == kMaxIter;
         const double worst = gs_sweep_natural(in, exit_rates, res.pi.data(), check);
         if (!normalize(res.pi)) {
             abort_degenerate("ctmc.gs", res, iter, n, timer, loop_start);
@@ -333,16 +307,8 @@ SolveResult solve_steady_state(const Ctmc& chain, const SolveOptions& opts) {
                 record_solve("ctmc.gs", res, n, timer, loop_start);
                 return res;
             }
-            if (deadline.expired()) break;  // wall backstop; flagged below
-            accel.on_check(res, iter < max_iter);
+            accel.on_check(res, iter < kMaxIter);
         }
-    }
-    // Non-converged exit: the budget (tightened iteration cap or the wall
-    // backstop) — rather than the solver's own max_iter — is reported as
-    // budget exhaustion, a checkable boundary for the fallback chain.
-    if (max_iter < opts.max_iter || deadline.expired()) {
-        res.budget_exhausted = true;
-        if (obs::enabled()) obs::registry().add_counter("ctmc.budget_exhausted");
     }
     record_solve("ctmc.gs", res, n, timer, loop_start);
     return res;
@@ -350,12 +316,8 @@ SolveResult solve_steady_state(const Ctmc& chain, const SolveOptions& opts) {
 
 SolveResult solve_steady_state_power(const Ctmc& chain, const SolveOptions& opts) {
     if (!chain.finalized()) throw std::logic_error("solve_steady_state_power: finalize first");
-    HAP_PRECOND(opts.check_every > 0);
     obs::ScopedTimer timer("ctmc.power_s");
     const std::size_t n = chain.num_states();
-    if (opts.budget.states_exceeded(n)) return refuse_states("ctmc.power", n, timer);
-    const std::size_t max_iter = opts.budget.cap_iterations(opts.max_iter);
-    const core::WallDeadline deadline(opts.budget.wall_ms);
     const Csr& in = chain.in_matrix();
     const double* exit_rates = chain.exit_rates().data();
     double lambda = 0.0;
@@ -366,11 +328,11 @@ SolveResult solve_steady_state_power(const Ctmc& chain, const SolveOptions& opts
     SolveResult res;
     res.pi.assign(n, 1.0 / static_cast<double>(n));
     std::vector<double> next(n);
-    Accelerator accel(opts.accelerate);
+    Accelerator accel;
     const Clock::time_point loop_start = Clock::now();
 
-    for (std::size_t iter = 1; iter <= max_iter; ++iter) {
-        const bool check = (iter % opts.check_every) == 0 || iter == max_iter;
+    for (std::size_t iter = 1; iter <= kMaxIter; ++iter) {
+        const bool check = (iter % kCheckEvery) == 0 || iter == kMaxIter;
         // next = pi * (I + Q / lambda), gather form over the in-matrix.
         uniformized_step(in, exit_rates, lambda, res.pi.data(), next.data());
         res.pi.swap(next);
@@ -389,14 +351,8 @@ SolveResult solve_steady_state_power(const Ctmc& chain, const SolveOptions& opts
                 record_solve("ctmc.power", res, n, timer, loop_start);
                 return res;
             }
-            if (deadline.expired()) break;  // wall backstop; flagged below
-            accel.on_check(res, iter < max_iter);
+            accel.on_check(res, iter < kMaxIter);
         }
-    }
-    // See the Gauss-Seidel exit: budget-driven stops are flagged.
-    if (max_iter < opts.max_iter || deadline.expired()) {
-        res.budget_exhausted = true;
-        if (obs::enabled()) obs::registry().add_counter("ctmc.budget_exhausted");
     }
     record_solve("ctmc.power", res, n, timer, loop_start);
     return res;

@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/budget.hpp"
 #include "core/contracts.hpp"
 #include "markov/sparse.hpp"
 
@@ -65,10 +64,8 @@ public:
     };
     OutEdges out_edges(std::size_t s) const;
 
-    // The assembled matrices (finalize() first): out rows are a state's
-    // outgoing rates by destination; in = transpose(out), the layout the
-    // Gauss-Seidel kernels stream.
-    const Csr& out_matrix() const;
+    // The assembled in-matrix (finalize() first): transpose of the out rows,
+    // the layout the Gauss-Seidel kernels stream.
     const Csr& in_matrix() const;
 
 private:
@@ -84,20 +81,7 @@ private:
 };
 
 struct SolveOptions {
-    double tol = 1e-12;        // max relative change per sweep
-    std::size_t max_iter = 200000;
-    std::size_t check_every = 10;  // must be > 0
-    // Aitken delta-squared extrapolation on the checked iterates. Guarded:
-    // an extrapolated vector that leaves the probability simplex (negative
-    // mass, non-finite entries) is discarded and plain iteration continues,
-    // so acceleration can only change how fast the fixed point is reached,
-    // never which fixed point.
-    bool accelerate = true;
-    // Resource budget (see core/budget.hpp). max_iterations tightens
-    // max_iter; a chain larger than max_states is refused outright; wall_ms
-    // is checked at check boundaries. Exhaustion returns a non-converged
-    // result with budget_exhausted set instead of hanging.
-    core::SolveBudget budget;
+    double tol = 1e-12;  // max relative change per sweep
 };
 
 struct [[nodiscard]] SolveResult {
@@ -106,11 +90,14 @@ struct [[nodiscard]] SolveResult {
     double residual = 0.0;  // last observed max relative change
     bool converged = false;
     std::size_t accelerations = 0;  // accepted Aitken extrapolations
-    // The SolveBudget (not the solver's own max_iter) stopped this solve:
-    // converged is false and the iterate is the best available. Iteration
-    // and state budgets trip deterministically; wall_ms does not.
-    bool budget_exhausted = false;
 };
+
+// Both solvers check convergence every 10 iterations and give up after
+// 200000. At each check that has not converged they attempt an Aitken
+// delta-squared extrapolation. It is guarded: an extrapolated vector that
+// leaves the probability simplex (negative mass, non-finite entries) is
+// discarded and plain iteration continues, so acceleration can only change
+// how fast the fixed point is reached, never which fixed point.
 
 // Serial natural-order Gauss-Seidel (gs_sweep_natural) on
 // pi(s) = sum_in pi(s') rate(s'->s) / exit_rate(s), with periodic

@@ -1,6 +1,5 @@
 #include "markov/qbd.hpp"
 
-#include <chrono>
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
@@ -13,9 +12,14 @@ namespace hap::markov {
 
 using numerics::Matrix;
 
+namespace {
+constexpr double kTol = 1e-13;  // on G's row-sum defect or the correction T
+constexpr int kMaxIter = 100000;
+}  // namespace
+
 QbdResult solve_mmpp_m1(const Matrix& phase_generator,
                         const std::vector<double>& arrival_rates,
-                        double service_rate, const QbdOptions& opts) {
+                        double service_rate) {
     const std::size_t n = arrival_rates.size();
     if (n == 0) throw std::invalid_argument("solve_mmpp_m1: empty phase space");
     if (phase_generator.rows() != n || phase_generator.cols() != n)
@@ -30,7 +34,6 @@ QbdResult solve_mmpp_m1(const Matrix& phase_generator,
     obs::ScopedTimer timer("qbd.solve_s");
     const auto record = [n, &timer](const QbdResult& r) {
         if (!obs::enabled()) return;
-        if (r.budget_exhausted) obs::registry().add_counter("qbd.budget_exhausted");
         obs::SolverTelemetry t;
         t.solver = "qbd";
         t.iterations = static_cast<std::uint64_t>(r.iterations);
@@ -40,18 +43,6 @@ QbdResult solve_mmpp_m1(const Matrix& phase_generator,
         t.converged = r.converged;
         obs::registry().record_solver(std::move(t));
     };
-
-    // Budget: refuse oversized phase spaces before the O(n^3) setup, tighten
-    // the iteration cap deterministically, and arm the wall backstop.
-    if (opts.budget.states_exceeded(n)) {
-        QbdResult refused;
-        refused.budget_exhausted = true;
-        record(refused);
-        return refused;
-    }
-    const int max_iter = static_cast<int>(opts.budget.cap_iterations(
-        opts.max_iter > 0 ? static_cast<std::size_t>(opts.max_iter) : 0));
-    const core::WallDeadline deadline(opts.budget.wall_ms);
 
     // Stability is decided by the exact drift condition pi . lambda < mu
     // (pi = stationary law of the modulating chain): the spectral radius of
@@ -94,11 +85,7 @@ QbdResult solve_mmpp_m1(const Matrix& phase_generator,
     const std::vector<double> ones(n, 1.0);
 
     Matrix h = b0, l = b2, t = b0;
-    for (; res.iterations < max_iter; ++res.iterations) {
-        if (deadline.expired()) {
-            res.budget_exhausted = true;
-            break;
-        }
+    for (; res.iterations < kMaxIter; ++res.iterations) {
         // U = HL + LH; H' = (I-U)^{-1} H^2; L' = (I-U)^{-1} L^2;
         // G += T L'; T *= H'.
         Matrix u = h * l + l * h;
@@ -116,16 +103,12 @@ QbdResult solve_mmpp_m1(const Matrix& phase_generator,
         double defect = 0.0;
         for (double r : rowsum) defect = std::max(defect, std::abs(1.0 - r));
         res.residual = std::min(defect, t.max_abs());
-        if (t.max_abs() < opts.tol || defect < opts.tol) {
+        if (t.max_abs() < kTol || defect < kTol) {
             ++res.iterations;
             res.converged = true;
             break;
         }
     }
-    // A tightened iteration cap that expired is budget exhaustion, not the
-    // solver's own limit.
-    if (!res.converged && max_iter < opts.max_iter) res.budget_exhausted = true;
-
     // R = A0 (-A1 - A0 G)^{-1}; A0 diagonal => row scaling of the inverse.
     Matrix w = neg_a1;
     for (std::size_t i = 0; i < n; ++i) {

@@ -8,19 +8,9 @@
 
 #include <vector>
 
-#include "core/budget.hpp"
 #include "numerics/matrix.hpp"
 
 namespace hap::markov {
-
-struct QbdOptions {
-    double tol = 1e-13;       // max-abs change in R per iteration
-    int max_iter = 100000;
-    // Resource budget (see core/budget.hpp): max_iterations tightens
-    // max_iter, max_states bounds the phase count, wall_ms backstops the
-    // reduction loop. Exhaustion is reported via QbdResult::budget_exhausted.
-    core::SolveBudget budget;
-};
 
 struct [[nodiscard]] QbdResult {
     numerics::Matrix r;             // Neuts' rate matrix
@@ -32,10 +22,7 @@ struct [[nodiscard]] QbdResult {
     double residual = 0.0;          // final row-sum defect of G (see solver)
     int iterations = 0;
     bool stable = false;
-    bool converged = false;  // reduction hit tol (false = iteration budget spent)
-    // The SolveBudget stopped this solve (phase count over max_states, the
-    // tightened iteration cap, or the wall backstop); converged is false.
-    bool budget_exhausted = false;
+    bool converged = false;  // reduction hit tol 1e-13 within 100000 iterations
 };
 
 // Solve the MMPP/M/1 queue. `phase_generator` is the modulating chain's
@@ -45,6 +32,6 @@ struct [[nodiscard]] QbdResult {
 // `stable == false` with the partial R matrix.
 QbdResult solve_mmpp_m1(const numerics::Matrix& phase_generator,
                         const std::vector<double>& arrival_rates,
-                        double service_rate, const QbdOptions& opts = {});
+                        double service_rate);
 
 }  // namespace hap::markov

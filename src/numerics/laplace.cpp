@@ -4,15 +4,14 @@
 #include <stdexcept>
 
 #include "core/contracts.hpp"
+#include "numerics/quadrature.hpp"
 
 namespace hap::numerics {
 
-double laplace_transform(const std::function<double(double)>& density, double s,
-                         const QuadratureOptions& opts) {
+double laplace_transform(const std::function<double(double)>& density, double s) {
     HAP_CHECK_FINITE(s);
     if (s < 0.0) throw std::invalid_argument("laplace_transform: s < 0");
-    return integrate_to_infinity([&](double t) { return density(t) * std::exp(-s * t); },
-                                 opts);
+    return integrate_to_infinity([&](double t) { return density(t) * std::exp(-s * t); });
 }
 
 double ExponentialMixture::transform(double s) const {

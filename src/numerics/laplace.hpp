@@ -6,13 +6,10 @@
 #include <functional>
 #include <vector>
 
-#include "numerics/quadrature.hpp"
-
 namespace hap::numerics {
 
 // A*(s) for a callable density. `density` must be integrable on [0, inf).
-double laplace_transform(const std::function<double(double)>& density, double s,
-                         const QuadratureOptions& opts = {});
+double laplace_transform(const std::function<double(double)>& density, double s);
 
 // Exact transform of a finite mixture of exponentials:
 //   a(t) = sum_k w_k r_k e^{-r_k t}  =>  A*(s) = sum_k w_k r_k / (r_k + s).

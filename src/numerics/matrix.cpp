@@ -115,7 +115,6 @@ LuDecomposition::LuDecomposition(Matrix a) : lu_(std::move(a)) {
         if (best != col) {
             for (std::size_t j = 0; j < n; ++j) std::swap(lu_(col, j), lu_(best, j));
             std::swap(pivot_[col], pivot_[best]);
-            pivot_sign_ = -pivot_sign_;
         }
         const double diag = lu_(col, col);
         for (std::size_t r = col + 1; r < n; ++r) {
@@ -181,12 +180,6 @@ Matrix LuDecomposition::solve(const Matrix& b) const {
 }
 
 Matrix LuDecomposition::inverse() const { return solve(Matrix::identity(lu_.rows())); }
-
-double LuDecomposition::determinant() const noexcept {
-    double det = pivot_sign_;
-    for (std::size_t i = 0; i < lu_.rows(); ++i) det *= lu_(i, i);
-    return det;
-}
 
 std::vector<double> solve(const Matrix& a, const std::vector<double>& b) {
     return LuDecomposition(a).solve(b);

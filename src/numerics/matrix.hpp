@@ -61,12 +61,10 @@ public:
     std::vector<double> solve(const std::vector<double>& b) const;
     Matrix solve(const Matrix& b) const;
     Matrix inverse() const;
-    double determinant() const noexcept;
 
 private:
     Matrix lu_;
     std::vector<std::size_t> pivot_;
-    int pivot_sign_ = 1;
 };
 
 // Convenience one-shot solves.

@@ -2,12 +2,17 @@
 
 #include <cmath>
 #include <stdexcept>
-#include <vector>
 
 #include "core/contracts.hpp"
 
 namespace hap::numerics {
 namespace {
+
+constexpr double kAbsTol = 1e-10;
+constexpr double kRelTol = 1e-9;
+constexpr int kMaxDepth = 40;          // recursion limit for adaptive Simpson
+constexpr double kTailCutoff = 1e-14;  // of the accumulated value
+constexpr int kMaxTailBlocks = 200;
 
 double simpson(double fa, double fm, double fb, double h) {
     return h / 6.0 * (fa + 4.0 * fm + fb);
@@ -15,7 +20,7 @@ double simpson(double fa, double fm, double fb, double h) {
 
 double adaptive_step(const std::function<double(double)>& f, double a, double b,
                      double fa, double fm, double fb, double whole, double tol,
-                     int depth, int max_depth) {
+                     int depth) {
     const double m = 0.5 * (a + b);
     const double lm = 0.5 * (a + m);
     const double rm = 0.5 * (m + b);
@@ -24,16 +29,15 @@ double adaptive_step(const std::function<double(double)>& f, double a, double b,
     const double left = simpson(fa, flm, fm, m - a);
     const double right = simpson(fm, frm, fb, b - m);
     const double delta = left + right - whole;
-    if (depth >= max_depth || std::abs(delta) <= 15.0 * tol)
+    if (depth >= kMaxDepth || std::abs(delta) <= 15.0 * tol)
         return left + right + delta / 15.0;
-    return adaptive_step(f, a, m, fa, flm, fm, left, 0.5 * tol, depth + 1, max_depth) +
-           adaptive_step(f, m, b, fm, frm, fb, right, 0.5 * tol, depth + 1, max_depth);
+    return adaptive_step(f, a, m, fa, flm, fm, left, 0.5 * tol, depth + 1) +
+           adaptive_step(f, m, b, fm, frm, fb, right, 0.5 * tol, depth + 1);
 }
 
 }  // namespace
 
-double integrate(const std::function<double(double)>& f, double a, double b,
-                 const QuadratureOptions& opts) {
+double integrate(const std::function<double(double)>& f, double a, double b) {
     HAP_CHECK_FINITE(a);
     HAP_CHECK_FINITE(b);
     if (!(a <= b)) throw std::invalid_argument("integrate: a > b");
@@ -43,75 +47,22 @@ double integrate(const std::function<double(double)>& f, double a, double b,
     const double fm = f(m);
     const double fb = f(b);
     const double whole = simpson(fa, fm, fb, b - a);
-    const double tol = std::max(opts.abs_tol, opts.rel_tol * std::abs(whole));
-    return adaptive_step(f, a, b, fa, fm, fb, whole, tol, 0, opts.max_depth);
+    const double tol = std::max(kAbsTol, kRelTol * std::abs(whole));
+    return adaptive_step(f, a, b, fa, fm, fb, whole, tol, 0);
 }
 
-double integrate_to_infinity(const std::function<double(double)>& f,
-                             const QuadratureOptions& opts) {
+double integrate_to_infinity(const std::function<double(double)>& f) {
     double total = 0.0;
     double start = 0.0;
-    double len = opts.tail_start;
-    for (int block = 0; block < opts.max_tail_blocks; ++block) {
-        const double piece = integrate(f, start, start + len, opts);
+    double len = 1.0;
+    for (int block = 0; block < kMaxTailBlocks; ++block) {
+        const double piece = integrate(f, start, start + len);
         total += piece;
         start += len;
-        len *= opts.tail_growth;
+        len *= 2.0;
         const double scale = std::max(std::abs(total), 1e-300);
-        if (block > 0 && std::abs(piece) < opts.tail_cutoff * scale) return total;
+        if (block > 0 && std::abs(piece) < kTailCutoff * scale) return total;
     }
-    return total;
-}
-
-GaussLaguerreRule::GaussLaguerreRule(int n) {
-    if (n < 2 || n > 64) throw std::invalid_argument("GaussLaguerreRule: n out of range");
-    nodes.resize(static_cast<std::size_t>(n));
-    weights.resize(static_cast<std::size_t>(n));
-    // Newton iteration on Laguerre polynomials (Numerical-Recipes style
-    // initial guesses), stable for n <= 64 in double precision.
-    double z = 0.0;
-    for (int i = 0; i < n; ++i) {
-        if (i == 0) {
-            z = 3.0 / (1.0 + 2.4 * n);
-        } else if (i == 1) {
-            z += 15.0 / (1.0 + 2.5 * n);
-        } else {
-            const double ai = i - 1;
-            z += (1.0 + 2.55 * ai) / (1.9 * ai) * (z - nodes[static_cast<std::size_t>(i - 2)]);
-        }
-        double pp = 0.0;
-        for (int iter = 0; iter < 100; ++iter) {
-            // Recurrence for L_n(z) and its derivative.
-            double p1 = 1.0, p2 = 0.0;
-            for (int j = 1; j <= n; ++j) {
-                const double p3 = p2;
-                p2 = p1;
-                p1 = ((2.0 * j - 1.0 - z) * p2 - (j - 1.0) * p3) / j;
-            }
-            pp = n * (p1 - p2) / z;
-            const double z1 = z;
-            z = z1 - p1 / pp;
-            if (std::abs(z - z1) <= 1e-14 * std::max(1.0, std::abs(z))) break;
-        }
-        nodes[static_cast<std::size_t>(i)] = z;
-        // w_i = -1 / (n * L'_n(x_i) * L_{n-1}(x_i)); expressed via pp.
-        double p2 = 0.0;
-        {
-            double p1 = 1.0;
-            for (int j = 1; j <= n; ++j) {
-                const double p3 = p2;
-                p2 = p1;
-                p1 = ((2.0 * j - 1.0 - z) * p2 - (j - 1.0) * p3) / j;
-            }
-        }
-        weights[static_cast<std::size_t>(i)] = -1.0 / (pp * n * p2);
-    }
-}
-
-double GaussLaguerreRule::integrate(const std::function<double(double)>& f) const {
-    double total = 0.0;
-    for (std::size_t i = 0; i < nodes.size(); ++i)
-        total += weights[i] * std::exp(nodes[i]) * f(nodes[i]);
     return total;
 }
 

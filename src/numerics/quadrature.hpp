@@ -4,40 +4,17 @@
 #pragma once
 
 #include <functional>
-#include <vector>
 
 namespace hap::numerics {
 
-struct QuadratureOptions {
-    double abs_tol = 1e-10;
-    double rel_tol = 1e-9;
-    int max_depth = 40;         // recursion limit for adaptive Simpson
-    double tail_start = 1.0;    // first tail block length for [0,inf)
-    double tail_growth = 2.0;   // geometric growth of tail blocks
-    double tail_cutoff = 1e-14; // stop when a block contributes less than this fraction
-    int max_tail_blocks = 200;
-};
-
-// Adaptive Simpson on [a, b].
-double integrate(const std::function<double(double)>& f, double a, double b,
-                 const QuadratureOptions& opts = {});
+// Adaptive Simpson on [a, b] to max(1e-10, 1e-9 |estimate|), at most 40
+// bisections deep.
+double integrate(const std::function<double(double)>& f, double a, double b);
 
 // Integral over [0, inf) of a non-oscillatory integrand that eventually
-// decays at least exponentially. Integrates geometric blocks until their
-// contribution is negligible relative to the accumulated value.
-double integrate_to_infinity(const std::function<double(double)>& f,
-                             const QuadratureOptions& opts = {});
-
-// Gauss-Laguerre nodes/weights for integrals of the form
-// int_0^inf e^{-x} g(x) dx ~= sum w_i g(x_i). Useful as an independent check
-// on the adaptive scheme. n in [2, 64].
-struct GaussLaguerreRule {
-    explicit GaussLaguerreRule(int n);
-    // int_0^inf f(t) dt with f(t) = e^{-t} * (e^{t} f(t)); caller supplies f.
-    double integrate(const std::function<double(double)>& f) const;
-
-    std::vector<double> nodes;
-    std::vector<double> weights;
-};
+// decays at least exponentially. Integrates blocks of length 1, 2, 4, ...
+// (at most 200) until one contributes less than 1e-14 of the accumulated
+// value.
+double integrate_to_infinity(const std::function<double(double)>& f);
 
 }  // namespace hap::numerics

@@ -14,34 +14,6 @@ void report_iterations(const RootOptions& opts, int used) {
 
 }  // namespace
 
-std::optional<double> bisect(const std::function<double(double)>& f, double lo,
-                             double hi, const RootOptions& opts) {
-    HAP_CHECK_FINITE(lo);
-    HAP_CHECK_FINITE(hi);
-    report_iterations(opts, 0);
-    double flo = f(lo);
-    double fhi = f(hi);
-    if (flo == 0.0) return lo;  // haplint: allow(float-equality) exact root: no tolerance can improve it
-    if (fhi == 0.0) return hi;  // haplint: allow(float-equality) exact root: no tolerance can improve it
-    if (std::signbit(flo) == std::signbit(fhi)) return std::nullopt;
-    for (int i = 0; i < opts.max_iter; ++i) {
-        const double mid = 0.5 * (lo + hi);
-        const double fmid = f(mid);
-        if (fmid == 0.0 || hi - lo < opts.tol) {  // haplint: allow(float-equality) exact root short-circuit ahead of tol test
-            report_iterations(opts, i + 1);
-            return mid;
-        }
-        if (std::signbit(fmid) == std::signbit(flo)) {
-            lo = mid;
-            flo = fmid;
-        } else {
-            hi = mid;
-        }
-    }
-    report_iterations(opts, opts.max_iter);
-    return 0.5 * (lo + hi);
-}
-
 std::optional<double> damped_fixed_point(const std::function<double(double)>& g,
                                          double x0, const RootOptions& opts) {
     HAP_CHECK_FINITE(x0);

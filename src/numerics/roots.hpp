@@ -1,6 +1,6 @@
 // Scalar root finding and fixed-point iteration. The G/M/1 analysis needs a
-// robust solver for sigma = A*(mu - mu*sigma) on (0, 1); the paper's own
-// averaging iteration is provided alongside a bracketing fallback.
+// robust solver for sigma = A*(mu - mu*sigma) on (0, 1): Brent's bracketing
+// method, with the paper's own averaging iteration as its fallback.
 #pragma once
 
 #include <functional>
@@ -17,19 +17,14 @@ struct RootOptions {
     int* iterations_out = nullptr;
 };
 
-// Bisection on [lo, hi]; requires f(lo) and f(hi) to have opposite signs.
-// Returns nullopt if the bracket is invalid or iteration budget is exhausted
-// before reaching tolerance.
-std::optional<double> bisect(const std::function<double(double)>& f, double lo,
-                             double hi, const RootOptions& opts = {});
-
 // Damped fixed-point iteration x <- (g(x) + x) / 2 (the paper's
 // sigma-algorithm step). Returns nullopt when it fails to converge.
 std::optional<double> damped_fixed_point(const std::function<double(double)>& g,
                                          double x0, const RootOptions& opts = {});
 
-// Brent-style hybrid: bisection safeguarded secant. Same bracket contract as
-// bisect but converges superlinearly on smooth functions.
+// Brent-style hybrid: bisection safeguarded secant on [lo, hi]. Requires f(lo)
+// and f(hi) to have opposite signs and returns nullopt when they do not;
+// converges superlinearly on smooth functions.
 std::optional<double> brent(const std::function<double(double)>& f, double lo,
                             double hi, const RootOptions& opts = {});
 

@@ -66,9 +66,10 @@ public:
 
     std::size_t threads() const noexcept;
 
-    // Observability for the depth gauge: jobs waiting in the queue, and jobs
-    // a worker is currently running. Snapshots under the pool lock —
-    // coherent, but stale the instant it returns; use for metrics, not logic.
+    // Jobs waiting in the queue, and jobs a worker is currently running.
+    // Snapshots under the pool lock — coherent, but stale the instant it
+    // returns. Only the bounded-queue test reads them; hapd's
+    // hapd.overload.depth_max gauge comes from SolveScheduler, not from here.
     std::size_t depth() const;
     std::size_t active() const;
 

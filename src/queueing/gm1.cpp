@@ -11,8 +11,7 @@
 namespace hap::queueing {
 
 Gm1Result solve_gm1(const std::function<double(double)>& transform,
-                    double service_rate, double arrival_rate,
-                    const Gm1Options& opts) {
+                    double service_rate, double arrival_rate) {
     if (service_rate <= 0.0) throw std::invalid_argument("solve_gm1: service_rate <= 0");
     if (arrival_rate <= 0.0) throw std::invalid_argument("solve_gm1: arrival_rate <= 0");
     HAP_CHECK_FINITE(service_rate);
@@ -40,29 +39,22 @@ Gm1Result solve_gm1(const std::function<double(double)>& transform,
     obs::ScopedTimer timer("gm1.solve_s");
 
     numerics::RootOptions ropts;
-    ropts.tol = opts.tol;
-    ropts.max_iter = opts.max_iter;
+    ropts.tol = 1e-12;
+    ropts.max_iter = 500;
     int stage_iters = 0;
-    int used_iters = 0;
     ropts.iterations_out = &stage_iters;
 
-    std::optional<double> root;
-    if (opts.method == SigmaMethod::kPaperAveraging) {
+    // sigma = 1 is always a root of g(s) - s; the queueing root is the
+    // unique one in (0, 1) when rho < 1. Bracket away from 1.
+    std::optional<double> root =
+        numerics::brent([&](double s) { return g(s) - s; }, 0.0, 1.0 - 1e-12, ropts);
+    int used_iters = stage_iters;
+    // Near saturation the bracket can degenerate (both endpoints same sign
+    // within rounding); the paper's averaging iteration still converges
+    // there, so fall back to it.
+    if (!root) {
         root = numerics::damped_fixed_point(g, 0.5, ropts);
-        used_iters = stage_iters;
-    } else {
-        // sigma = 1 is always a root of g(s) - s; the queueing root is the
-        // unique one in (0, 1) when rho < 1. Bracket away from 1.
-        root = numerics::brent([&](double s) { return g(s) - s; }, 0.0,
-                               1.0 - 1e-12, ropts);
-        used_iters = stage_iters;
-        // Near saturation the bracket can degenerate (both endpoints same
-        // sign within rounding); the paper's averaging iteration still
-        // converges there, so fall back to it.
-        if (!root) {
-            root = numerics::damped_fixed_point(g, 0.5, ropts);
-            used_iters += stage_iters;
-        }
+        used_iters += stage_iters;
     }
     if (!root) {
         if (obs::enabled()) {

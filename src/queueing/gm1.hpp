@@ -1,26 +1,15 @@
 // G/M/1 queue solved through the classical root equation
 //   sigma = A*(mu - mu*sigma),
 // where A*(s) is the Laplace-Stieltjes transform of the interarrival-time
-// law. This is the reduction the paper's Solutions 1 and 2 rely on. Both the
-// paper's damped "sigma-algorithm" and a bracketing solver are provided; they
-// must agree (tested), the bracketing form is simply more robust near
-// saturation.
+// law. This is the reduction the paper's Solutions 1 and 2 rely on. The root
+// is found by Brent's method on a bracket; the paper's damped
+// "sigma-algorithm" is the fallback where the bracket degenerates near
+// saturation. Both agree on the root (tested).
 #pragma once
 
 #include <functional>
 
 namespace hap::queueing {
-
-enum class SigmaMethod {
-    kPaperAveraging,  // the paper's sigma-algorithm (damped fixed point)
-    kBracketing,      // Brent on f(sigma) = A*(mu(1-sigma)) - sigma
-};
-
-struct Gm1Options {
-    SigmaMethod method = SigmaMethod::kBracketing;
-    double tol = 1e-12;
-    int max_iter = 500;
-};
 
 struct [[nodiscard]] Gm1Result {
     double sigma = 0.0;       // probability an arrival finds the server busy
@@ -34,10 +23,10 @@ struct [[nodiscard]] Gm1Result {
 
 // `transform` evaluates A*(s) for s >= 0; `service_rate` is mu;
 // `arrival_rate` is the mean arrival rate (1 / mean interarrival), used only
-// for utilization and Little's law.
+// for utilization and Little's law. Each root finder runs to tol 1e-12 in at
+// most 500 iterations; throws std::runtime_error when both fail.
 Gm1Result solve_gm1(const std::function<double(double)>& transform,
-                    double service_rate, double arrival_rate,
-                    const Gm1Options& opts = {});
+                    double service_rate, double arrival_rate);
 
 // Waiting-time CDF of G/M/1: W(y) = 1 - sigma e^{-mu (1 - sigma) y}.
 double gm1_wait_cdf(double sigma, double service_rate, double y);

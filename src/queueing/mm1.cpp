@@ -16,12 +16,6 @@ double Mm1::delay_cdf(double t) const {
     return 1.0 - std::exp(-(mu - lambda) * t);
 }
 
-double Mm1::variance_busy_period() const {
-    const double rho = utilization();
-    const double one_minus = 1.0 - rho;
-    return (1.0 + rho) / (mu * mu * one_minus * one_minus * one_minus);
-}
-
 Mm1K::Mm1K(double arrival_rate, double service_rate, unsigned k)
     : lambda(arrival_rate), mu(service_rate), capacity(k) {
     HAP_CHECK_FINITE(arrival_rate);

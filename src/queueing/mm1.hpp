@@ -34,9 +34,8 @@ struct Mm1 {
     double delay_cdf(double t) const;
 
     // Busy-period statistics (standard M/M/1 results): E[B] = 1/(mu-lambda),
-    // Var[B] = (1+rho) / (mu^2 (1-rho)^3); E[idle] = 1/lambda.
+    // E[idle] = 1/lambda.
     double mean_busy_period() const { return 1.0 / (mu - lambda); }
-    double variance_busy_period() const;
     double mean_idle_period() const { return 1.0 / lambda; }
 };
 

@@ -42,11 +42,12 @@ std::size_t count_field(const Json& j, const char* key, std::size_t fallback) {
 
 }  // namespace
 
-std::string encode_frame(std::string_view body, std::uint32_t max_body) {
+std::string encode_frame(std::string_view body) {
     if (body.empty()) throw ProtocolError("cannot encode an empty frame");
-    if (body.size() > max_body)
+    if (body.size() > kMaxFrameBody)
         throw ProtocolError("frame body of " + std::to_string(body.size()) +
-                            " bytes exceeds the " + std::to_string(max_body) + "-byte cap");
+                            " bytes exceeds the " + std::to_string(kMaxFrameBody) +
+                            "-byte cap");
     std::string out;
     out.reserve(kFrameHeaderBytes + body.size());
     encode_u32le(static_cast<std::uint32_t>(body.size()), out);
@@ -67,9 +68,9 @@ std::optional<std::string> FrameReader::next() {
         buffer_.clear();
         return std::nullopt;
     }
-    if (len > max_body_) {
+    if (len > kMaxFrameBody) {
         error_ = "frame length " + std::to_string(len) + " exceeds the " +
-                 std::to_string(max_body_) + "-byte cap";
+                 std::to_string(kMaxFrameBody) + "-byte cap";
         buffer_.clear();
         return std::nullopt;
     }

@@ -7,7 +7,7 @@
 //   [u32 LE length][length bytes of JSON]
 //
 // Hard limits (enforced BEFORE allocation): a length of zero and a length
-// beyond `max_body` are both protocol errors — the decoder reports them
+// beyond kMaxFrameBody are both protocol errors — the decoder reports them
 // without consuming the bogus body, and the server answers a structured
 // error frame and drops the connection (stream state past a bad prefix is
 // unknowable). Malformed JSON inside a well-framed body leaves the stream
@@ -48,7 +48,7 @@
 
 namespace hap::service {
 
-// Default cap on a frame body. Requests are small parameter tuples and
+// Cap on a frame body. Requests are small parameter tuples and
 // responses small result objects; a megabyte is already absurdly generous.
 inline constexpr std::uint32_t kMaxFrameBody = 1u << 20;
 
@@ -62,8 +62,8 @@ public:
 };
 
 // Serialize one frame (header + body). Throws ProtocolError when body is
-// empty or exceeds max_body.
-std::string encode_frame(std::string_view body, std::uint32_t max_body = kMaxFrameBody);
+// empty or exceeds kMaxFrameBody.
+std::string encode_frame(std::string_view body);
 
 // Incremental frame decoder. Feed arbitrary byte chunks; next() yields
 // complete bodies in order. A zero or oversized length prefix puts the
@@ -71,8 +71,6 @@ std::string encode_frame(std::string_view body, std::uint32_t max_body = kMaxFra
 // nullopt): past a bad prefix the stream has no recoverable framing.
 class FrameReader {
 public:
-    explicit FrameReader(std::uint32_t max_body = kMaxFrameBody) : max_body_(max_body) {}
-
     void feed(std::string_view bytes);
     std::optional<std::string> next();
 
@@ -82,7 +80,6 @@ public:
     std::size_t pending() const noexcept { return buffer_.size(); }
 
 private:
-    std::uint32_t max_body_;
     std::string buffer_;
     std::string error_;
 };

@@ -537,7 +537,7 @@ struct Hapd::Impl {
             drop_connection(fd);
             return;
         }
-        FrameReader reader(opts.max_frame);
+        FrameReader reader;
         char buf[4096];
         bool open = true;
         // One deadline covers the idle client and the slowloris client alike:

@@ -60,7 +60,6 @@ struct ServeOptions {
     std::size_t max_sweeps = 8000;
     std::size_t zmax = 0;
 
-    std::uint32_t max_frame = kMaxFrameBody;
     // A connection must deliver a complete frame at least every
     // recv_timeout_ms or it is dropped (and counted in hapd.conn.timeouts).
     // One deadline covers both the idle client and the slowloris client that

@@ -147,15 +147,4 @@ TEST(Contracts, Solution0RejectsDegenerateOptions) {
     EXPECT_THROW(hap::core::solve_solution0(p, o), ContractViolation);
 }
 
-TEST(Contracts, CtmcSolversRejectZeroCheckInterval) {
-    hap::markov::Ctmc c(2);
-    c.add_transition(0, 1, 1.0);
-    c.add_transition(1, 0, 2.0);
-    c.finalize();
-    hap::markov::SolveOptions o;
-    o.check_every = 0;  // would divide by zero in the iteration loop
-    EXPECT_THROW((void)hap::markov::solve_steady_state(c, o), ContractViolation);
-    EXPECT_THROW((void)hap::markov::solve_steady_state_power(c, o), ContractViolation);
-}
-
 }  // namespace

@@ -202,14 +202,12 @@ TEST_F(ObsTest, WriterOmitsMetricsBlockUnlessSet) {
 }
 
 TEST_F(ObsTest, StarvedSigmaIterationRecordsNonConvergence) {
-    // One damped-fixed-point iteration cannot reach tol = 1e-12 from the 0.5
-    // start, so the solve must throw AND leave a converged=false record with
-    // the iteration budget it consumed.
-    hap::queueing::Gm1Options opts;
-    opts.method = hap::queueing::SigmaMethod::kPaperAveraging;
-    opts.max_iter = 1;
-    const auto poisson_transform = [](double s) { return 8.0 / (8.0 + s); };
-    EXPECT_THROW((void)hap::queueing::solve_gm1(poisson_transform, 20.0, 8.0, opts),
+    // A transform that returns NaN defeats both root finders: Brent rejects
+    // the bracket without iterating, and the damped fixed point spends its
+    // whole 500-iteration budget. The solve must throw AND leave a
+    // converged=false record with the iterations it consumed.
+    const auto nan_transform = [](double) { return std::nan(""); };
+    EXPECT_THROW((void)hap::queueing::solve_gm1(nan_transform, 20.0, 8.0),
                  std::runtime_error);
 
     const MetricsSnapshot snap = hap::obs::registry().snapshot();
@@ -217,7 +215,7 @@ TEST_F(ObsTest, StarvedSigmaIterationRecordsNonConvergence) {
     const SolverTelemetry& t = snap.solvers[0];
     EXPECT_EQ(t.solver, "gm1.sigma");
     EXPECT_FALSE(t.converged);
-    EXPECT_EQ(t.iterations, 1u);
+    EXPECT_EQ(t.iterations, 500u);
     EXPECT_GE(t.wall_time_s, 0.0);
 }
 

@@ -24,6 +24,7 @@ using hap::service::build_solve_request;
 using hap::service::encode_frame;
 using hap::service::FrameReader;
 using hap::service::kFrameHeaderBytes;
+using hap::service::kMaxFrameBody;
 using hap::service::ModelSpec;
 using hap::service::ok_response;
 using hap::service::Op;
@@ -99,7 +100,7 @@ TEST(FrameCodec, ZeroLengthPrefixIsStickyError) {
 }
 
 TEST(FrameCodec, OversizedPrefixIsRejectedBeforeAllocation) {
-    FrameReader r(1024);
+    FrameReader r;
     r.feed(header(0xffffffffu));  // ~4 GiB claim; must not try to buffer it
     EXPECT_FALSE(r.next().has_value());
     EXPECT_TRUE(r.failed());
@@ -124,7 +125,7 @@ TEST(FrameCodec, PartialHeaderStaysPending) {
 
 TEST(FrameCodec, EncodeRejectsEmptyAndOversized) {
     EXPECT_THROW((void)encode_frame(""), ProtocolError);
-    EXPECT_THROW((void)encode_frame(std::string(100, 'x'), 10), ProtocolError);
+    EXPECT_THROW((void)encode_frame(std::string(kMaxFrameBody + 1, 'x')), ProtocolError);
 }
 
 // Deterministic garbage streams: whatever bytes arrive, the decoder either
@@ -140,10 +141,10 @@ TEST(FrameCodec, FuzzGarbageStreamsNeverMisbehave) {
         const std::size_t len = 1 + static_cast<std::size_t>(next_byte() & 0x3f);
         std::string bytes;
         for (std::size_t i = 0; i < len; ++i) bytes.push_back(next_byte());
-        FrameReader r(4096);
+        FrameReader r;
         r.feed(bytes);
         while (auto b = r.next()) {
-            EXPECT_LE(b->size(), 4096u);
+            EXPECT_LE(b->size(), kMaxFrameBody);
         }
         // Invariant: error XOR (pending <= what was fed).
         if (!r.failed()) {

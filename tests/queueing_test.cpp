@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "numerics/roots.hpp"
 #include "queueing/gm1.hpp"
 #include "queueing/mm1.hpp"
 #include "queueing/queue_sim.hpp"
@@ -12,10 +13,8 @@
 
 namespace {
 
-using hap::queueing::Gm1Options;
 using hap::queueing::Mm1;
 using hap::queueing::QueueSimOptions;
-using hap::queueing::SigmaMethod;
 using hap::queueing::simulate_queue;
 using hap::queueing::solve_gm1;
 
@@ -39,15 +38,17 @@ TEST(Gm1, PoissonInputReducesToMm1) {
     // A*(s) = lambda / (lambda + s) => sigma = rho.
     const double lambda = 3.0, mu = 10.0;
     const auto transform = [=](double s) { return lambda / (lambda + s); };
-    for (const auto method : {SigmaMethod::kBracketing, SigmaMethod::kPaperAveraging}) {
-        Gm1Options opts;
-        opts.method = method;
-        const auto res = solve_gm1(transform, mu, lambda, opts);
-        ASSERT_TRUE(res.stable);
-        EXPECT_NEAR(res.sigma, 0.3, 1e-9);
-        EXPECT_NEAR(res.mean_delay, Mm1(lambda, mu).mean_delay(), 1e-9);
-        EXPECT_NEAR(res.mean_number, Mm1(lambda, mu).mean_number(), 1e-8);
-    }
+    const auto res = solve_gm1(transform, mu, lambda);
+    ASSERT_TRUE(res.stable);
+    EXPECT_NEAR(res.sigma, 0.3, 1e-9);
+    EXPECT_NEAR(res.mean_delay, Mm1(lambda, mu).mean_delay(), 1e-9);
+    EXPECT_NEAR(res.mean_number, Mm1(lambda, mu).mean_number(), 1e-8);
+    // The paper's sigma-algorithm (solve_gm1's fallback) on the same map
+    // finds the same root.
+    const auto paper = hap::numerics::damped_fixed_point(
+        [&](double sigma) { return transform(mu * (1.0 - sigma)); }, 0.5);
+    ASSERT_TRUE(paper.has_value());
+    EXPECT_NEAR(*paper, res.sigma, 1e-9);
 }
 
 TEST(Gm1, DeterministicArrivalsKnownSigma) {

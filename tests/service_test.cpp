@@ -375,7 +375,6 @@ TEST(HapdServing, BitEqualFollowersEachGetTheFullAnswer) {
 // error or a clean drop, and the daemon keeps serving afterwards.
 TEST(HapdServing, SurvivesProtocolAbuseOverSocket) {
     ServeOptions o = fast_opts();
-    o.max_frame = 4096;
     o.recv_timeout_ms = 2000;  // a stalled hostile client gets dropped
     Hapd daemon(std::move(o));
     daemon.start();

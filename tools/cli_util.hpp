@@ -3,7 +3,9 @@
 // external dependencies.
 #pragma once
 
+#include <charconv>
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <map>
@@ -51,6 +53,32 @@ public:
         if (!(v < static_cast<double>(std::numeric_limits<std::size_t>::max())))
             throw std::invalid_argument("--" + name + " must be a finite count");
         return static_cast<std::size_t>(v);
+    }
+
+    // A count no larger than `max`: a port, or a millisecond timeout that
+    // lands in an int.
+    std::size_t count_at_most(const std::string& name, std::size_t fallback,
+                              std::size_t max) const {
+        const std::size_t v = count(name, fallback);
+        if (v > max)
+            throw std::invalid_argument("--" + name + " must be <= " + std::to_string(max));
+        return v;
+    }
+
+    // An exact unsigned 64-bit integer, for seeds: decimal digits only, so a
+    // sign, a fraction or a value past 2^64 - 1 is refused rather than cast.
+    std::uint64_t seed(const std::string& name, std::uint64_t fallback) const {
+        auto it = values_.find(name);
+        if (it == values_.end()) return fallback;
+        const std::string& s = it->second;
+        std::uint64_t v = 0;
+        const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+        if (s.empty() || ec != std::errc{} || end != s.data() + s.size()) {
+            throw std::invalid_argument("--" + name +
+                                        " must be an integer in [0, 2^64 - 1], got '" +
+                                        s + "'");
+        }
+        return v;
     }
 
     std::string text(const std::string& name, const std::string& fallback) const {

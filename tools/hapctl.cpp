@@ -46,6 +46,7 @@
 //   --max-users --max-apps (admission bounds, 0 = unbounded)
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -63,6 +64,9 @@
 namespace {
 
 using namespace hap;
+
+// Millisecond flags that end up in an int (socket timeouts).
+constexpr std::size_t kIntMax = std::numeric_limits<int>::max();
 
 const std::vector<std::string> kModelFlags{
     "lambda", "mu", "lambda1", "mu1", "l", "lambda2", "m", "service",
@@ -180,7 +184,7 @@ int cmd_simulate(const cli::Flags& f) {
     o.warmup = f.number("warmup", o.horizon * 0.02);
     o.buffer_capacity = f.count("buffer", 0);
     o.record_arrival_times = f.has("arrivals-out");
-    sim::RandomStream rng(static_cast<std::uint64_t>(f.number("seed", 1.0)));
+    sim::RandomStream rng(f.seed("seed", 1));
     const auto res = simulate_hap_queue(p, rng, o);
     std::printf("simulated %.3g model-seconds: %llu arrivals, %llu departures\n",
                 o.horizon, static_cast<unsigned long long>(res.arrivals),
@@ -405,8 +409,7 @@ int cmd_sweep(const cli::Flags& f) {
             sc.warmup = warmup;
             sc.buffer_capacity = f.count("buffer", 0);
             sc.replications = reps;
-            if (f.has("seed"))
-                sc.master_seed = static_cast<std::uint64_t>(f.number("seed", 1.0));
+            sc.master_seed = f.seed("seed", sc.master_seed);
             grid.push_back(std::move(sc));
         }
     }
@@ -558,8 +561,7 @@ int cmd_metrics_dump(const cli::Flags& f) {
         sc.horizon = f.number("horizon", 2e5);
         sc.warmup = sc.horizon * 0.02;
         sc.replications = f.count("reps", 4);
-        if (f.has("seed"))
-            sc.master_seed = static_cast<std::uint64_t>(f.number("seed", 1.0));
+        sc.master_seed = f.seed("seed", sc.master_seed);
         const experiment::ExperimentRunner runner(f.count("threads", 0));
         (void)runner.run(sc);
     }
@@ -602,14 +604,14 @@ int cmd_serve(const cli::Flags& f) {
                       "clamp-iters"});
     service::ServeOptions o;
     o.socket_path = f.text("socket", "");
-    o.port = static_cast<int>(f.count("port", 0));
+    o.port = static_cast<int>(f.count_at_most("port", 0, 65535));
     o.threads = f.count("threads", 4);
     o.cache_path = f.text("cache", "");
     o.tol = f.number("tol", 1e-7);
     o.trunc_tol = f.number("trunc-tol", 1e-9);
     o.max_sweeps = f.count("sweeps", 8000);
     o.zmax = f.count("zmax", 0);
-    o.recv_timeout_ms = static_cast<int>(f.count("timeout-ms", 30000));
+    o.recv_timeout_ms = static_cast<int>(f.count_at_most("timeout-ms", 30000, kIntMax));
     o.budget = budget_from_flags(f);
     // Overload governor & degradation ladder (DESIGN.md §4l).
     o.max_connections = f.count("max-conns", 0);
@@ -674,18 +676,18 @@ int cmd_query(const cli::Flags& f) {
                                     "' (solve|admission|ping|metrics|shutdown)");
     }
     const int connect_timeout_ms =
-        static_cast<int>(f.count("connect-timeout-ms", 5000));
+        static_cast<int>(f.count_at_most("connect-timeout-ms", 5000, kIntMax));
+    const int port = static_cast<int>(f.count_at_most("port", 0, 65535));
     const auto connect = [&]() {
         return f.has("socket")
                    ? service::Client::connect_unix(f.text("socket", ""),
                                                    connect_timeout_ms)
-                   : service::Client::connect_tcp(static_cast<int>(f.count("port", 0)),
-                                                  "127.0.0.1", connect_timeout_ms);
+                   : service::Client::connect_tcp(port, "127.0.0.1", connect_timeout_ms);
     };
     service::RetryPolicy policy;
     policy.max_retries = f.count("retries", 0);
     policy.base_ms = f.count("retry-base-ms", 10);
-    policy.seed = static_cast<std::uint64_t>(f.count("retry-seed", 1));
+    policy.seed = f.seed("retry-seed", 1);
     const service::CallOutcome outcome = service::call_with_retry(connect, body, policy);
     const std::string& response = outcome.body;
     const experiment::Json j = experiment::Json::parse(response);
