@@ -342,8 +342,8 @@ void project_marginal(const LatticeGrid& g, const std::vector<double>& marginal,
     project_lines(g.nz, marginal.data(), pi.data(), 0, g.nx * g.ny);
 }
 
-std::size_t sweep_blocks(std::size_t nx, std::size_t workers) noexcept {
-    return std::clamp<std::size_t>(nx / kMinBlockWidth, 1, std::max<std::size_t>(workers, 1));
+std::size_t sweep_blocks(std::size_t nx, std::size_t threads) noexcept {
+    return std::clamp<std::size_t>(nx / kMinBlockWidth, 1, std::max<std::size_t>(threads, 1));
 }
 
 // Block b holds x columns [b * nx / blocks, (b + 1) * nx / blocks). Worker w
@@ -366,7 +366,8 @@ void sweep_and_project(const LatticeGrid& g, const LatticeRates& r,
     if (team.progress.size() < blocks) team.progress = std::vector<BlockProgress>(blocks);
     for (std::size_t b = 0; b < blocks; ++b) team.progress[b].steps.set(0);
 
-    const std::size_t workers = std::min(blocks, team.workers());
+    const std::size_t workers =
+        team.lease != nullptr ? std::min(blocks, team.lease->threads()) : 1;
     const auto steps = static_cast<std::uint32_t>(g.nx + g.ny - 1);
     auto work = [&](std::size_t w) {
         const std::size_t first = w * blocks / workers;

@@ -93,9 +93,9 @@ LatticeObservables measure_lattice(const LatticeGrid& g, const LatticeRates& r,
 void project_marginal(const LatticeGrid& g, const std::vector<double>& marginal,
                       std::vector<double>& pi);
 
-// The x-blocks a team sweep splits an nx-wide box into with `workers`
+// The x-blocks a team sweep splits an nx-wide box into with `threads`
 // threads: one per thread, each at least a few columns wide, at least one.
-std::size_t sweep_blocks(std::size_t nx, std::size_t workers) noexcept;
+std::size_t sweep_blocks(std::size_t nx, std::size_t threads) noexcept;
 
 // Anti-diagonal steps one x-block has finished in the current sweep. Padded
 // to a cache line so the blocks' counters do not share one.
@@ -110,8 +110,6 @@ struct TeamSweep {
     parallel::TeamLease* lease = nullptr;
     std::vector<LineWorkspace> ws;
     std::vector<BlockProgress> progress;
-
-    std::size_t workers() const noexcept { return lease != nullptr ? lease->workers() : 1; }
 };
 
 // One sweep and then the marginal projection, with the box split into

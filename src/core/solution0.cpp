@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
-#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -103,9 +102,14 @@ BoxSolve solve_box(const Grid& g, const Rates& r, Cuts cuts,
             .count();
     };
     for (std::size_t s = 1; s <= max_sweeps; ++s) {
-        // Blocks follow the threads free at this sweep; the bytes do not.
-        const std::size_t blocks = detail::sweep_blocks(g.nx, team.workers());
-        detail::sweep_and_project(g, r, marginal, pi, (s % 2) == 1, blocks, team);
+        // The lease picks the threads, all of the team's or 1, by timing
+        // both; the bytes do not depend on them.
+        auto sweep = [&](std::size_t threads) {
+            detail::sweep_and_project(g, r, marginal, pi, (s % 2) == 1,
+                                      detail::sweep_blocks(g.nx, threads), team);
+        };
+        if (team.lease->run_timed(g.size(), sweep) && obs::enabled())
+            obs::registry().add_counter("solution0.team_fallback");
         if (s % check_every == 0 || s == max_sweeps) {
             const Observables o = measure_lattice(g, r, cuts, pi);
             const double delay = o.throughput > 0.0 ? o.mean_z / o.throughput : 0.0;
@@ -281,14 +285,12 @@ Solution0Result solve_solution0(const HapParams& params, const Solution0Options&
     // One team lease for every box and check of this solve. A box too
     // narrow to split leaves the team alone; a solve that finds it leased
     // runs on its own thread.
-    std::optional<parallel::TeamLease> lease;
-    if (detail::sweep_blocks(g.nx, 2) > 1) {
-        lease.emplace();
-        if (!lease->held() && obs::enabled())
-            obs::registry().add_counter("solution0.team_busy");
-    }
+    const bool splits = detail::sweep_blocks(g.nx, 2) > 1;
+    parallel::TeamLease lease(splits);
+    if (splits && !lease.held() && obs::enabled())
+        obs::registry().add_counter("solution0.team_busy");
     TeamSweep team;
-    team.lease = lease ? &*lease : nullptr;
+    team.lease = &lease;
     // One CSR builder for every modulating-chain rebuild along the y growths:
     // the assembly arenas are reused instead of re-grown per box.
     markov::CsrBuilder mod_arena;

@@ -75,6 +75,11 @@ public:
 
     std::size_t helpers() const noexcept { return threads_.size(); }
 
+    // Only the lease holder reads or writes these: taking the lease
+    // acquires what the last holder released.
+    TeamPolicy policy;
+    std::chrono::steady_clock::time_point last_job_end;
+
     bool try_take() noexcept { return !taken_.exchange(true, std::memory_order_acquire); }
     void give_back() noexcept { taken_.store(false, std::memory_order_release); }
 
@@ -136,24 +141,37 @@ Team& team() {
     return t;
 }
 
-// Live leases, held or empty: the callers running at once.
-std::atomic<std::size_t> live_leases{0};
-
 }  // namespace
 
-TeamLease::TeamLease() : held_(team().try_take()) {
-    live_leases.fetch_add(1, std::memory_order_relaxed);
+TeamLease::TeamLease(bool take) : held_(take && team().try_take()) {
     if (held_) threads_ = team().helpers() + 1;
 }
 
 TeamLease::~TeamLease() {
-    live_leases.fetch_sub(1, std::memory_order_relaxed);
     if (held_) team().give_back();
 }
 
-std::size_t TeamLease::workers() const noexcept {
-    const std::size_t others = live_leases.load(std::memory_order_relaxed) - 1;
-    return others < threads_ ? threads_ - others : 1;
+bool TeamLease::run_timed_raw(std::size_t size, void (*job)(void*, std::size_t), void* ctx) {
+    if (threads_ == 1) {
+        job(ctx, 1);
+        return false;
+    }
+    Team& t = team();
+    const bool use_team = t.policy.use_team(size);
+    auto start = std::chrono::steady_clock::now();
+    if (use_team && start - t.last_job_end > kSpinFor) {
+        // Helpers idle this long may have parked, and waking one can take
+        // milliseconds on a VM: a one-off cost, not the sweep's. Wake them
+        // with an empty job before the clock starts.
+        t.run(threads_, [](void*, std::size_t) {}, nullptr);
+        start = std::chrono::steady_clock::now();
+    }
+    job(ctx, use_team ? threads_ : 1);
+    const auto end = std::chrono::steady_clock::now();
+    if (use_team) t.last_job_end = end;
+    const bool fell_back = !use_team && !t.policy.prefers_team();
+    t.policy.record(std::chrono::duration<double>(end - start).count());
+    return fell_back;
 }
 
 void TeamLease::run_raw(std::size_t n, void (*fn)(void*, std::size_t), void* ctx) {

@@ -5,27 +5,24 @@
 // of times a second: the Solution 0 lattice sweep, a few hundred us each. The
 // team is the resident counterpart for that grain. It holds
 // hardware_concurrency - 2 helper threads, started on first use and kept for
-// the life of the process; with the caller that is one thread per core but
-// one. A helper between jobs spins for a bounded time, then parks on
-// std::atomic::wait, so an idle team uses no CPU.
-//
-// The spare core is measured, not cautious: the threads of a lattice sweep
-// wait on each other every few microseconds, so one of them preempted stalls
-// them all. On a 4-core machine with one other busy thread, a continuation
-// sweep on all four cores ran 2.4-4x slower than on one; on three it ran as
-// fast as on an idle machine.
+// the life of the process. A helper between jobs spins for a bounded time,
+// then parks on std::atomic::wait, so an idle team uses no CPU.
 //
 // One caller at a time leases the team (TeamLease). A caller that finds it
 // leased gets an empty lease and runs on its own thread, so concurrent
-// solves never queue behind each other, and the holder gives up one thread
-// for each of them, for the same reason. The team syncs through atomics
-// only: no mutex, no condition variable.
+// solves never queue behind each other. Whether the holder's next job runs
+// on the team or alone is measured, not guessed (TeamPolicy): the threads
+// of a sweep wait on each other every few microseconds, so on a busy host
+// one preempted helper can make a team sweep ten times slower than one
+// thread. The team syncs through atomics only: no mutex, no condition
+// variable.
 //
 // The team promises nothing about which helper runs which index. Callers
 // that need the same bytes at any team size (the lattice sweep does) make
 // each index's effect independent of the thread that runs it.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -58,34 +55,100 @@ private:
     std::atomic<std::uint32_t> value_{0};
 };
 
+// Team or alone, chosen by timing both. Jobs run on the preferred side; the
+// other side is re-timed (a probe) once they have taken 1, 2, 4 ... kMaxGap
+// times as long as the last probe, so probes cost at most 1 / kMaxGap of
+// the time. A probe is compared with the preferred side's mean cost on jobs
+// of the same size (a rare stall moves it little, a run of them a lot), and
+// the team is preferred while these team / alone ratios, clamped to
+// [1/4, 4] and averaged with halving weights, stay below 1: one lucky team
+// sweep on a busy host does not outweigh a stalled one, and one stall (two
+// solves racing) is outweighed by a few fast probes after it. A flip
+// restarts the back-off at 1, so the old side is re-timed at once; any
+// other probe doubles it. The team holds one; only the lease holder
+// touches it.
+class TeamPolicy {
+public:
+    static constexpr double kMaxGap = 64.0;
+
+    // Whether the next job, of `size` units of work, runs on the team.
+    bool use_team(std::size_t size) noexcept {
+        same_size_ = size == size_;
+        probing_ = spent_ >= gap_ * probe_ && same_size_;
+        size_ = size;
+        return team_ != probing_;
+    }
+
+    // What the job use_team() planned cost: positive, in any one unit.
+    void record(double cost) noexcept {
+        if (!probing_) {
+            spent_ += cost;
+            mean_ = same_size_ ? mean_ + (cost - mean_) / 16.0 : cost;
+            return;
+        }
+        const double ratio = std::clamp(team_ ? mean_ / cost : cost / mean_, 0.25, 4.0);
+        ratio_ = ratio_ > 0.0 ? (ratio_ + ratio) / 2.0 : ratio;
+        const bool flip = (ratio_ < 1.0) != team_;
+        team_ = team_ != flip;
+        gap_ = flip ? 1.0 : std::min(2.0 * gap_, kMaxGap);
+        if (flip) mean_ = cost;
+        probe_ = cost;
+        spent_ = 0.0;
+    }
+
+    bool prefers_team() const noexcept { return team_; }
+
+private:
+    bool team_ = true;
+    bool probing_ = false;
+    bool same_size_ = false;
+    std::size_t size_ = 0;  // the last planned job's
+    double mean_ = 0.0;     // preferred jobs' cost, weight 1/16 on the last
+    double probe_ = 0.0;    // the last probe's cost
+    double spent_ = 0.0;    // on the preferred side since the last probe
+    double gap_ = 1.0;
+    double ratio_ = 0.0;    // averaged team / alone cost; 0 before a probe
+};
+
 class TeamLease {
 public:
-    // Takes the process-wide team if no other lease holds it (starting it on
-    // first use); otherwise the lease is empty. Either way the lease counts
-    // as one caller running until it is destroyed.
-    TeamLease();
+    // Takes the process-wide team if `take` and no other lease holds it
+    // (starting it on first use); otherwise the lease is empty.
+    explicit TeamLease(bool take = true);
     ~TeamLease();
     TeamLease(const TeamLease&) = delete;
     TeamLease& operator=(const TeamLease&) = delete;
 
-    // False when another lease held the team.
+    // False when the lease is empty.
     bool held() const noexcept { return held_; }
 
-    // Threads run() should use now: the helpers plus the caller, less one
-    // for every other live lease, and at least 1; 1 for an empty lease.
-    std::size_t workers() const noexcept;
+    // Threads run() may use: the helpers plus the caller, 1 when empty.
+    std::size_t threads() const noexcept { return threads_; }
+
+    // Run job(t) once on the calling thread, with t = threads() or 1,
+    // whichever the team's TeamPolicy picks for jobs of `size`, and time it
+    // for the policy (after waking helpers that may have parked, so a
+    // one-off wake-up is not timed as the team's). An empty lease, or a team
+    // without helpers, passes 1. Returns true when the job ran alone
+    // because the team measured slower.
+    template <typename Job>
+    bool run_timed(std::size_t size, Job& job) {
+        return run_timed_raw(
+            size, [](void* ctx, std::size_t t) { (*static_cast<Job*>(ctx))(t); }, &job);
+    }
 
     // Run fn(w) for every w in [0, n): w = 0 on the calling thread, the rest
     // on helpers. Returns when every call has returned. n must not exceed
-    // the helpers plus the caller (std::invalid_argument otherwise), so
-    // every call has a thread of its own and calls may wait on each other.
-    // fn must not throw (a throw on a helper terminates the process).
+    // threads() (std::invalid_argument otherwise), so every call has a
+    // thread of its own and calls may wait on each other. fn must not throw
+    // (a throw on a helper terminates the process).
     template <typename Fn>
     void run(std::size_t n, Fn& fn) {
         run_raw(n, [](void* ctx, std::size_t w) { (*static_cast<Fn*>(ctx))(w); }, &fn);
     }
 
 private:
+    bool run_timed_raw(std::size_t size, void (*job)(void*, std::size_t), void* ctx);
     void run_raw(std::size_t n, void (*fn)(void*, std::size_t), void* ctx);
 
     bool held_ = false;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
+#include <string>
 #include <tuple>
 
 #include "core/hap.hpp"
@@ -25,8 +27,18 @@ struct GridParam {
     double lambda2;  // per-message-type rate
 };
 
+std::string describe(const GridParam& g) {
+    std::ostringstream os;
+    os << "grid point a=" << g.a << " b=" << g.b << " l=" << g.l << " m=" << g.m
+       << " lambda2=" << g.lambda2;
+    return os.str();
+}
+
 class Solution2Property : public testing::TestWithParam<GridParam> {
 protected:
+    // Every failure message names its grid point.
+    const testing::ScopedTrace trace_{__FILE__, __LINE__, describe(GetParam())};
+
     HapParams make() const {
         const GridParam g = GetParam();
         const double mu = 0.001;

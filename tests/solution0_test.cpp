@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstring>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -281,6 +282,95 @@ TEST(LatticeSweep, TeamSweepBitEqualToSerial) {
     }
 }
 
+// The team-or-alone rule on synthetic costs, no clock: each job's side as
+// T (team) or A (alone), over `jobs` jobs of `size` that cost `team` on the
+// team and `alone` alone.
+std::string drive_policy(hap::parallel::TeamPolicy& p, int jobs, double team, double alone,
+                         std::size_t size = 1) {
+    std::string sides;
+    for (int i = 0; i < jobs; ++i) {
+        const bool on_team = p.use_team(size);
+        sides += on_team ? 'T' : 'A';
+        p.record(on_team ? team : alone);
+    }
+    return sides;
+}
+
+std::string runs(std::size_t n, char side) { return std::string(n, side); }
+
+TEST(TeamPolicy, KeepsTheCheaperSideAndBacksOffItsProbes) {
+    hap::parallel::TeamPolicy p;
+    // Alone costs twice the team. It is timed after the first team job,
+    // then re-timed once the team has run 2, 4, 8 times that timing (4, 8,
+    // 16 jobs), and loses each time.
+    EXPECT_EQ(drive_policy(p, 33, 1.0, 2.0),
+              "TA" + runs(4, 'T') + "A" + runs(8, 'T') + "A" + runs(16, 'T') + "A");
+    EXPECT_TRUE(p.prefers_team());
+    // The back-off stops doubling at kMaxGap.
+    const std::string more = drive_policy(p, 1000, 1.0, 2.0);
+    const std::size_t last = more.rfind('A');
+    ASSERT_NE(last, std::string::npos);
+    EXPECT_EQ(static_cast<double>(last - more.rfind('A', last - 1) - 1),
+              2.0 * hap::parallel::TeamPolicy::kMaxGap);
+}
+
+TEST(TeamPolicy, AFlipRestartsTheBackOff) {
+    hap::parallel::TeamPolicy p;
+    // A busy host: the team costs twice alone. The first probe flips to
+    // alone; the team is re-timed once alone has run as long as that probe
+    // (one job), then 2 and 4 times the team's timing (4 and 8 jobs).
+    EXPECT_EQ(drive_policy(p, 18, 2.0, 1.0),
+              "TA" + runs(1, 'A') + "T" + runs(4, 'A') + "T" + runs(8, 'A') + "T");
+    EXPECT_FALSE(p.prefers_team());
+    // Idle again, the team costs a quarter. One cheap team sweep does not
+    // outweigh the slow ones before it; the second flips back, and alone is
+    // re-timed after one team job, then after 8.
+    EXPECT_EQ(drive_policy(p, 33, 0.25, 1.0),
+              runs(16, 'A') + "T" + runs(4, 'A') + "TTA" + runs(8, 'T') + "A");
+    EXPECT_TRUE(p.prefers_team());
+}
+
+TEST(TeamPolicy, WeighsAStallByItsSize) {
+    // A team sweep that stalls at 4 moves the team's mean cost by 3/16: the
+    // alone probe right after it still loses.
+    hap::parallel::TeamPolicy p;
+    EXPECT_EQ(drive_policy(p, 2, 1.0, 2.0), "TA");
+    EXPECT_EQ(drive_policy(p, 1, 4.0, 2.0), "T");
+    EXPECT_EQ(drive_policy(p, 1, 1.0, 2.0), "A");
+    EXPECT_TRUE(p.prefers_team());
+    // One at 1000 moves it to 63, and the probe after it flips to alone.
+    // Its ratio counts as 4 at most, so two fast probes bring the team back.
+    hap::parallel::TeamPolicy q;
+    EXPECT_EQ(drive_policy(q, 2, 1.0, 2.0), "TA");
+    EXPECT_EQ(drive_policy(q, 2, 1000.0, 2.0), "TA");
+    EXPECT_FALSE(q.prefers_team());
+    EXPECT_EQ(drive_policy(q, 5, 1.0, 2.0), "ATATT");
+    EXPECT_TRUE(q.prefers_team());
+}
+
+TEST(TeamPolicy, ComparesOnlyJobsOfOneSize) {
+    hap::parallel::TeamPolicy p;
+    EXPECT_EQ(drive_policy(p, 1, 1.0, 2.0, 1), "T");
+    // The probe due on the first job of a new size waits for the second, so
+    // alone at 2.0 is compared with the team's 3.0 on this size, not with a
+    // mean that holds its 1.0 on the last, and wins.
+    EXPECT_EQ(drive_policy(p, 2, 3.0, 2.0, 2), "TA");
+    EXPECT_FALSE(p.prefers_team());
+}
+
+TEST(TeamPolicy, AnEmptyLeaseNeverGetsHelpers) {
+    const hap::parallel::TeamLease held;
+    const hap::parallel::TeamLease declined(false);
+    hap::parallel::TeamLease empty;
+    EXPECT_FALSE(declined.held());
+    ASSERT_FALSE(empty.held());
+    EXPECT_EQ(empty.threads(), 1u);
+    std::size_t most = 0;
+    auto job = [&](std::size_t threads) { most = std::max(most, threads); };
+    for (int i = 0; i < 200; ++i) EXPECT_FALSE(empty.run_timed(1, job));
+    EXPECT_EQ(most, 1u);
+}
+
 TEST(Solution0, RejectsUnsupportedShapes) {
     HapParams het = HapParams::homogeneous(0.4, 0.2, 0.5, 0.5, 2, 1.0, 1, 10.0);
     het.apps[1].arrival_rate = 0.9;
@@ -520,11 +610,15 @@ TEST(Solution0, ConcurrentSolvesMatchSerialBytes) {
         fallback = solve_solution0(points[0], o);
     }
     std::uint64_t busy = 0;
-    for (const auto& [name, value] : hap::obs::registry().snapshot().counters)
+    std::uint64_t fell_back = 0;  // sweeps a holder ran alone: none without the team
+    for (const auto& [name, value] : hap::obs::registry().snapshot().counters) {
         if (name == "solution0.team_busy") busy = value;
+        if (name == "solution0.team_fallback") fell_back = value;
+    }
     hap::obs::registry().reset();
     hap::obs::set_enabled(was_enabled);
     EXPECT_EQ(busy, 1u);
+    EXPECT_EQ(fell_back, 0u);
     EXPECT_TRUE(same_state(fallback, alone[0]));
 }
 

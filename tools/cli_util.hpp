@@ -4,6 +4,7 @@
 #pragma once
 
 #include <charconv>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -52,6 +53,10 @@ public:
         // NaN fails this test too; SIZE_MAX rounds up to 2^64 as a double.
         if (!(v < static_cast<double>(std::numeric_limits<std::size_t>::max())))
             throw std::invalid_argument("--" + name + " must be a finite count");
+        // Refused, not truncated: "2.5" is no count, "1e3" is.
+        if (v != std::floor(v))
+            throw std::invalid_argument("--" + name + " must be a whole number, got '" +
+                                        text(name, "") + "'");
         return static_cast<std::size_t>(v);
     }
 
