@@ -1,11 +1,14 @@
 #include "service/cache.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 
+#include "obs/metrics.hpp"
 #include "service/protocol.hpp"
 
 namespace hap::service {
@@ -54,6 +57,9 @@ void append_solve_key(std::string& out, const ModelSpec& model) {
     append_family_fields(out, model);
 }
 
+// Lattice bytes a retained state holds.
+std::size_t state_size(const core::Solution0State& s) { return s.pi.size() * sizeof(double); }
+
 }  // namespace
 
 std::string solve_key(const ModelSpec& model) {
@@ -81,7 +87,8 @@ std::string admission_key(const ModelSpec& model, double delay_budget) {
     return k;
 }
 
-PointCache::PointCache(std::string path, std::string config) {
+PointCache::PointCache(std::string path, std::string config, std::size_t state_budget)
+    : state_budget_(state_budget) {
     if (path.empty()) return;
     const experiment::RawCheckpoint raw = experiment::read_checkpoint_raw(path);
     if (!raw.config.empty() && raw.config != config) {
@@ -121,22 +128,36 @@ std::optional<CacheLookup> PointCache::lookup(const std::string& key) const {
     return CacheLookup{e.result, e.quality};
 }
 
-std::optional<NearestState> PointCache::nearest(const std::string& family,
-                                                double coord) const {
-    const core::MutexLock lock(mutex_);
-    const Entry* best = nullptr;
-    double best_dist = 0.0;
-    for (const Entry& e : entries_) {
-        if (e.family != family || e.state.empty() || e.quality != "ok") continue;
-        const double dist = std::abs(e.coord - coord);
-        if (best == nullptr || dist < best_dist ||
-            (dist == best_dist && e.coord < best->coord)) {  // haplint: allow(float-equality) deterministic tie-break on identical distances
-            best = &e;
-            best_dist = dist;
+PointCache::Neighbor PointCache::nearest_state(const std::string& family,
+                                              double coord) const {
+    Neighbor n;
+    std::tuple<double, double, std::size_t> best;
+    for (const std::size_t i : stated_) {
+        const Entry& e = entries_[i];
+        if (e.family != family) continue;
+        ++n.held;
+        // Equal distances: the lower coordinate, then the earlier entry.
+        const std::tuple<double, double, std::size_t> rank{std::abs(e.coord - coord), e.coord, i};
+        if (n.pos == kNone || rank < best) {
+            n.pos = i;
+            best = rank;
         }
     }
-    if (best == nullptr) return std::nullopt;
-    return NearestState{best->state, best->coord};
+    return n;
+}
+
+std::optional<NearestState> PointCache::nearest(const std::string& family,
+                                                double coord) const {
+    std::shared_ptr<const core::Solution0State> state;
+    double state_coord = 0.0;
+    {
+        const core::MutexLock lock(mutex_);
+        const Neighbor n = nearest_state(family, coord);
+        if (n.pos == kNone) return std::nullopt;
+        state = entries_[n.pos].state;
+        state_coord = entries_[n.pos].coord;
+    }
+    return NearestState{*state, state_coord};
 }
 
 std::optional<NearestResult> PointCache::nearest_result(const std::string& family,
@@ -157,13 +178,20 @@ std::optional<NearestResult> PointCache::nearest_result(const std::string& famil
     return NearestResult{best->result, best->coord};
 }
 
-void PointCache::put(Entry entry) {
+std::size_t PointCache::put(Entry entry) {
     const auto [it, fresh] = index_.try_emplace(entry.key, entries_.size());
     if (fresh) {
         entries_.push_back(std::move(entry));
     } else {
         entries_[it->second] = std::move(entry);
     }
+    return it->second;
+}
+
+void PointCache::drop_state(std::size_t i, Released& released) {
+    state_bytes_ -= state_size(*entries_[i].state);
+    released.push_back(std::move(entries_[i].state));
+    stated_.erase(std::find(stated_.begin(), stated_.end(), i));
 }
 
 std::string PointCache::insert(CachedPoint point) {
@@ -188,10 +216,42 @@ std::string PointCache::insert(CachedPoint point) {
     e.family = std::move(point.family);
     e.coord = point.coord;
     e.quality = std::move(point.quality);
-    e.state = std::move(point.state);
+    // Only an "ok" solve seeds warm starts; any other state is freed here.
+    if (!point.state.empty() && !e.family.empty() && e.quality == "ok") {
+        e.state = std::make_shared<const core::Solution0State>(std::move(point.state));
+    }
+    point.state = core::Solution0State{};
 
+    Released released;  // declared before the lock: freed after it is released
+    std::size_t dropped = 0;
     const core::MutexLock lock(mutex_);
-    put(std::move(e));
+    if (const auto it = index_.find(e.key);
+        it != index_.end() && entries_[it->second].state != nullptr) {
+        drop_state(it->second, released);  // an overwrite replaces, never adds
+    }
+    const std::size_t pos = put(std::move(e));
+    const Entry& added = entries_[pos];
+    if (added.state != nullptr) {
+        // A full family: the newcomer makes its nearest neighbor redundant.
+        const Neighbor n = nearest_state(added.family, added.coord);
+        if (n.held >= kFamilyStates) {
+            drop_state(n.pos, released);
+            ++dropped;
+        }
+        stated_.push_back(pos);
+        state_bytes_ += state_size(*added.state);
+        // Past the budget, the oldest states go; the newcomer is last.
+        while (state_bytes_ > state_budget_ && stated_.size() > 1) {
+            drop_state(stated_.front(), released);
+            ++dropped;
+        }
+    }
+    states_dropped_ += dropped;
+    if (obs::enabled()) {
+        obs::registry().set_gauge("hapd.cache.state_bytes",
+                                  static_cast<double>(state_bytes_));
+        if (dropped > 0) obs::registry().add_counter("hapd.cache.states_dropped", dropped);
+    }
     if (writer_.has_value()) {
         try {
             writer_->record_custom(rec);
@@ -209,6 +269,11 @@ std::string PointCache::insert(CachedPoint point) {
 std::size_t PointCache::size() const {
     const core::MutexLock lock(mutex_);
     return entries_.size();
+}
+
+StateStore PointCache::states() const {
+    const core::MutexLock lock(mutex_);
+    return StateStore{stated_.size(), state_bytes_, states_dropped_};
 }
 
 std::size_t PointCache::persist_errors() const {

@@ -233,6 +233,7 @@ struct Hapd::Impl {
         cache.set("loaded", Json::integer(std::uint64_t{point_cache.loaded()}));
         cache.set("persist_errors",
                   Json::integer(std::uint64_t{point_cache.persist_errors()}));
+        cache.set("states", Json::integer(std::uint64_t{point_cache.states().states}));
         payload.set("cache", std::move(cache));
         return ok_response(req.id, payload);
     }
@@ -646,8 +647,12 @@ void Hapd::start() {
                     : " (cache " + impl_->opts.cache_path + ", " +
                           std::to_string(impl_->point_cache.loaded()) +
                           " points restored)"));
-    if (obs::enabled())
+    if (obs::enabled()) {
         obs::registry().add_counter("hapd.cache.loaded", impl_->point_cache.loaded());
+        // Present from the start: a restarted daemon holds no states yet.
+        obs::registry().set_gauge("hapd.cache.state_bytes",
+                                  static_cast<double>(impl_->point_cache.states().bytes));
+    }
 }
 
 void Hapd::wait() { impl_->stopping.wait(false); }

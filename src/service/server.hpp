@@ -25,8 +25,12 @@
 // hapd.queries.solve + hapd.queries.admission — hapd.solve.warm/cold/
 // degraded/failed, hapd.batch.rounds/coalesced/followers/late_hits (a
 // leader's race re-check finding a point already cached), hapd.overload.*,
-// hapd.protocol.errors, latency histograms) and the "metrics" op serves the
-// registry as the hap.obs.metrics/v1 document plus a "cache" object.
+// hapd.protocol.errors, latency histograms, and from PointCache the
+// hapd.cache.state_bytes gauge — the retained warm-start lattices' bytes,
+// set at start and on every insert — and the hapd.cache.states_dropped counter of states
+// its family cap or byte budget evicted) and the "metrics" op serves the
+// registry as the hap.obs.metrics/v1 document plus a "cache" object (size,
+// loaded, persist_errors, states: the retained warm-start states).
 //
 // The daemon never prints: diagnostics go through the optional log callback
 // (hapctl wires it to stdout; tests capture it).

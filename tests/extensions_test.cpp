@@ -7,7 +7,7 @@
 
 #include "core/hap_fit.hpp"
 #include "core/hap_sim.hpp"
-#include "queueing/mg1.hpp"
+#include "mg1.hpp"
 #include "queueing/mm1.hpp"
 #include "queueing/multiclass_sim.hpp"
 #include "queueing/queue_sim.hpp"

@@ -4,10 +4,12 @@
 // solve), leader/follower batching, N concurrent clients with zero
 // cross-wired responses, protocol abuse over the socket, torn-write crash
 // recovery of the persistent cache, and warm restarts serving old points as
-// byte-identical hits. Also pins the cache key text and PointCache's
-// keyed-index semantics (overwrite in place, later records win on restore).
+// byte-identical hits. Also pins the cache key text, PointCache's
+// keyed-index semantics (overwrite in place, later records win on restore)
+// and the bounds of its warm-start state store.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -111,6 +113,8 @@ TEST(HapdServing, PingMetricsAndShutdownOps) {
     EXPECT_GE(counter(m, "hapd.queries.ping"), 1u);
     EXPECT_EQ(m.at("schema").as_string(), "hap.obs.metrics/v1");
     EXPECT_EQ(m.find("text"), nullptr);
+    // The warm-start store's gauge is scraped before any solve.
+    EXPECT_EQ(m.at("gauges").at("hapd.cache.state_bytes").as_number(), 0.0);
 
     const Json bye = call_json(c, hap::service::build_simple_request(Op::Shutdown, "s1"));
     EXPECT_TRUE(bye.at("ok").as_bool());
@@ -679,6 +683,183 @@ TEST(PointCacheIndex, TenThousandEntryRestoreAnswersEveryKey) {
         EXPECT_EQ(hit->result, "{\"v\":" + std::to_string(i % 7 == 0 ? -i : i) + "}");
     }
     (void)std::remove(path.c_str());
+}
+
+std::string key_of(const std::string& family, double coord) {
+    std::string key = family;
+    key += ';';
+    key += std::to_string(coord);
+    return key;
+}
+
+// A state whose lattice values name the point it came from.
+CachedPoint stated_point(const std::string& family, double coord, std::size_t doubles = 1) {
+    CachedPoint cp = point(key_of(family, coord), family, coord,
+                           static_cast<std::int64_t>(coord * 1000.0));
+    cp.state.pi.assign(doubles, coord);
+    return cp;
+}
+
+double seed_coord(const PointCache& cache, const std::string& family, double coord) {
+    const auto near = cache.nearest(family, coord);
+    if (!near.has_value()) return -1.0;
+    EXPECT_EQ(near->state.pi.front(), near->coord);  // the state is the point's own
+    return near->coord;
+}
+
+// A Fig. 12 style ascending sweep: the newest point always replaces the
+// previous tip, so the next point's seed is the previous point, as it was
+// with every state kept.
+TEST(PointCacheStates, AscendingChainSeedsFromThePreviousPoint) {
+    PointCache cache("");
+    for (int i = 1; i <= 16; ++i) {
+        (void)cache.insert(stated_point("fam", 0.001 * i));
+        EXPECT_EQ(seed_coord(cache, "fam", 0.001 * (i + 1)), 0.001 * i) << i;
+        EXPECT_EQ(cache.states().states, static_cast<std::size_t>(std::min(i, 4))) << i;
+    }
+    EXPECT_EQ(cache.states().dropped, 12u);
+    EXPECT_EQ(cache.size(), 16u);
+}
+
+// A fifth state drops its nearest neighbor's, not the oldest one.
+TEST(PointCacheStates, FifthStateReplacesItsNearestNeighbor) {
+    PointCache cache("");
+    for (const double c : {1.0, 2.0, 3.0, 4.0}) (void)cache.insert(stated_point("fam", c));
+    (void)cache.insert(stated_point("other", 3.95));  // another family is no neighbor
+    (void)cache.insert(stated_point("fam", 3.9));
+    EXPECT_EQ(cache.states().states, 5u);
+    EXPECT_EQ(cache.states().dropped, 1u);
+    EXPECT_EQ(seed_coord(cache, "fam", 4.0), 3.9);  // 4's state is gone
+    EXPECT_EQ(seed_coord(cache, "fam", 1.0), 1.0);  // the oldest is kept
+    EXPECT_EQ(seed_coord(cache, "fam", 2.1), 2.0);
+    EXPECT_EQ(seed_coord(cache, "other", 4.0), 3.95);
+    // Equidistant neighbors: the lower coordinate's state goes.
+    (void)cache.insert(stated_point("fam", 2.5));
+    EXPECT_EQ(seed_coord(cache, "fam", 2.1), 2.5);
+    EXPECT_EQ(seed_coord(cache, "fam", 1.4), 1.0);
+}
+
+// Ten thousand inserts over 200 families under a small budget: the retained
+// bytes never exceed the budget plus the newest state, and every family
+// keeps at most four.
+TEST(PointCacheStates, ByteBudgetHoldsOverTenThousandInserts) {
+    constexpr std::size_t kBudget = std::size_t{64} << 10;
+    PointCache cache("", "hapd-cache/v1", kBudget);
+    std::size_t max_bytes = 0;
+    for (std::size_t i = 0; i < 10000; ++i) {
+        const std::size_t doubles = 16 + (i * 37) % 700;
+        std::string family = "f";
+        family += std::to_string(i % 200);
+        (void)cache.insert(stated_point(family, 1.0 + static_cast<double>(i), doubles));
+        const hap::service::StateStore store = cache.states();
+        ASSERT_LE(store.bytes, kBudget + doubles * sizeof(double)) << i;
+        ASSERT_LE(store.states, 4u * 200u);
+        max_bytes = std::max(max_bytes, store.bytes);
+    }
+    // The budget, not the family cap, bound the store: it filled to within
+    // one state of the budget and kept far fewer than four per family.
+    EXPECT_GT(max_bytes, kBudget - 716 * sizeof(double));
+    EXPECT_LT(cache.states().states, 200u);
+    // A state past the budget on its own is kept alone.
+    (void)cache.insert(stated_point("huge", 0.5, kBudget / sizeof(double) + 1));
+    EXPECT_EQ(cache.states().states, 1u);
+    EXPECT_EQ(seed_coord(cache, "huge", 0.5), 0.5);
+}
+
+// An entry whose state was evicted still answers exactly: lookup and the
+// approx rung give the bytes its insert stored.
+TEST(PointCacheStates, EntryThatLostItsStateKeepsItsAnswers) {
+    PointCache cache("");
+    std::vector<std::string> stored;
+    for (const double c : {1.0, 2.0, 3.0, 4.0, 4.1})
+        stored.push_back(cache.insert(stated_point("fam", c)));
+    EXPECT_EQ(seed_coord(cache, "fam", 4.0), 4.1);  // 4 lost its state
+    const auto hit = cache.lookup(key_of("fam", 4.0));
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(hit->result, stored[3]);
+    EXPECT_EQ(hit->quality, "ok");
+    const auto approx = cache.nearest_result("fam", 4.0);
+    ASSERT_TRUE(approx.has_value());
+    EXPECT_EQ(approx->coord, 4.0);
+    EXPECT_EQ(approx->result, stored[3]);
+}
+
+TEST(PointCacheStates, DegradedInsertKeepsNoState) {
+    PointCache cache("");
+    CachedPoint cp = stated_point("fam", 1.0, 100);
+    cp.quality = "degraded";
+    const std::string bytes = cache.insert(std::move(cp));
+    EXPECT_EQ(cache.states().states, 0u);
+    EXPECT_EQ(cache.states().bytes, 0u);
+    EXPECT_FALSE(cache.nearest("fam", 1.0).has_value());
+    EXPECT_EQ(cache.lookup(key_of("fam", 1.0))->result, bytes);
+}
+
+// Overwriting a key replaces its state: its bytes count once, and a
+// degraded overwrite takes them out.
+TEST(PointCacheStates, OverwriteCountsItsBytesOnce) {
+    PointCache cache("");
+    (void)cache.insert(stated_point("fam", 1.0, 100));
+    (void)cache.insert(stated_point("fam", 1.0, 100));
+    EXPECT_EQ(cache.states().states, 1u);
+    EXPECT_EQ(cache.states().bytes, 100 * sizeof(double));
+    for (int i = 0; i < 6; ++i) (void)cache.insert(stated_point("fam", 1.0, 50));
+    EXPECT_EQ(cache.states().states, 1u);  // one key never fills its family
+    EXPECT_EQ(cache.states().dropped, 0u);
+    EXPECT_EQ(cache.states().bytes, 50 * sizeof(double));
+    CachedPoint cp = stated_point("fam", 1.0, 100);
+    cp.quality = "degraded";
+    (void)cache.insert(std::move(cp));
+    EXPECT_EQ(cache.states().states, 0u);
+    EXPECT_EQ(cache.states().bytes, 0u);
+    EXPECT_EQ(cache.size(), 1u);
+}
+
+// Two clients each walking six points of their own family at once: every
+// reply is a well-formed answer, and the daemon keeps four states per
+// family, evicting the other two.
+TEST(HapdServing, TwoFamiliesSolvedConcurrentlyKeepFourStatesEach) {
+    hap::obs::registry().reset();
+    Hapd daemon(fast_opts());
+    daemon.start();
+    const int port = daemon.port();
+    std::atomic<int> failures{0};
+    std::vector<std::vector<std::string>> replies(2);
+    std::vector<std::thread> clients;  // haplint: allow(naked-thread) -- independent serving clients
+    for (std::size_t f = 0; f < 2; ++f) {
+        clients.emplace_back([&, f] {
+            try {
+                Client c = Client::connect_tcp(port);
+                for (int i = 0; i < 6; ++i) {
+                    ModelSpec m = light_model(0.0015 + 0.0002 * i);
+                    m.service = f == 0 ? 30.0 : 25.0;
+                    replies[f].push_back(c.call(hap::service::build_solve_request(m, "t")));
+                }
+            } catch (const std::exception&) {
+                failures.fetch_add(1);
+            }
+        });
+    }
+    for (std::thread& th : clients) th.join();  // haplint: allow(naked-thread) -- independent serving clients
+    EXPECT_EQ(failures.load(), 0);
+    for (const auto& family : replies) {
+        ASSERT_EQ(family.size(), 6u);
+        for (const std::string& reply : family) {
+            EXPECT_TRUE(Json::parse(reply).at("ok").as_bool()) << reply;
+            expect_replays_as_ok_response(reply);
+        }
+    }
+
+    Client probe = Client::connect_tcp(port);
+    const Json m = call_json(probe, hap::service::build_simple_request(Op::Metrics, "m"));
+    EXPECT_EQ(m.at("cache").at("size").as_uint(), 12u);
+    EXPECT_EQ(m.at("cache").at("states").as_uint(), 8u);
+    EXPECT_EQ(counter(m, "hapd.cache.states_dropped"), 4u);
+    const hap::service::StateStore store = daemon.cache().states();
+    EXPECT_EQ(m.at("gauges").at("hapd.cache.state_bytes").as_number(),
+              static_cast<double>(store.bytes));
+    EXPECT_GT(store.bytes, 0u);
+    daemon.stop();
 }
 
 // The resident worker pool under the daemon, in isolation.
