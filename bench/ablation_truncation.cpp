@@ -31,7 +31,6 @@ int main() {
         o.max_messages = zcap;
         o.tol = 1e-8;
         o.max_sweeps = static_cast<std::size_t>((zcap > 1000 ? 1500 : 3000) * scale);
-        o.check_every = 100;
         const auto s0 = solve_solution0(p, o);
         std::printf("%8zu %12.4f %12.4f %14.2e %10zu%s\n", zcap, s0.mean_delay,
                     s0.mean_messages, s0.truncation_mass, s0.sweeps,

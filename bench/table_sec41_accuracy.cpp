@@ -41,7 +41,6 @@ int main(int argc, char** argv) {
         Solution0Options o;
         o.tol = 1e-8;
         o.max_messages = 700;
-        o.check_every = 100;
         o.max_sweeps = 3000;
         const auto s0 = solve_solution0(base, o);
         const double t_s0 = ms_since(t0);

@@ -55,7 +55,6 @@ int main(int argc, char** argv) {
     Solution0Options o0;
     o0.tol = 1e-8;
     o0.max_messages = 700;
-    o0.check_every = 100;
     o0.max_sweeps = static_cast<std::size_t>(3000 * hap::bench::scale());
     const auto s0 = solve_solution0(p, o0);
     std::printf("%-24s %12.3f %10.4f %18.4f %11.2fx  (z<=700, boundary %.1e)\n",

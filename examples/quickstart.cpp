@@ -52,7 +52,6 @@ int main(int argc, char** argv) {
     opts0.tol = 1e-7;
     opts0.max_messages = 150;
     opts0.max_sweeps = 1500;
-    opts0.check_every = 50;
     const auto s0 = solve_solution0(params, opts0);
     std::printf("Solution 0 (z <= 150)    : sigma %.4f  delay %.4f s  "
                 "(%zu states, %zu sweeps, boundary mass %.1e)\n",

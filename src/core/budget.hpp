@@ -24,9 +24,10 @@ struct SolveBudget {
     // exceeds this refuses to allocate and returns budget_exhausted,
     // and adaptive truncation growth never crosses it. 0 = unlimited.
     std::size_t max_states = 0;
-    // Wall-clock backstop in milliseconds, checked at the solver's existing
-    // convergence-check boundaries. NOT deterministic — use the caps above
-    // when reproducibility matters. 0 = unlimited.
+    // Wall-clock backstop in milliseconds, checked at the solver's
+    // convergence checks, one after every forward + reverse sweep pair. NOT
+    // deterministic — use the caps above when reproducibility matters.
+    // 0 = unlimited.
     std::uint64_t wall_ms = 0;
 
     // The iteration cap combined with a solver's own limit.

@@ -303,43 +303,100 @@ LatticeObservables measure_lattice(const LatticeGrid& g, const LatticeRates& r,
 namespace {
 
 // Scale one line to `target` mass, or put all of it at z = 0 when the line
-// holds none.
-void scale_line(double* cur, std::size_t nz, double total, double target) {
+// holds none. `total` is the line's ascending-z sum, `open` the same sum
+// stopped before z_hi and `zsum` the line's z moment; with `m`, the scaled
+// line's moments go to its slot `line`.
+void scale_line(double* cur, std::size_t nz, double total, double open, double zsum,
+                double target, LineMoments* m, std::size_t line) {
     if (total > 0.0) {
         const double f = target / total;
         for (std::size_t z = 0; z < nz; ++z) cur[z] *= f;
+        if (m != nullptr) {
+            m->z[line] = zsum * f;
+            m->open[line] = open * f;
+        }
     } else {
         for (std::size_t z = 0; z < nz; ++z) cur[z] = 0.0;
         cur[0] = target;
+        if (m != nullptr) {
+            m->z[line] = 0.0;
+            m->open[line] = nz > 1 ? target : 0.0;
+        }
     }
 }
 
 // Project lines [line, end): kLanes lines at a time, one independent
 // ascending-z sum per line, so the adds of different lines overlap instead
-// of each waiting on the last.
+// of each waiting on the last. The z < z_hi prefix of that sum is the line's
+// open mass; the z moment rides along as one fma per state.
 void project_lines(std::size_t nz, const double* marginal, double* pi, std::size_t line,
-                   std::size_t end) {
+                   std::size_t end, LineMoments* m) {
+    const std::size_t last = nz - 1;
+    const double last_d = static_cast<double>(last);
     for (; line + kLanes <= end; line += kLanes) {
         double* cur = pi + line * nz;
-        double total[kLanes] = {};
-        for (std::size_t z = 0; z < nz; ++z)
-            for (std::size_t k = 0; k < kLanes; ++k) total[k] += cur[k * nz + z];
-        for (std::size_t k = 0; k < kLanes; ++k)
-            scale_line(cur + k * nz, nz, total[k], marginal[line + k]);
+        double open[kLanes] = {};
+        double zsum[kLanes] = {};
+        for (std::size_t z = 0; z < last; ++z) {
+            const double zd = static_cast<double>(z);
+            for (std::size_t k = 0; k < kLanes; ++k) {
+                const double p = cur[k * nz + z];
+                open[k] += p;
+                zsum[k] = std::fma(p, zd, zsum[k]);
+            }
+        }
+        for (std::size_t k = 0; k < kLanes; ++k) {
+            const double p = cur[k * nz + last];
+            scale_line(cur + k * nz, nz, open[k] + p, open[k], std::fma(p, last_d, zsum[k]),
+                       marginal[line + k], m, line + k);
+        }
     }
     for (; line < end; ++line) {
         double* cur = pi + line * nz;
-        double total = 0.0;
-        for (std::size_t z = 0; z < nz; ++z) total += cur[z];
-        scale_line(cur, nz, total, marginal[line]);
+        double open = 0.0;
+        double zsum = 0.0;
+        for (std::size_t z = 0; z < last; ++z) {
+            open += cur[z];
+            zsum = std::fma(cur[z], static_cast<double>(z), zsum);
+        }
+        const double p = cur[last];
+        scale_line(cur, nz, open + p, open, std::fma(p, last_d, zsum), marginal[line], m,
+                   line);
     }
+}
+
+void fit_moments(LineMoments& m, std::size_t lines) {
+    m.z.resize(lines);
+    m.open.resize(lines);
 }
 
 }  // namespace
 
 void project_marginal(const LatticeGrid& g, const std::vector<double>& marginal,
-                      std::vector<double>& pi) {
-    project_lines(g.nz, marginal.data(), pi.data(), 0, g.nx * g.ny);
+                      std::vector<double>& pi, LineMoments* moments) {
+    if (moments != nullptr) fit_moments(*moments, g.nx * g.ny);
+    project_lines(g.nz, marginal.data(), pi.data(), 0, g.nx * g.ny, moments);
+}
+
+CheckMoments sum_line_moments(const LatticeGrid& g, const LatticeRates& r,
+                              const LineMoments& m) {
+    CheckMoments c;
+    std::size_t line = 0;
+    for (std::size_t xi = 0; xi < g.nx; ++xi) {
+        for (std::size_t y = 0; y < g.ny; ++y, ++line) {
+            c.mean_z += m.z[line];
+            c.throughput = std::fma(m.open[line], static_cast<double>(y) * r.beta, c.throughput);
+        }
+    }
+    return c;
+}
+
+StopDecision stop_rule(double change, double prev_change, double tol) noexcept {
+    if (change <= 0.0) return {0.0, true};  // nothing moved: a fixed point
+    const double q = prev_change > 0.0 ? change / prev_change : 1.0;
+    if (!(q < 1.0)) return {change, false};  // not contracting (or NaN)
+    const double residual = std::max(change, change * q / (1.0 - q));
+    return {residual, residual < tol};
 }
 
 std::size_t sweep_blocks(std::size_t nx, std::size_t threads) noexcept {
@@ -358,9 +415,10 @@ void sweep_and_project(const LatticeGrid& g, const LatticeRates& r,
     if (team.ws.size() < blocks) team.ws.resize(blocks);
     if (blocks == 1) {
         sweep_lattice(g, r, pi, forward, team.ws[0]);
-        project_marginal(g, marginal, pi);
+        project_marginal(g, marginal, pi, &team.moments);
         return;
     }
+    fit_moments(team.moments, g.nx * g.ny);
     for (std::size_t b = 0; b < blocks; ++b) fit_workspace(team.ws[b], g.nz);
     // Atomics do not move, so a longer counter array is built afresh.
     if (team.progress.size() < blocks) team.progress = std::vector<BlockProgress>(blocks);
@@ -385,7 +443,7 @@ void sweep_and_project(const LatticeGrid& g, const LatticeRates& r,
             if (b > 0) team.progress[b - 1].steps.wait_at_least(steps);
             if (b + 1 < blocks) team.progress[b + 1].steps.wait_at_least(steps);
             project_lines(g.nz, marginal.data(), pi.data(), b * g.nx / blocks * g.ny,
-                          (b + 1) * g.nx / blocks * g.ny);
+                          (b + 1) * g.nx / blocks * g.ny, &team.moments);
         }
     };
     if (workers == 1)

@@ -1,9 +1,9 @@
 // Internal: the Solution 0 lattice kernels. One line-relaxation sweep over
 // the (x, y, z) lattice — Gauss-Seidel over (x, y) lines, an exact tridiagonal
-// (Thomas) solve along each z line — the observables pass and the marginal
-// projection. Shared by solution0.cpp and the byte-identity tests that pin
-// them against their plain reference forms; not part of the public solver
-// surface.
+// (Thomas) solve along each z line — the observables pass, the marginal
+// projection with the line moments it leaves behind, and the stop rule that
+// reads them. Shared by solution0.cpp and the tests that pin them against
+// their plain reference forms; not part of the public solver surface.
 #pragma once
 
 #include <cstddef>
@@ -80,6 +80,14 @@ struct LatticeObservables {
 LatticeObservables measure_lattice(const LatticeGrid& g, const LatticeRates& r,
                                    TruncationCuts cuts, const std::vector<double>& pi);
 
+// Two moments of every (x, y) line, in lattice order, as the projection
+// leaves it: what a convergence check reads instead of a measure_lattice
+// pass over every state.
+struct LineMoments {
+    std::vector<double> z;     // sum of z * pi over the line
+    std::vector<double> open;  // mass at z < z_hi, the states that accept arrivals
+};
+
 // Pin every (x, y) line's total mass to the exact modulating-chain marginal
 // (`marginal`: one entry per line, in lattice order). The modulating chain is
 // autonomous (its dynamics do not depend on z), so its stationary law is
@@ -89,9 +97,33 @@ LatticeObservables measure_lattice(const LatticeGrid& g, const LatticeRates& r,
 // metastability that cost the paper two weeks of SUN-4/280 time. Each line
 // is summed in ascending z and scaled by target / total; a line with no mass
 // gets its whole target at z = 0. Bit-identical to projecting the lines one
-// at a time.
+// at a time. With `moments`, also writes each line's moments: the sums the
+// projection takes anyway, times the line's scale factor.
 void project_marginal(const LatticeGrid& g, const std::vector<double>& marginal,
-                      std::vector<double>& pi);
+                      std::vector<double>& pi, LineMoments* moments = nullptr);
+
+// E[z] and the message throughput of a projected lattice, summed from its
+// line moments in line order, so they do not depend on how the projection
+// was split. They agree with measure_lattice's to rounding, not bit for bit.
+struct CheckMoments {
+    double mean_z = 0.0;
+    double throughput = 0.0;
+};
+CheckMoments sum_line_moments(const LatticeGrid& g, const LatticeRates& r,
+                              const LineMoments& m);
+
+// Solution 0's stop rule. `change` is the relative change of (delay, E[z])
+// since the last check, `prev_change` the one before it (< 0: none yet).
+// Their ratio q estimates the contraction, and change * q / (1 - q) the
+// error left. The solve stops once both the change and that estimate are
+// below `tol`, which needs q < 1; an exactly zero change is a fixed point and
+// stops at once. `residual` is max(change, estimate), or the change alone
+// when no contraction was seen.
+struct StopDecision {
+    double residual;
+    bool stop;
+};
+StopDecision stop_rule(double change, double prev_change, double tol) noexcept;
 
 // The x-blocks a team sweep splits an nx-wide box into with `threads`
 // threads: one per thread, each at least a few columns wide, at least one.
@@ -104,12 +136,13 @@ struct alignas(64) BlockProgress {
 };
 
 // What a solve's sweeps keep between calls: the team lease they run on
-// (null or empty: the calling thread alone), and one line workspace and one
-// progress counter per x-block.
+// (null or empty: the calling thread alone), one line workspace and one
+// progress counter per x-block, and the line moments of the last projection.
 struct TeamSweep {
     parallel::TeamLease* lease = nullptr;
     std::vector<LineWorkspace> ws;
     std::vector<BlockProgress> progress;
+    LineMoments moments;
 };
 
 // One sweep and then the marginal projection, with the box split into
@@ -120,7 +153,9 @@ struct TeamSweep {
 // the neighbor values of the lexicographic sweep and runs the same scalar
 // recurrence, and projection sums each line on its own, so `pi` comes out
 // bit-identical to sweep_lattice + project_marginal at any block count and
-// any number of threads. One block is exactly those two calls.
+// any number of threads. One block is exactly those two calls. Each block
+// writes its own lines' moments into `team.moments`, so those are
+// bit-identical at any block count too.
 void sweep_and_project(const LatticeGrid& g, const LatticeRates& r,
                        const std::vector<double>& marginal, std::vector<double>& pi,
                        bool forward, std::size_t blocks, TeamSweep& team);

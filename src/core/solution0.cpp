@@ -68,6 +68,14 @@ void remap_state(const std::vector<double>& src, const Grid& from, const Grid& t
     }
 }
 
+// Mass of the y == y_hi lines under the modulating marginal, which is every
+// line's mass after projection.
+double y_shell_mass(const Grid& g, const std::vector<double>& marginal) {
+    double mass = 0.0;
+    for (std::size_t xi = 0; xi < g.nx; ++xi) mass += marginal[xi * g.ny + g.y_hi];
+    return mass;
+}
+
 struct BoxSolve {
     Observables obs;
     std::size_t sweeps = 0;
@@ -77,30 +85,69 @@ struct BoxSolve {
     bool deadline_hit = false;  // the wall_ms budget backstop fired
 };
 
-// The last observable check on the current box: what the next check is
-// compared with. A box keeps one history across its coarse and final passes,
-// so the final pass's first check already completes a comparison.
+// What the stop rule carries from one check on the current box to the
+// next. A box keeps one history across its coarse and final passes, so the
+// final pass's first check already completes a comparison.
 struct CheckHistory {
-    double delay = -1.0;  // < 0: no check on this box yet
+    double delay = -1.0;   // < 0: no check on this box yet
     double mean_z = -1.0;
+    double change = -1.0;  // relative change at the last check; < 0: none yet
 };
 
-// Sweep `pi` on box `g` until two consecutive checks of the observables
-// (delay, E[z]) agree to `tol`, or the sweep budget runs out. Continues from
-// the current content of `pi` and of `hist`, so callers can chain calls — a
-// loose coarse solve, then a tight one on the same box — without restarting
-// the iteration or its convergence history.
+// Sweep `pi` on box `g` until the stop rule's error estimate for the
+// observables (delay, E[z]) drops below `tol`, or the sweep budget runs out.
+// A check follows every forward + reverse pair, and a `seeded` box with no
+// history also checks its projected seed before the first sweep. A check
+// reads the line moments the last projection left in `team`; measure_lattice
+// runs once, when the pass ends. Continues from the current content of `pi`
+// and of `hist`, so callers can chain calls — a loose coarse solve, then a
+// tight one on the same box — without restarting the iteration or its
+// convergence history.
 BoxSolve solve_box(const Grid& g, const Rates& r, Cuts cuts,
-                   const std::vector<double>& marginal, std::vector<double>& pi, double tol, std::size_t check_every,
-                   std::size_t max_sweeps, const char* pass, bool verbose, TeamSweep& team,
-                   const WallDeadline& deadline, CheckHistory& hist) {
+                   const std::vector<double>& marginal, std::vector<double>& pi, double tol,
+                   std::size_t max_sweeps, bool seeded, const char* pass, bool verbose,
+                   TeamSweep& team, const WallDeadline& deadline, CheckHistory& hist) {
     BoxSolve out;
     const auto loop_start = std::chrono::steady_clock::now();
-    const auto elapsed_s = [loop_start] {
-        return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                             loop_start)
-            .count();
+    const auto finish = [&] {
+        out.obs = measure_lattice(g, r, cuts, pi);
+        out.sweep_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                                    loop_start)
+                          .count();
+        return out;
     };
+    // One check after sweep s: true when the solve may stop.
+    const auto check = [&](std::size_t s) {
+        const detail::CheckMoments m = detail::sum_line_moments(g, r, team.moments);
+        const double delay = m.throughput > 0.0 ? m.mean_z / m.throughput : 0.0;
+        const CheckHistory prev = hist;
+        hist.delay = delay;
+        hist.mean_z = m.mean_z;
+        bool stop = false;
+        if (prev.delay >= 0.0) {
+            const double dd = std::abs(delay - prev.delay) / std::max(delay, 1e-12);
+            const double dz = std::abs(m.mean_z - prev.mean_z) / std::max(m.mean_z, 1e-12);
+            hist.change = std::max(dd, dz);
+            const detail::StopDecision d = detail::stop_rule(hist.change, prev.change, tol);
+            out.residual = d.residual;
+            stop = d.stop;
+        }
+        if (verbose) {
+            // Formatted into a buffer so library code never calls the
+            // printf output family (haplint: no-printf-in-library).
+            char rule[64] = "";
+            if (prev.delay >= 0.0)
+                std::snprintf(rule, sizeof(rule), " change %.2e error %.2e", hist.change,
+                              out.residual);
+            char line[200];
+            std::snprintf(line, sizeof(line),
+                          "solution0: %s box %zux%zux%zu sweep %zu delay %.8f mean_z %.6f%s\n",
+                          pass, g.nx, g.ny, g.nz, s, delay, m.mean_z, rule);
+            std::cerr << line;
+        }
+        return stop;
+    };
+    if (seeded && hist.delay < 0.0) (void)check(0);
     for (std::size_t s = 1; s <= max_sweeps; ++s) {
         // The lease picks the threads, all of the team's or 1, by timing
         // both; the bytes do not depend on them.
@@ -110,47 +157,21 @@ BoxSolve solve_box(const Grid& g, const Rates& r, Cuts cuts,
         };
         if (team.lease->run_timed(g.size(), sweep) && obs::enabled())
             obs::registry().add_counter("solution0.team_fallback");
-        if (s % check_every == 0 || s == max_sweeps) {
-            const Observables o = measure_lattice(g, r, cuts, pi);
-            const double delay = o.throughput > 0.0 ? o.mean_z / o.throughput : 0.0;
+        if (s % 2 == 0 || s == max_sweeps) {
             out.sweeps = s;
-            if (verbose) {
-                // Formatted into a buffer so library code never calls the
-                // printf output family (haplint: no-printf-in-library).
-                char line[200];
-                std::snprintf(line, sizeof(line),
-                              "solution0: %s box %zux%zux%zu sweep %zu delay %.8f "
-                              "mean_z %.6f util %.6f boundary %.2e\n",
-                              pass, g.nx, g.ny, g.nz, s, delay, o.mean_z, o.busy,
-                              o.boundary);
-                std::cerr << line;
-            }
-            const CheckHistory prev = hist;
-            hist = {delay, o.mean_z};
-            if (prev.delay >= 0.0) {
-                const double dd = std::abs(delay - prev.delay) / std::max(delay, 1e-12);
-                const double dz = std::abs(o.mean_z - prev.mean_z) / std::max(o.mean_z, 1e-12);
-                out.residual = std::max(dd, dz);
-                if (dd < tol && dz < tol) {
-                    out.converged = true;
-                    out.obs = o;
-                    out.sweep_s = elapsed_s();
-                    return out;
-                }
+            if (check(s)) {
+                out.converged = true;
+                return finish();
             }
             if (deadline.expired()) {
                 out.deadline_hit = true;
-                out.obs = o;
-                out.sweep_s = elapsed_s();
-                return out;
+                return finish();
             }
         }
     }
     out.sweeps = max_sweeps;
-    out.sweep_s = elapsed_s();
     normalize(pi);
-    out.obs = measure_lattice(g, r, cuts, pi);
-    return out;
+    return finish();
 }
 
 }  // namespace
@@ -159,7 +180,6 @@ Solution0Result solve_solution0(const HapParams& params, const Solution0Options&
     params.validate();
     HAP_PRECOND(opts.tol > 0.0);
     HAP_PRECOND(opts.max_sweeps > 0);
-    HAP_PRECOND(opts.check_every > 0);
     HAP_PRECOND(opts.trunc_tol > 0.0);
     if (!params.homogeneous_types()) {
         throw std::invalid_argument("solve_solution0: homogeneous application types required");
@@ -307,7 +327,44 @@ Solution0Result solve_solution0(const HapParams& params, const Solution0Options&
     double sweep_s_total = 0.0;        // kernel-loop wall time across boxes
     std::uint64_t state_updates = 0;  // sum of sweeps * box states
     BoxSolve fin;
+    // Move to the grown box `ng`, carrying a seeded iterate over. A growth
+    // that would blow max_states is refused and flagged; the solve goes on
+    // on the current box.
+    const auto grow = [&](const Grid& ng) {
+        if (opts.budget.states_exceeded(ng.size())) {
+            res.budget_exhausted = true;
+            return false;
+        }
+        if (have_seed) {
+            std::vector<double> grown;
+            remap_state(pi, g, ng, grown);
+            pi.swap(grown);
+        }
+        g = ng;
+        ++res.box_growths;
+        if (obs::enabled()) obs::registry().add_counter("solution0.box_growth_steps");
+        return true;
+    };
     while (true) {
+        // Exact stationary law of the modulating (x, y) chain on this box;
+        // LumpedChain uses the identical (x - x_lo) * ny + y indexing.
+        if (marginal_y != g.y_hi) {
+            ChainBounds mb;
+            mb.max_users = g.x_hi;
+            mb.max_apps_total = g.y_hi;
+            marginal = LumpedChain(params, mb, mod_arena).stationary(mod_tol).pi;
+            marginal_y = g.y_hi;
+        }
+
+        // The projection pins every line's mass to the marginal, so the
+        // y == y_hi shell's mass is known before any sweep: grow y on the
+        // marginal alone, and leave only z to the coarse passes.
+        if (opts.adaptive && g.y_hi < cap.y_hi &&
+            y_shell_mass(g, marginal) >= opts.trunc_tol &&
+            grow(make_lattice_grid(g.x_lo, g.x_hi, std::min(cap.y_hi, (g.y_hi * 3) / 2 + 1),
+                                   g.z_hi)))
+            continue;
+
         if (!have_seed) {
             // Initial guess: a geometric queue profile at the offered load
             // on every line (the paper started from uniform); the marginal
@@ -325,17 +382,7 @@ Solution0Result solve_solution0(const HapParams& params, const Solution0Options&
         }
 
         const Cuts cuts = box_cuts(g, params);
-
-        // Exact stationary law of the modulating (x, y) chain on this box;
-        // LumpedChain uses the identical (x - x_lo) * ny + y indexing.
-        if (marginal_y != g.y_hi) {
-            ChainBounds mb;
-            mb.max_users = g.x_hi;
-            mb.max_apps_total = g.y_hi;
-            marginal = LumpedChain(params, mb, mod_arena).stationary(mod_tol).pi;
-            marginal_y = g.y_hi;
-        }
-        project_marginal(g, marginal, pi);
+        project_marginal(g, marginal, pi, &team.moments);
 
         std::size_t budget = max_sweeps_eff - total_sweeps;
         if (budget == 0) {
@@ -345,21 +392,15 @@ Solution0Result solve_solution0(const HapParams& params, const Solution0Options&
             break;
         }
 
-        // A seeded solve (warm start or continuation from a smaller box)
-        // finishes within a few checks, so the check interval itself is the
-        // dominant quantization error — halve it to trim the overshoot. Cold
-        // solves keep the caller's spacing (the golden tests pin that path).
-        const std::size_t ck =
-            have_seed ? std::max<std::size_t>(5, opts.check_every / 2) : opts.check_every;
-
         CheckHistory hist;
-        if (opts.adaptive && (g.y_hi < cap.y_hi || g.z_hi < cap.z_hi)) {
+        if (opts.adaptive && g.z_hi < cap.z_hi) {
             // Coarse pass: settle the observables loosely, then read the
-            // shell masses off the coarse solution to decide growth. A box
+            // z shell's mass off the coarse solution to decide growth. A box
             // that still needs growing never pays for a tight solve.
             const double coarse_tol = std::max(opts.tol, 1e-6);
-            const BoxSolve b = solve_box(g, r, cuts, marginal, pi, coarse_tol, ck, budget,
-                                         "coarse", opts.verbose, team, deadline, hist);
+            const BoxSolve b = solve_box(g, r, cuts, marginal, pi, coarse_tol, budget,
+                                         have_seed, "coarse", opts.verbose, team, deadline,
+                                         hist);
             total_sweeps += b.sweeps;
             sweep_s_total += b.sweep_s;
             state_updates += static_cast<std::uint64_t>(b.sweeps) * g.size();
@@ -367,33 +408,14 @@ Solution0Result solve_solution0(const HapParams& params, const Solution0Options&
                 fin = b;
                 break;
             }
-            std::size_t ny_hi = g.y_hi;
-            std::size_t nz_hi = g.z_hi;
-            if (b.obs.boundary_z >= opts.trunc_tol && g.z_hi < cap.z_hi)
-                nz_hi = std::min(cap.z_hi, g.z_hi * 2);
-            if (b.obs.boundary_y >= opts.trunc_tol && g.y_hi < cap.y_hi)
-                ny_hi = std::min(cap.y_hi, (g.y_hi * 3) / 2 + 1);
-            if (ny_hi != g.y_hi || nz_hi != g.z_hi) {
-                const Grid ng = make_lattice_grid(g.x_lo, g.x_hi, ny_hi, nz_hi);
-                if (opts.budget.states_exceeded(ng.size())) {
-                    // The needed growth would blow max_states: keep the
-                    // current box, flag the constraint, and tighten on it.
-                    res.budget_exhausted = true;
-                } else {
-                    std::vector<double> grown;
-                    remap_state(pi, g, ng, grown);
-                    pi.swap(grown);
-                    g = ng;
-                    have_seed = true;
-                    ++res.box_growths;
-                    if (obs::enabled())
-                        obs::registry().add_counter("solution0.box_growth_steps");
-                    continue;
-                }
-            }
-            // Shells already below trunc_tol: this box is final. Its coarse
-            // pass may have settled to opts.tol already; otherwise tighten,
-            // continuing from the coarse iterate and its last check.
+            have_seed = true;  // the coarse iterate seeds what follows
+            if (b.obs.boundary_z >= opts.trunc_tol &&
+                grow(make_lattice_grid(g.x_lo, g.x_hi, g.y_hi, std::min(cap.z_hi, g.z_hi * 2))))
+                continue;
+            // The z shell is below trunc_tol (or max_states refused its
+            // growth): this box is final. Its coarse pass may have settled
+            // to opts.tol already; otherwise tighten, continuing from the
+            // coarse iterate and its last check.
             budget = max_sweeps_eff - total_sweeps;
             if (budget == 0 || (b.converged && b.residual < opts.tol)) {
                 fin = b;
@@ -401,7 +423,7 @@ Solution0Result solve_solution0(const HapParams& params, const Solution0Options&
             }
         }
 
-        fin = solve_box(g, r, cuts, marginal, pi, opts.tol, ck, budget, "final",
+        fin = solve_box(g, r, cuts, marginal, pi, opts.tol, budget, have_seed, "final",
                         opts.verbose, team, deadline, hist);
         total_sweeps += fin.sweeps;
         sweep_s_total += fin.sweep_s;

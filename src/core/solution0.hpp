@@ -38,8 +38,15 @@ struct Solution0Options {
     std::size_t max_users = 0;     // x bound; 0 = mass-based default
     std::size_t max_apps = 0;      // lumped y bound; 0 = default
     std::size_t max_messages = 0;  // z bound; 0 = default (load-dependent)
-    double tol = 1e-9;             // relative change of observables per check
+    // Bound on the estimated relative error of (delay, E[z]). A check runs
+    // after every forward + reverse sweep pair; with d the relative change
+    // since the last check and q = d / d_prev, the solve stops once d < tol,
+    // q < 1 and d q / (1 - q), the error a geometric tail would leave, is
+    // below tol.
+    double tol = 1e-9;
     std::size_t max_sweeps = 50000;
+    // Read by nothing: checks run every sweep pair. Kept only because the
+    // frozen benchmark sources in hapbench/ still set it.
     std::size_t check_every = 25;
     bool verbose = false;          // progress lines on stderr at every check
 
@@ -63,8 +70,9 @@ struct Solution0Options {
 
     // Resource budget (see core/budget.hpp). max_iterations tightens
     // max_sweeps; max_states refuses (or stops growing) lattice boxes beyond
-    // the cap; wall_ms is checked at observable-check boundaries. A solve
-    // stopped by the budget returns budget_exhausted instead of hanging.
+    // the cap; wall_ms is checked at every check, after each sweep pair. A
+    // solve stopped by the budget returns budget_exhausted instead of
+    // hanging.
     SolveBudget budget;
 };
 
@@ -80,7 +88,10 @@ struct [[nodiscard]] Solution0Result {
     // x == x_hi unless that face is the model's own max_apps / max_users
     // (real blocking states) or users are pinned (x_lo == x_hi).
     double truncation_mass = 0.0;
-    double residual = 0.0;        // last relative change of (delay, E[z]) observed
+    // The stop rule's last error bound, max(d, d q / (1 - q)) in the terms of
+    // `tol`; the last change d alone while the changes do not contract.
+    // Below tol when the solve converged.
+    double residual = 0.0;
     std::size_t states = 0;       // final box size
     std::size_t sweeps = 0;       // total sweeps, summed across adaptive boxes
     bool converged = false;

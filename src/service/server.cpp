@@ -371,7 +371,6 @@ struct Hapd::Impl {
         sweep.solver.trunc_tol = opts.trunc_tol;
         sweep.solver.max_sweeps = opts.max_sweeps;
         sweep.solver.max_messages = opts.zmax;
-        sweep.solver.check_every = 10;
         sweep.solver.budget = leader.clamped ? opts.clamp_budget : opts.budget;
         if (seed.has_value()) {
             sweep.seed = &seed->state;

@@ -143,7 +143,7 @@ TEST(Contracts, Solution0RejectsDegenerateOptions) {
     o.tol = 0.0;
     EXPECT_THROW(hap::core::solve_solution0(p, o), ContractViolation);
     o.tol = 1e-6;
-    o.check_every = 0;  // would divide by zero in the sweep loop
+    o.max_sweeps = 0;
     EXPECT_THROW(hap::core::solve_solution0(p, o), ContractViolation);
 }
 

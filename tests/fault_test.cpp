@@ -319,7 +319,6 @@ TEST(AnalyticSweep, PointPastFallbackIsMarkedDegraded) {
     grid.resize(1);
     AnalyticSweepOptions opts = analytic_options();
     opts.solver.max_sweeps = 1;
-    opts.solver.check_every = 1;
     std::vector<FailureRecord> failures;
     const auto res = run_analytic_sweep(grid, opts, &failures);
     ASSERT_EQ(res.size(), 1u);
@@ -360,7 +359,6 @@ TEST(Budget, Solution0ExhaustionDeterministicAcrossThreads) {
     hap::core::Solution0Options opts;
     opts.tol = 1e-8;
     opts.max_messages = 120;
-    opts.check_every = 5;
     opts.budget.max_iterations = 10;
     const hap::core::HapParams params =
         hap::core::HapParams::homogeneous(0.4, 0.2, 0.5, 0.5, 1, 2.0, 1, 10.0);

@@ -67,12 +67,13 @@ TEST(GoldenSec4, Solution0ExactOnTestLattice) {
     o.max_users = 20;
     o.max_apps = 50;
     o.max_messages = 150;
-    o.check_every = 50;
     o.max_sweeps = 1200;
     const auto s0 = solve_solution0(HapParams::paper_baseline(20.0), o);
     EXPECT_TRUE(s0.converged);
     EXPECT_EQ(s0.states, 161721u);
-    EXPECT_EQ(s0.sweeps, 100u);
+    // Ten sweep pairs, the first whose estimated error is below tol; the
+    // delay is 1.4e-8 off the golden.
+    EXPECT_EQ(s0.sweeps, 20u);
     expect_rel(s0.sigma, 0.4729644302903761, 1e-6);
     expect_rel(s0.mean_delay, 0.10469108709680705, 1e-6);
     expect_rel(s0.mean_rate, 8.0714699768936295, 1e-6);

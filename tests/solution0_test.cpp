@@ -13,6 +13,7 @@
 
 #include "core/hap.hpp"
 #include "core/lattice_sweep.hpp"
+#include "experiment/analytic.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/team.hpp"
@@ -282,6 +283,77 @@ TEST(LatticeSweep, TeamSweepBitEqualToSerial) {
     }
 }
 
+// E[z] and the throughput of `pi` summed in long double: a reference whose
+// own rounding is far below double's.
+detail::CheckMoments exact_moments(const LatticeGrid& g, const LatticeRates& r,
+                                   const std::vector<double>& pi) {
+    long double mean_z = 0.0L;
+    long double throughput = 0.0L;
+    for (std::size_t line = 0; line < g.nx * g.ny; ++line) {
+        const long double arr = static_cast<long double>(line % g.ny) * r.beta;
+        for (std::size_t z = 0; z < g.nz; ++z) {
+            const long double p = pi[line * g.nz + z];
+            mean_z += p * static_cast<long double>(z);
+            if (z < g.z_hi) throughput += p * arr;
+        }
+    }
+    return {static_cast<double>(mean_z), static_cast<double>(throughput)};
+}
+
+// The line moments a team sweep's projection leaves behind are the same
+// bytes at every block count. The check's (E[z], throughput) summed from
+// them are within 1e-14 of the exact sums, and so of measure_lattice's up to
+// that pass's own rounding: its one running sum over a flat 70k-state
+// lattice is 1.6e-14 off the exact E[z].
+void expect_moments_identical(const Box& b, hap::parallel::TeamLease& lease) {
+    const LatticeGrid g = detail::make_lattice_grid(b.x_lo, b.x_hi, b.y_hi, b.z_hi);
+    const LatticeRates r{b.x_lo != b.x_hi, 0.4, 0.2, 0.5, 0.5, 2.0, 10.0};
+    hap::sim::RandomStream rng(0x40e70000 + g.size());
+    std::vector<double> seed(g.size());
+    for (double& v : seed) v = rng.uniform(0.1, 1.0);
+    std::vector<double> marginal(g.nx * g.ny);
+    for (double& m : marginal) m = rng.uniform(0.0, 1.0) / static_cast<double>(marginal.size());
+    detail::LineMoments want;
+    for (std::size_t blocks = 1; blocks <= g.nx; ++blocks) {
+        std::vector<double> pi = seed;
+        detail::TeamSweep team;
+        team.lease = &lease;
+        for (int s = 1; s <= 4; ++s)
+            detail::sweep_and_project(g, r, marginal, pi, s % 2 == 1, blocks, team);
+        ASSERT_EQ(team.moments.z.size(), g.nx * g.ny);
+        ASSERT_EQ(team.moments.open.size(), g.nx * g.ny);
+        if (blocks > 1) {
+            EXPECT_EQ(std::memcmp(want.z.data(), team.moments.z.data(),
+                                  want.z.size() * sizeof(double)),
+                      0)
+                << blocks << " blocks, z_hi " << b.z_hi;
+            EXPECT_EQ(std::memcmp(want.open.data(), team.moments.open.data(),
+                                  want.open.size() * sizeof(double)),
+                      0)
+                << blocks << " blocks, z_hi " << b.z_hi;
+            continue;
+        }
+        want = team.moments;
+        const detail::CheckMoments got = detail::sum_line_moments(g, r, team.moments);
+        const detail::CheckMoments exact = exact_moments(g, r, pi);
+        const detail::LatticeObservables o = detail::measure_lattice(g, r, {true, true}, pi);
+        EXPECT_NEAR(got.mean_z, exact.mean_z, 1e-14 * exact.mean_z) << "z_hi " << b.z_hi;
+        EXPECT_NEAR(got.throughput, exact.throughput, 1e-14 * exact.throughput)
+            << "z_hi " << b.z_hi;
+        EXPECT_NEAR(got.mean_z, o.mean_z, 1e-13 * o.mean_z) << "z_hi " << b.z_hi;
+        EXPECT_NEAR(got.throughput, o.throughput, 1e-13 * o.throughput) << "z_hi " << b.z_hi;
+    }
+}
+
+TEST(LatticeSweep, ProjectionMomentsEqualAtEveryBlockCount) {
+    hap::parallel::TeamLease lease;
+    for (std::size_t z_hi : {0, 1, 64}) {
+        expect_moments_identical({0, 10, 12, z_hi}, lease);  // nx = 11: blocks 1..11
+        expect_moments_identical({3, 3, 7, z_hi}, lease);    // nx = 1
+    }
+    expect_moments_identical({0, 20, 50, 64}, lease);  // a sweep_analytic box
+}
+
 // The team-or-alone rule on synthetic costs, no clock: each job's side as
 // T (team) or A (alone), over `jobs` jobs of `size` that cost `team` on the
 // team and `alone` alone.
@@ -369,6 +441,77 @@ TEST(TeamPolicy, AnEmptyLeaseNeverGetsHelpers) {
     auto job = [&](std::size_t threads) { most = std::max(most, threads); };
     for (int i = 0; i < 200; ++i) EXPECT_FALSE(empty.run_timed(1, job));
     EXPECT_EQ(most, 1u);
+}
+
+// Solution 0's stop rule over a synthetic sequence of per-check changes, no
+// lattice: the index of the check it stops at, or the sequence's length.
+std::size_t stop_index(const std::vector<double>& changes, double tol) {
+    double prev = -1.0;
+    for (std::size_t i = 0; i < changes.size(); ++i) {
+        if (detail::stop_rule(changes[i], prev, tol).stop) return i;
+        prev = changes[i];
+    }
+    return changes.size();
+}
+
+std::vector<double> geometric(double first, double q, std::size_t n) {
+    std::vector<double> d(n);
+    for (std::size_t i = 0; i < n; ++i) d[i] = first * std::pow(q, static_cast<double>(i));
+    return d;
+}
+
+// The error left after check i of a contracting iteration: the sum of the
+// changes still to come.
+double tail(const std::vector<double>& d, std::size_t i) {
+    double sum = 0.0;
+    for (std::size_t j = d.size(); j-- > i + 1;) sum += d[j];
+    return sum;
+}
+
+TEST(StopRule, GeometricChangesStopAtTheFirstCheckWithinTol) {
+    // On geometric changes the estimate d q / (1 - q) is the error left
+    // exactly, so the rule stops at the first check where that error and
+    // the change itself are below tol, and not one check earlier.
+    const double tol = 1e-9;
+    for (const double q : {0.3, 0.99}) {
+        const std::vector<double> d = geometric(1e-3, q, 5000);
+        const std::size_t i = stop_index(d, tol);
+        ASSERT_LT(i, d.size()) << "q " << q;
+        ASSERT_GT(i, 0u) << "q " << q;
+        EXPECT_LT(tail(d, i), tol) << "q " << q;
+        EXPECT_LT(d[i], tol) << "q " << q;
+        EXPECT_GE(std::max(tail(d, i - 1), d[i - 1]), tol) << "q " << q;
+    }
+    // At q = 0.99 the error left is 99 times the change, so a change below
+    // tol is not enough: a rule on the change alone would stop at check
+    // 1375, this one waits until 1832.
+    const std::vector<double> slow = geometric(1e-3, 0.99, 5000);
+    std::size_t change_only = 0;
+    while (slow[change_only] >= tol) ++change_only;
+    EXPECT_EQ(change_only, 1375u);
+    EXPECT_EQ(stop_index(slow, tol), 1832u);
+}
+
+TEST(StopRule, GrowingOrConstantChangesNeverStop) {
+    // q >= 1: no contraction, no error estimate, however small the change.
+    const double tol = 1e-9;
+    EXPECT_EQ(stop_index(geometric(1e-14, 1.5, 40), tol), 40u);
+    // An iterate cycling between two states changes by the same amount at
+    // every check: q = 1.
+    EXPECT_EQ(stop_index(std::vector<double>(40, 1e-12), tol), 40u);
+    const detail::StopDecision s = detail::stop_rule(1e-12, 1e-12, tol);
+    EXPECT_FALSE(s.stop);
+    EXPECT_DOUBLE_EQ(s.residual, 1e-12);
+}
+
+TEST(StopRule, AnExactlyZeroChangeStops) {
+    // Nothing moved between two checks: the iterate is a fixed point.
+    const double tol = 1e-9;
+    EXPECT_EQ(stop_index({1e-3, 0.0, 1e-3}, tol), 1u);
+    EXPECT_EQ(stop_index({0.0}, tol), 0u);  // even without a contraction seen
+    EXPECT_LE(detail::stop_rule(0.0, 1e-3, tol).residual, 0.0);
+    // The first change has nothing to contract against: it never stops alone.
+    EXPECT_FALSE(detail::stop_rule(1e-20, -1.0, tol).stop);
 }
 
 TEST(Solution0, RejectsUnsupportedShapes) {
@@ -565,6 +708,72 @@ TEST(Solution0, AdaptiveMatchesFixedBox) {
     EXPECT_LE(ad.states, fixed.states);
     EXPECT_NEAR(ad.mean_delay, fixed.mean_delay, 1e-6 * fixed.mean_delay);
     EXPECT_NEAR(ad.utilization, fixed.utilization, 1e-6 * fixed.utilization);
+}
+
+// Every converged answer of `grid`, solved as `opts` sweep it, within 2 tol
+// of a tol = 1e-12 solve on the answer's own box.
+void expect_within_twice_tol(const std::vector<hap::experiment::AnalyticPoint>& grid,
+                             hap::experiment::AnalyticSweepOptions opts) {
+    opts.export_states = true;
+    const auto res = hap::experiment::run_analytic_sweep(grid, opts);
+    ASSERT_EQ(res.size(), grid.size());
+    const double tol = opts.solver.tol;
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        const Solution0Result& s = res[i].s0;
+        ASSERT_TRUE(s.converged) << grid[i].name;
+        Solution0Options tight;
+        tight.tol = 1e-12;
+        tight.max_users = s.state.x_hi;
+        tight.max_apps = s.state.y_hi;
+        tight.max_messages = s.state.z_hi;
+        const Solution0Result ref = solve_solution0(grid[i].params, tight);
+        ASSERT_TRUE(ref.converged) << grid[i].name;
+        ASSERT_EQ(ref.states, s.states) << grid[i].name;
+        EXPECT_NEAR(s.mean_delay, ref.mean_delay, 2.0 * tol * ref.mean_delay) << grid[i].name;
+        EXPECT_NEAR(s.mean_messages, ref.mean_messages, 2.0 * tol * ref.mean_messages)
+            << grid[i].name;
+    }
+}
+
+TEST(Solution0, StopRuleBoundsTheError) {
+    // Two Fig. 12 curves under the continuation settings of the analytic
+    // figure sweeps: the slowest contraction (mu'' = 17) and the fastest
+    // (mu'' = 28, two sweeps a point from a secant seed).
+    for (const double mu2 : {17.0, 28.0}) {
+        std::vector<hap::experiment::AnalyticPoint> grid;
+        for (int i = 0; i < 15; ++i) {
+            hap::experiment::AnalyticPoint pt;
+            pt.coord = 0.4 + 0.9 * i / 14.0;
+            pt.name = "mu=";
+            pt.name += std::to_string(mu2);
+            pt.name += " s=";
+            pt.name += std::to_string(pt.coord);
+            pt.params = HapParams::paper_baseline(mu2);
+            pt.params.user_arrival_rate *= pt.coord;
+            grid.push_back(pt);
+        }
+        hap::experiment::AnalyticSweepOptions opts;
+        opts.solver.tol = 1e-7;
+        opts.solver.max_users = 20;
+        opts.solver.max_apps = 50;
+        opts.solver.max_messages = 300;
+        expect_within_twice_tol(grid, opts);
+    }
+    // A slowly contracting model, about 300 sweeps a point.
+    std::vector<hap::experiment::AnalyticPoint> grid;
+    for (const double s : {0.8, 0.9, 1.0, 1.1, 1.2}) {
+        hap::experiment::AnalyticPoint pt;
+        pt.coord = s;
+        pt.name = "scale=";
+        pt.name += std::to_string(s);
+        pt.params = small_hap();
+        pt.params.user_arrival_rate *= s;
+        grid.push_back(pt);
+    }
+    hap::experiment::AnalyticSweepOptions opts;
+    opts.solver.tol = 1e-8;
+    opts.solver.max_messages = 120;
+    expect_within_twice_tol(grid, opts);
 }
 
 bool same_state(const Solution0Result& a, const Solution0Result& b) {

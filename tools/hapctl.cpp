@@ -161,7 +161,6 @@ int cmd_solve0(const cli::Flags& f) {
     o.max_sweeps = f.count("sweeps", 8000);
     o.tol = f.number("tol", 1e-8);
     o.verbose = f.has("verbose");
-    o.check_every = 100;
     o.budget = budget_from_flags(f);
     const auto s0 = solve_solution0(p, o);
     std::printf("Solution 0: delay %.5f s, sigma %.4f, utilization %.4f\n",
@@ -271,7 +270,6 @@ int cmd_sweep_analytic(const cli::Flags& f, bool metrics) {
     opts.solver.trunc_tol = f.number("trunc-tol", 1e-9);
     opts.solver.max_messages = f.count("zmax", 0);
     opts.solver.max_sweeps = f.count("sweeps", 8000);
-    opts.solver.check_every = 10;
     opts.solver.budget = budget_from_flags(f);
 
     experiment::JsonWriter json("hapctl_sweep_analytic");
@@ -551,7 +549,6 @@ int cmd_metrics_dump(const cli::Flags& f) {
         o.max_messages = f.count("zmax", 0);
         o.max_sweeps = f.count("sweeps", 8000);
         o.tol = 1e-8;
-        o.check_every = 100;
         (void)solve_solution0(p, o);
     }
     {
