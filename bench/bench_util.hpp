@@ -6,8 +6,9 @@
 //                      `HAP_BENCH_SCALE=10 ./fig18_busy_idle` approaches the
 //                      paper's multi-day runs while the default stays
 //                      laptop-friendly;
-//   HAP_BENCH_THREADS  (default: hardware concurrency) sizes the replication
-//                      pool — point estimates are bit-identical at any value;
+//   HAP_BENCH_THREADS  (default: the CPUs of the process's affinity mask)
+//                      sizes the replication pool — point estimates are
+//                      bit-identical at any value;
 //   HAP_BENCH_REPS     (default 8) independent replications per grid point,
 //                      from which the 95% confidence intervals are computed;
 //   --json PATH / HAP_BENCH_JSON=PATH  write machine-readable results in the

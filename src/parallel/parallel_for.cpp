@@ -1,5 +1,7 @@
 #include "parallel/parallel_for.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
@@ -55,11 +57,23 @@ std::string ParallelForError::describe(const std::vector<JobError>& errors) {
     return msg;
 }
 
+std::vector<int> usable_cpus() {
+    cpu_set_t mask;
+    CPU_ZERO(&mask);
+    std::vector<int> cpus;
+    if (sched_getaffinity(0, sizeof mask, &mask) != 0) return cpus;
+    for (int c = 0; c < CPU_SETSIZE; ++c)
+        if (CPU_ISSET(c, &mask)) cpus.push_back(c);
+    return cpus;
+}
+
 std::size_t env_threads() {
     if (const char* env = std::getenv("HAP_BENCH_THREADS")) {  // haplint: allow(env-after-spawn) phase-0: read at pool construction, before workers spawn
         const long v = std::atol(env);
         if (v > 0) return static_cast<std::size_t>(v);
     }
+    const std::size_t cpus = usable_cpus().size();
+    if (cpus > 0) return cpus;
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;
 }

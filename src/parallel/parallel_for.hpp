@@ -24,8 +24,13 @@
 
 namespace hap::parallel {
 
-// Worker count: HAP_BENCH_THREADS if set and positive, else the hardware
-// concurrency (at least 1).
+// The CPUs this process may run on (its affinity mask, as `taskset` sets
+// it), ascending; empty when the mask cannot be read.
+std::vector<int> usable_cpus();
+
+// Worker count: HAP_BENCH_THREADS if set and positive, else the number of
+// usable CPUs (the hardware concurrency if the mask cannot be read; at
+// least 1).
 std::size_t env_threads();
 
 // One failed job of a parallel_for: the job index and the exception it threw.

@@ -1,5 +1,8 @@
 #include "parallel/team.hpp"
 
+#include <pthread.h>
+#include <sched.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -8,13 +11,15 @@
 #include <thread>
 #include <vector>
 
+#include "parallel/parallel_for.hpp"
+
 namespace hap::parallel {
 
 namespace {
 
-// How long a Progress waiter spins before it starts yielding: far longer
-// than a neighbour block's step (a few microseconds), far shorter than the
-// time slice a preempted partner would otherwise wait out.
+// How long a waiter spins before it starts yielding: far longer than a
+// neighbour block's step (a few microseconds), far shorter than the time
+// slice a preempted partner would otherwise wait out.
 constexpr auto kSpinWait = std::chrono::microseconds(50);
 
 void cpu_relax() noexcept {
@@ -34,31 +39,46 @@ bool spin_for(std::chrono::microseconds limit, Pred pred) noexcept {
     }
 }
 
+// Spin for kSpinWait, then yield the CPU between looks until `deadline`;
+// true once pred() holds, false if the deadline passed first. A thread
+// that lands on a waiter's CPU gets it within a yield, not a time slice.
+template <typename Pred>
+bool wait_until(std::chrono::steady_clock::time_point deadline, Pred pred) noexcept {
+    if (spin_for(kSpinWait, pred)) return true;
+    while (!pred()) {
+        if (std::chrono::steady_clock::now() > deadline) return false;
+        std::this_thread::yield();
+    }
+    return true;
+}
+
 }  // namespace
 
 void Progress::wait_slow(std::uint32_t target) const noexcept {
-    const auto reached = [&] { return get() >= target; };
-    if (spin_for(kSpinWait, reached)) return;
-    while (!reached()) std::this_thread::yield();
+    wait_until(std::chrono::steady_clock::time_point::max(), [&] { return get() >= target; });
 }
 
 namespace {
 
-// How long a helper spins for its next job before it parks. It outlasts the
+// How long a helper waits for its next job before it parks. It outlasts the
 // gaps inside a solve (an observables check, a box growth with its
 // modulating-chain solve) and between the points of a continuation sweep,
 // so the helpers of a busy solver never park: waking a parked helper can
 // take longer than the ~0.2 ms sweep it is woken for, and with a 0.5 ms
-// spin the team sweep ran slower than one thread. A few ms after the last
-// job, the helpers park and cost nothing.
-constexpr auto kSpinFor = std::chrono::milliseconds(5);
+// wait the team sweep ran slower than one thread. The wait spins only its
+// first kSpinWait and yields the CPU after that: a pure 5 ms spin held the
+// CPU for a whole time slice against any thread the kernel put beside it,
+// the holder included, and every team sweep there cost ~8 ms. A few ms
+// after the last job, the helpers park and cost nothing.
+constexpr auto kIdleWait = std::chrono::milliseconds(5);
 
 class Team {
 public:
-    Team() {
-        const unsigned hw = std::thread::hardware_concurrency();
-        const std::size_t helpers = hw > 2 ? hw - 2 : 0;
+    Team() : cpus_(usable_cpus()), binding_(!cpus_.empty()) {
+        const std::size_t n = cpus_.empty() ? std::thread::hardware_concurrency() : cpus_.size();
+        const std::size_t helpers = n > 2 ? n - 2 : 0;
         slots_ = std::make_unique<Slot[]>(helpers);
+        helper_cpu_.assign(helpers, -1);
         threads_.reserve(helpers);
         for (std::size_t h = 0; h < helpers; ++h)
             threads_.emplace_back([this, h] { helper_loop(h); });
@@ -87,6 +107,7 @@ public:
     // that wakes a helper, and reads nothing back until every woken helper
     // has counted itself done.
     void run(std::size_t n, void (*fn)(void*, std::size_t), void* ctx) {
+        place();
         fn_ = fn;
         ctx_ = ctx;
         done_.set(0);
@@ -99,6 +120,47 @@ private:
     struct alignas(64) Slot {
         std::atomic<std::uint32_t> generation{0};
     };
+
+    // Keep each helper on a CPU of its own, off the holder's (team.hpp).
+    // Helpers bound once lose the gain as soon as the unbound holder
+    // settles on one of their CPUs, so a job that finds the holder on a new
+    // CPU first moves the helper it landed on to a CPU no thread of the
+    // team uses; there is one, as the team has a thread per CPU but one.
+    void place() noexcept {
+        if (!binding_) return;
+        const int cpu = sched_getcpu();
+        if (cpu < 0 || cpu == holder_cpu_) return;
+        holder_cpu_ = cpu;
+        for (std::size_t h = 0; h < helper_cpu_.size(); ++h) {
+            if (helper_cpu_[h] >= 0 && helper_cpu_[h] != cpu) continue;
+            const int spare = spare_cpu();
+            if (spare < 0 || !bind(h, spare)) {
+                for (std::size_t u = 0; u < helper_cpu_.size(); ++u) bind(u, -1);
+                binding_ = false;
+                return;
+            }
+            helper_cpu_[h] = spare;
+        }
+    }
+
+    // The first usable CPU that neither the holder nor a helper is on.
+    int spare_cpu() const noexcept {
+        for (const int c : cpus_) {
+            bool used = c == holder_cpu_;
+            for (const int b : helper_cpu_) used = used || b == c;
+            if (!used) return c;
+        }
+        return -1;
+    }
+
+    // Bind helper h to `cpu`, or to every usable CPU when cpu < 0.
+    bool bind(std::size_t h, int cpu) noexcept {
+        cpu_set_t mask;
+        CPU_ZERO(&mask);
+        for (const int c : cpus_)
+            if (cpu < 0 || c == cpu) CPU_SET(c, &mask);
+        return pthread_setaffinity_np(threads_[h].native_handle(), sizeof mask, &mask) == 0;
+    }
 
     void wake(std::size_t h) noexcept {
         slots_[h].generation.fetch_add(1, std::memory_order_release);
@@ -119,7 +181,8 @@ private:
     static std::uint32_t next_generation(const std::atomic<std::uint32_t>& generation,
                                          std::uint32_t seen) noexcept {
         const auto changed = [&] { return generation.load(std::memory_order_acquire) != seen; };
-        if (spin_for(kSpinFor, changed)) return generation.load(std::memory_order_acquire);
+        if (wait_until(std::chrono::steady_clock::now() + kIdleWait, changed))
+            return generation.load(std::memory_order_acquire);
         for (;;) {
             generation.wait(seen, std::memory_order_acquire);
             const std::uint32_t g = generation.load(std::memory_order_acquire);
@@ -134,6 +197,13 @@ private:
     void* ctx_ = nullptr;
     std::unique_ptr<Slot[]> slots_;
     std::vector<std::thread> threads_;
+    // Placement, the holder's alone: the usable CPUs, the holder's at the
+    // last job, each helper's (-1 until bound), and false once a bind has
+    // been refused.
+    const std::vector<int> cpus_;
+    int holder_cpu_ = -1;
+    std::vector<int> helper_cpu_;
+    bool binding_;
 };
 
 Team& team() {
@@ -159,7 +229,7 @@ bool TeamLease::run_timed_raw(std::size_t size, void (*job)(void*, std::size_t),
     Team& t = team();
     const bool use_team = t.policy.use_team(size);
     auto start = std::chrono::steady_clock::now();
-    if (use_team && start - t.last_job_end > kSpinFor) {
+    if (use_team && start - t.last_job_end > kIdleWait) {
         // Helpers idle this long may have parked, and waking one can take
         // milliseconds on a VM: a one-off cost, not the sweep's. Wake them
         // with an empty job before the clock starts.

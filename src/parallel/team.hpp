@@ -3,10 +3,22 @@
 // parallel_for spawns its workers per call, which is right for replications
 // (seconds of work per job) and far too slow for a loop that runs thousands
 // of times a second: the Solution 0 lattice sweep, a few hundred us each. The
-// team is the resident counterpart for that grain. It holds
-// hardware_concurrency - 2 helper threads, started on first use and kept for
-// the life of the process. A helper between jobs spins for a bounded time,
-// then parks on std::atomic::wait, so an idle team uses no CPU.
+// team is the resident counterpart for that grain. It holds one helper
+// thread per CPU of the process's affinity mask but two (so with the caller,
+// a thread per CPU but one), started on first use and kept for the life of
+// the process.
+//
+// Placement: each helper is bound to a CPU of its own, never the lease
+// holder's. Left to the kernel, the helpers often stack on the caller's CPU,
+// where a sweep whose threads wait on each other every few microseconds
+// runs at the speed of time slices. Each job reads the holder's CPU and
+// moves the helper it landed on, if any, to the spare CPU; where binding is
+// refused, the helpers run unbound.
+//
+// Idle wait: a helper between jobs spins 50 us, then yields its CPU between
+// looks until 5 ms have passed, then parks on std::atomic::wait, so an idle
+// team uses no CPU and a thread that lands on a helper's CPU waits
+// microseconds, not a time slice.
 //
 // One caller at a time leases the team (TeamLease). A caller that finds it
 // leased gets an empty lease and runs on its own thread, so concurrent

@@ -1,11 +1,13 @@
 // Dedicated tests for the Solution 0 solver (line relaxation + marginal
 // projection on the (x, y, z) lattice).
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstddef>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -441,6 +443,56 @@ TEST(TeamPolicy, AnEmptyLeaseNeverGetsHelpers) {
     auto job = [&](std::size_t threads) { most = std::max(most, threads); };
     for (int i = 0; i < 200; ++i) EXPECT_FALSE(empty.run_timed(1, job));
     EXPECT_EQ(most, 1u);
+}
+
+// Where the team's threads run, read inside each job: the helpers on CPUs
+// of their own, none on the CPU the holder started the job on. A job whose
+// holder moved between the two reads says nothing and is not counted.
+TEST(Team, HelpersRunAwayFromTheCallerOnDistinctCpus) {
+    hap::parallel::TeamLease lease;
+    if (!lease.held()) GTEST_SKIP() << "the team is leased elsewhere";
+    const std::size_t n = lease.threads();
+    if (n < 2 || hap::parallel::usable_cpus().size() < n)
+        GTEST_SKIP() << "fewer usable CPUs than team threads";
+    std::vector<int> cpu(n);
+    auto job = [&](std::size_t w) { cpu[w] = sched_getcpu(); };
+    int checked = 0;
+    for (int i = 0; i < 400; ++i) {
+        const int holder = sched_getcpu();
+        lease.run(n, job);
+        if (cpu[0] != holder) continue;
+        ++checked;
+        std::string where;
+        for (std::size_t w = 0; w < n; ++w) {
+            where += ' ';
+            where += std::to_string(cpu[w]);
+        }
+        for (std::size_t a = 1; a < n; ++a) {
+            EXPECT_NE(cpu[a], holder) << "job " << i << ", CPUs" << where;
+            for (std::size_t b = a + 1; b < n; ++b)
+                EXPECT_NE(cpu[a], cpu[b]) << "job " << i << ", CPUs" << where;
+        }
+        if (HasFailure()) return;
+    }
+    EXPECT_GT(checked, 200);
+}
+
+// The team is sized at its first use, so the check runs in a child process
+// that narrows its own affinity mask to one CPU before that.
+TEST(Team, SizedFromTheAffinityMask) {
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_EXIT(
+        {
+            cpu_set_t one;
+            CPU_ZERO(&one);
+            CPU_SET(sched_getcpu(), &one);
+            if (sched_setaffinity(0, sizeof one, &one) != 0) std::exit(2);
+            const hap::parallel::TeamLease lease;
+            const bool one_thread = hap::parallel::usable_cpus().size() == 1 &&
+                                    lease.held() && lease.threads() == 1;
+            std::exit(one_thread ? 0 : 1);
+        },
+        ::testing::ExitedWithCode(0), "");
 }
 
 // Solution 0's stop rule over a synthetic sequence of per-check changes, no
