@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 
 namespace hap::core::detail {
 
@@ -378,6 +379,43 @@ void project_marginal(const LatticeGrid& g, const std::vector<double>& marginal,
     project_lines(g.nz, marginal.data(), pi.data(), 0, g.nx * g.ny, moments);
 }
 
+LatticeObservables read_observables(const LatticeGrid& g, const LatticeRates& r,
+                                    TruncationCuts cuts, const std::vector<double>& marginal,
+                                    const LineMoments& m, const std::vector<double>& pi,
+                                    double scale) {
+    const std::size_t last = g.z_hi;
+    LatticeObservables o;
+    std::size_t line = 0;
+    for (std::size_t x = g.x_lo; x <= g.x_hi; ++x) {
+        const double xd = static_cast<double>(x);
+        for (std::size_t y = 0; y <= g.y_hi; ++y, ++line) {
+            const double yd = static_cast<double>(y);
+            const double arr = yd * r.beta;
+            const double mass = marginal[line] * scale;
+            const double open = m.open[line] * scale;  // z < z_hi
+            const double p0 = pi[line * g.nz];
+            const double p_last = pi[line * g.nz + last];
+            const bool top_y = y == g.y_hi;
+            const bool face = (cuts.x && x == g.x_hi) || (cuts.y && top_y);
+            o.mean_z += m.z[line] * scale;
+            o.mean_x += mass * xd;
+            o.mean_y += mass * yd;
+            o.throughput = std::fma(open, arr, o.throughput);
+            if (last > 0) {  // z = 0 is idle; 0 < z < z_hi also accepts arrivals
+                o.busy += mass - p0;
+                o.sigma_num = std::fma(open - p0, arr, o.sigma_num);
+            }
+            // A face line lies wholly on the truncation faces, any other
+            // line only at z = z_hi.
+            o.boundary += face ? mass : p_last;
+            if (top_y) o.boundary_y += mass;
+            o.boundary_z += p_last;
+        }
+    }
+    o.sigma_den = o.throughput;
+    return o;
+}
+
 CheckMoments sum_line_moments(const LatticeGrid& g, const LatticeRates& r,
                               const LineMoments& m) {
     CheckMoments c;
@@ -401,6 +439,128 @@ StopDecision stop_rule(double change, double prev_change, double tol) noexcept {
 
 std::size_t sweep_blocks(std::size_t nx, std::size_t threads) noexcept {
     return std::clamp<std::size_t>(nx / kMinBlockWidth, 1, std::max<std::size_t>(threads, 1));
+}
+
+void project_marginal(const LatticeGrid& g, const std::vector<double>& marginal,
+                      std::vector<double>& pi, std::size_t threads, TeamSweep& team) {
+    fit_moments(team.moments, g.nx * g.ny);
+    const std::size_t parts = team.lease != nullptr
+                                  ? std::clamp<std::size_t>(threads, 1, team.lease->threads())
+                                  : 1;
+    auto work = [&](std::size_t w) {
+        project_lines(g.nz, marginal.data(), pi.data(), w * g.nx / parts * g.ny,
+                      (w + 1) * g.nx / parts * g.ny, &team.moments);
+    };
+    if (parts == 1)
+        work(0);
+    else
+        team.lease->run(parts, work);
+}
+
+namespace {
+
+// Cells of line (x, y) that box `b` holds, at most nz; none when the line
+// is outside it.
+std::size_t line_cells(const LatticeGrid& b, std::size_t x, std::size_t y, std::size_t nz) {
+    if (x < b.x_lo || x > b.x_hi || y > b.y_hi) return 0;
+    return std::min(b.nz, nz);
+}
+
+// Lay out the seed's lines in x columns [xi_begin, xi_end), each line as
+// runs of cells by which of the boxes hold them. The secant step is one
+// fused multiply-add, as the remap-then-extrapolate seed it replaced was
+// compiled (GCC, -O3 -march=native); a cell that neither state holds steps
+// to max(0, 0) = 0 and is left to the zero fill.
+void lay_out_seed(const LatticeGrid& g, const LatticeSeed& s, const double* profile,
+                  double* pi, std::size_t xi_begin, std::size_t xi_end) {
+    const auto step = [theta = s.theta](double w, double p) {
+        return std::max(0.0, std::fma(theta, w - p, w));
+    };
+    for (std::size_t xi = xi_begin; xi < xi_end; ++xi) {
+        const std::size_t x = g.x_lo + xi;
+        for (std::size_t y = 0; y <= g.y_hi; ++y) {
+            double* d = pi + g.idx(x, y, 0);
+            if (s.warm == nullptr) {
+                std::copy(profile, profile + g.nz, d);
+                continue;
+            }
+            const std::size_t keep = line_cells(s.box, x, y, g.nz);
+            const std::size_t nw = std::min(keep, line_cells(s.warm_box, x, y, g.nz));
+            const double* w = nw > 0 ? s.warm->data() + s.warm_box.idx(x, y, 0) : nullptr;
+            std::size_t z = 0;
+            if (s.prev == nullptr) {
+                for (; z < nw; ++z) d[z] = w[z];
+            } else {
+                const std::size_t np = std::min(keep, line_cells(s.prev_box, x, y, g.nz));
+                const double* p = np > 0 ? s.prev->data() + s.prev_box.idx(x, y, 0) : nullptr;
+                for (; z < std::min(nw, np); ++z) d[z] = step(w[z], p[z]);
+                for (; z < nw; ++z) d[z] = step(w[z], 0.0);
+                for (; z < np; ++z) d[z] = step(0.0, p[z]);
+            }
+            for (; z < g.nz; ++z) d[z] = 0.0;
+        }
+    }
+}
+
+}  // namespace
+
+void seed_lattice_raw(const LatticeGrid& g, const LatticeSeed& s, std::vector<double>& pi,
+                      std::size_t threads, parallel::TeamLease* lease, void (*beside)(void*),
+                      void* ctx) {
+    // Nothing to carry over, as every cell is written below; but a resize
+    // zero-fills, which costs about a quarter of a chain solve.
+    const auto size = [&] {
+        if (pi.size() == g.size()) return;
+        pi.clear();
+        pi.resize(g.size());
+    };
+    std::vector<double> profile;
+    if (s.warm == nullptr) {
+        profile.resize(g.nz);
+        double zt = 1.0;
+        for (double& v : profile) {
+            v = zt;
+            zt *= s.sigma;
+        }
+    }
+    const std::size_t n =
+        lease != nullptr ? std::clamp<std::size_t>(threads, 1, lease->threads()) : 1;
+    const auto columns = [&](std::size_t part, std::size_t parts) {
+        lay_out_seed(g, s, profile.data(), pi.data(), part * g.nx / parts,
+                     (part + 1) * g.nx / parts);
+    };
+    if (n == 1) {
+        if (beside != nullptr) beside(ctx);
+        size();
+        columns(0, 1);
+        return;
+    }
+    // The first thread that lays out columns sizes pi, so beside() runs
+    // alongside that too, and the others start once it has. The team must
+    // not see a throw (TeamLease::run): the holder's is kept until every
+    // helper has returned.
+    const std::size_t first = beside != nullptr ? 1 : 0;
+    parallel::Progress sized;
+    std::exception_ptr thrown;
+    auto work = [&](std::size_t w) {
+        if (w < first) {
+            try {
+                beside(ctx);
+            } catch (...) {
+                thrown = std::current_exception();
+            }
+            return;
+        }
+        if (w == first) {
+            size();
+            sized.set(1);
+        } else {
+            sized.wait_at_least(1);
+        }
+        columns(w - first, n - first);
+    };
+    lease->run(n, work);
+    if (thrown) std::rethrow_exception(thrown);
 }
 
 // Block b holds x columns [b * nx / blocks, (b + 1) * nx / blocks). Worker w

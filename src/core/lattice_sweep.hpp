@@ -1,9 +1,11 @@
 // Internal: the Solution 0 lattice kernels. One line-relaxation sweep over
 // the (x, y, z) lattice — Gauss-Seidel over (x, y) lines, an exact tridiagonal
-// (Thomas) solve along each z line — the observables pass, the marginal
-// projection with the line moments it leaves behind, and the stop rule that
-// reads them. Shared by solution0.cpp and the tests that pin them against
-// their plain reference forms; not part of the public solver surface.
+// (Thomas) solve along each z line — the seed pass that lays a box's first
+// iterate out, the marginal projection with the line moments it leaves
+// behind, the stop rule and the read-out of the observables that use them,
+// and the observables pass over every state that the read-out is checked
+// against. Shared by solution0.cpp and the tests that pin them against their
+// plain reference forms; not part of the public solver surface.
 #pragma once
 
 #include <cstddef>
@@ -76,7 +78,8 @@ struct LatticeObservables {
 };
 
 // Moments, message throughput, the sigma sums and the shell masses of `pi`,
-// all summed in lattice order.
+// all summed in lattice order: a pass over every state. A solve reads its
+// answer with read_observables instead; this pass is that read-out's oracle.
 LatticeObservables measure_lattice(const LatticeGrid& g, const LatticeRates& r,
                                    TruncationCuts cuts, const std::vector<double>& pi);
 
@@ -112,6 +115,18 @@ struct CheckMoments {
 CheckMoments sum_line_moments(const LatticeGrid& g, const LatticeRates& r,
                               const LineMoments& m);
 
+// The observables of a lattice as the marginal projection leaves it, read in
+// O(lines) from what the projection already knows: each line's moments `m`,
+// its mass (the marginal), and its two end states pi[z = 0] and pi[z_hi].
+// `scale` multiplies the moments and the marginal, for a `pi` rescaled since
+// that projection (pi itself is read as it is). E[z] and the throughput are
+// sum_line_moments' bytes when scale is 1, boundary_z is measure_lattice's
+// bytes, and every other field agrees with measure_lattice's to rounding.
+LatticeObservables read_observables(const LatticeGrid& g, const LatticeRates& r,
+                                    TruncationCuts cuts, const std::vector<double>& marginal,
+                                    const LineMoments& m, const std::vector<double>& pi,
+                                    double scale);
+
 // Solution 0's stop rule. `change` is the relative change of (delay, E[z])
 // since the last check, `prev_change` the one before it (< 0: none yet).
 // Their ratio q estimates the contraction, and change * q / (1 - q) the
@@ -144,6 +159,52 @@ struct TeamSweep {
     std::vector<BlockProgress> progress;
     LineMoments moments;
 };
+
+// project_marginal with the lines split by x-columns over `threads` threads
+// of team.lease (clamped to what it has), writing team.moments: the same
+// bytes as project_marginal at any thread count.
+void project_marginal(const LatticeGrid& g, const std::vector<double>& marginal,
+                      std::vector<double>& pi, std::size_t threads, TeamSweep& team);
+
+// What a box's first iterate is laid out from, before the marginal
+// projection pins its line masses. With `warm`, a solved lattice on
+// `warm_box`: cells the two boxes share are copied, and with `prev` (the
+// solve before warm's, on `prev_box`) and theta > 0 each becomes the clamped
+// secant step max(0, w + theta (w - p)), a missing cell counting as 0. Cells
+// outside `box` (the box the seed was first laid out on, when the box has
+// grown in y since) are zero, as if that seed had been zero-padded. Without
+// `warm`, every line starts as the geometric profile sigma^z.
+struct LatticeSeed {
+    const std::vector<double>* warm = nullptr;
+    LatticeGrid warm_box{};
+    const std::vector<double>* prev = nullptr;
+    LatticeGrid prev_box{};
+    double theta = 0.0;
+    LatticeGrid box{};
+    double sigma = 0.0;
+};
+
+void seed_lattice_raw(const LatticeGrid& g, const LatticeSeed& s, std::vector<double>& pi,
+                      std::size_t threads, parallel::TeamLease* lease, void (*beside)(void*),
+                      void* ctx);
+
+// Lay the seed `s` of box `g` out in `pi` (resized to g), every state in
+// one pass, split by x-columns over `threads` threads of `lease` (clamped to
+// what it has; null: the calling thread). With `beside`, the lease holder
+// runs beside() meanwhile and only the helpers lay out columns (alone: first
+// beside(), then every column). A throw from beside() is rethrown once the
+// helpers are done. `pi` is the same bytes at any thread count.
+template <typename Beside>
+void seed_lattice(const LatticeGrid& g, const LatticeSeed& s, std::vector<double>& pi,
+                  std::size_t threads, parallel::TeamLease* lease, Beside& beside) {
+    seed_lattice_raw(
+        g, s, pi, threads, lease, [](void* ctx) { (*static_cast<Beside*>(ctx))(); }, &beside);
+}
+
+inline void seed_lattice(const LatticeGrid& g, const LatticeSeed& s, std::vector<double>& pi,
+                         std::size_t threads, parallel::TeamLease* lease) {
+    seed_lattice_raw(g, s, pi, threads, lease, nullptr, nullptr);
+}
 
 // One sweep and then the marginal projection, with the box split into
 // `blocks` contiguous x-blocks (clamped to [1, nx]) that run at once on the

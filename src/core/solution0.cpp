@@ -21,8 +21,8 @@ namespace hap::core {
 namespace {
 
 using detail::make_lattice_grid;
-using detail::measure_lattice;
 using detail::project_marginal;
+using detail::read_observables;
 using detail::TeamSweep;
 using Grid = detail::LatticeGrid;
 using Rates = detail::LatticeRates;
@@ -40,32 +40,13 @@ Cuts box_cuts(const Grid& g, const HapParams& p) {
             p.max_apps == 0 || g.y_hi < p.max_apps};
 }
 
-void normalize(std::vector<double>& pi) {
+// Scale `pi` to unit mass; returns the factor.
+double normalize(std::vector<double>& pi) {
     double total = 0.0;
     for (double v : pi) total += v;
     const double inv = 1.0 / total;
     for (double& v : pi) v *= inv;
-}
-
-// Zero-pad / crop a lattice from one box onto another: overlapping
-// (x, y, z) cells are copied, everything else starts at zero. The
-// project_marginal pass that follows repairs the line masses against the new
-// box's exact modulating marginal, so a grown (or neighboring sweep point's)
-// box starts from the previous solution instead of the geometric cold-start
-// profile.
-void remap_state(const std::vector<double>& src, const Grid& from, const Grid& to,
-                 std::vector<double>& dst) {
-    dst.assign(to.size(), 0.0);
-    const std::size_t x0 = std::max(from.x_lo, to.x_lo);
-    const std::size_t y1 = std::min(from.y_hi, to.y_hi);
-    const std::size_t z1 = std::min(from.z_hi, to.z_hi);
-    for (std::size_t x = x0; x <= std::min(from.x_hi, to.x_hi); ++x) {
-        for (std::size_t y = 0; y <= y1; ++y) {
-            const double* s = src.data() + from.idx(x, y, 0);
-            double* d = dst.data() + to.idx(x, y, 0);
-            for (std::size_t z = 0; z <= z1; ++z) d[z] = s[z];
-        }
-    }
+    return inv;
 }
 
 // Mass of the y == y_hi lines under the modulating marginal, which is every
@@ -98,19 +79,20 @@ struct CheckHistory {
 // observables (delay, E[z]) drops below `tol`, or the sweep budget runs out.
 // A check follows every forward + reverse pair, and a `seeded` box with no
 // history also checks its projected seed before the first sweep. A check
-// reads the line moments the last projection left in `team`; measure_lattice
-// runs once, when the pass ends. Continues from the current content of `pi`
-// and of `hist`, so callers can chain calls — a loose coarse solve, then a
-// tight one on the same box — without restarting the iteration or its
-// convergence history.
+// reads the line moments the last projection left in `team`, and so does the
+// read-out of the observables when the pass ends. Continues from the current
+// content of `pi` and of `hist`, so callers can chain calls — a loose coarse
+// solve, then a tight one on the same box — without restarting the iteration
+// or its convergence history.
 BoxSolve solve_box(const Grid& g, const Rates& r, Cuts cuts,
                    const std::vector<double>& marginal, std::vector<double>& pi, double tol,
                    std::size_t max_sweeps, bool seeded, const char* pass, bool verbose,
                    TeamSweep& team, const WallDeadline& deadline, CheckHistory& hist) {
     BoxSolve out;
     const auto loop_start = std::chrono::steady_clock::now();
-    const auto finish = [&] {
-        out.obs = measure_lattice(g, r, cuts, pi);
+    // `scale`: what pi was multiplied by since the last projection.
+    const auto finish = [&](double scale) {
+        out.obs = read_observables(g, r, cuts, marginal, team.moments, pi, scale);
         out.sweep_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                                     loop_start)
                           .count();
@@ -161,17 +143,16 @@ BoxSolve solve_box(const Grid& g, const Rates& r, Cuts cuts,
             out.sweeps = s;
             if (check(s)) {
                 out.converged = true;
-                return finish();
+                return finish(1.0);
             }
             if (deadline.expired()) {
                 out.deadline_hit = true;
-                return finish();
+                return finish(1.0);
             }
         }
     }
     out.sweeps = max_sweeps;
-    normalize(pi);
-    return finish();
+    return finish(normalize(pi));
 }
 
 }  // namespace
@@ -276,31 +257,33 @@ Solution0Result solve_solution0(const HapParams& params, const Solution0Options&
         return res;
     }
 
-    std::vector<double> pi;
-    bool have_seed = false;
+    // What each box's first iterate is laid out from (detail::LatticeSeed):
+    // a warm state, which the neighboring sweep point demonstrably needed,
+    // else a geometric queue profile at the offered load on every line (the
+    // paper started from uniform); after a z growth, the coarse iterate. The
+    // marginal projection that follows scales each line to its exact mass.
+    detail::LatticeSeed seed;
+    seed.sigma = std::min(0.95, rho);
     if (opts.warm != nullptr && !opts.warm->empty()) {
-        const Grid from = make_lattice_grid(opts.warm->x_lo, opts.warm->x_hi,
-                                            opts.warm->y_hi, opts.warm->z_hi);
-        remap_state(opts.warm->pi, from, g, pi);
+        seed.warm = &opts.warm->pi;
+        seed.warm_box = make_lattice_grid(opts.warm->x_lo, opts.warm->x_hi, opts.warm->y_hi,
+                                          opts.warm->z_hi);
         // Secant prediction: extrapolate along the sweep parameter from the
         // two previous converged states. The clamp keeps the seed in the
-        // nonnegative cone; the marginal projection below restores exact
-        // line masses.
+        // nonnegative cone; the projection restores exact line masses.
         if (opts.warm_prev != nullptr && !opts.warm_prev->empty() &&
             std::isfinite(opts.warm_step) && opts.warm_step > 0.0) {
-            const double theta = std::min(opts.warm_step, 4.0);
-            const Grid pfrom =
-                make_lattice_grid(opts.warm_prev->x_lo, opts.warm_prev->x_hi,
-                                  opts.warm_prev->y_hi, opts.warm_prev->z_hi);
-            std::vector<double> prev;
-            remap_state(opts.warm_prev->pi, pfrom, g, prev);
-            for (std::size_t i = 0; i < pi.size(); ++i)
-                pi[i] = std::max(0.0, pi[i] + theta * (pi[i] - prev[i]));
+            seed.prev = &opts.warm_prev->pi;
+            seed.prev_box = make_lattice_grid(opts.warm_prev->x_lo, opts.warm_prev->x_hi,
+                                              opts.warm_prev->y_hi, opts.warm_prev->z_hi);
+            seed.theta = std::min(opts.warm_step, 4.0);
         }
-        have_seed = true;
+        seed.box = g;
         res.warm_started = true;
         if (obs::enabled()) obs::registry().add_counter("solution0.warm_starts");
     }
+    std::vector<double> pi;
+    std::vector<double> iterate;  // the last box's, while it seeds a z growth
 
     // One team lease for every box and check of this solve. A box too
     // narrow to split leaves the team alone; a solve that finds it leased
@@ -327,18 +310,12 @@ Solution0Result solve_solution0(const HapParams& params, const Solution0Options&
     double sweep_s_total = 0.0;        // kernel-loop wall time across boxes
     std::uint64_t state_updates = 0;  // sum of sweeps * box states
     BoxSolve fin;
-    // Move to the grown box `ng`, carrying a seeded iterate over. A growth
-    // that would blow max_states is refused and flagged; the solve goes on
-    // on the current box.
+    // Move to the grown box `ng`. A growth that would blow max_states is
+    // refused and flagged; the solve goes on on the current box.
     const auto grow = [&](const Grid& ng) {
         if (opts.budget.states_exceeded(ng.size())) {
             res.budget_exhausted = true;
             return false;
-        }
-        if (have_seed) {
-            std::vector<double> grown;
-            remap_state(pi, g, ng, grown);
-            pi.swap(grown);
         }
         g = ng;
         ++res.box_growths;
@@ -346,52 +323,49 @@ Solution0Result solve_solution0(const HapParams& params, const Solution0Options&
         return true;
     };
     while (true) {
-        // Exact stationary law of the modulating (x, y) chain on this box;
-        // LumpedChain uses the identical (x - x_lo) * ny + y indexing.
+        // The box's set-up, off the sweeps' critical path: the team's helpers
+        // lay the seed out while the lease holder builds and solves the
+        // modulating (x, y) chain, whose exact stationary law LumpedChain
+        // indexes as (x - x_lo) * ny + y, like the lattice lines. Then the
+        // whole team projects. These jobs run where the team's policy would
+        // run a sweep, untimed.
+        const std::size_t threads = lease.prefers_team() ? lease.threads() : 1;
         if (marginal_y != g.y_hi) {
-            ChainBounds mb;
-            mb.max_users = g.x_hi;
-            mb.max_apps_total = g.y_hi;
-            marginal = LumpedChain(params, mb, mod_arena).stationary(mod_tol).pi;
+            auto solve_marginal = [&] {
+                ChainBounds mb;
+                mb.max_users = g.x_hi;
+                mb.max_apps_total = g.y_hi;
+                marginal = LumpedChain(params, mb, mod_arena).stationary(mod_tol).pi;
+            };
+            detail::seed_lattice(g, seed, pi, threads, &lease, solve_marginal);
             marginal_y = g.y_hi;
+        } else {
+            detail::seed_lattice(g, seed, pi, threads, &lease);
         }
 
         // The projection pins every line's mass to the marginal, so the
         // y == y_hi shell's mass is known before any sweep: grow y on the
-        // marginal alone, and leave only z to the coarse passes.
+        // marginal alone (the seed is laid out afresh on the grown box), and
+        // leave only z to the coarse passes.
         if (opts.adaptive && g.y_hi < cap.y_hi &&
             y_shell_mass(g, marginal) >= opts.trunc_tol &&
             grow(make_lattice_grid(g.x_lo, g.x_hi, std::min(cap.y_hi, (g.y_hi * 3) / 2 + 1),
                                    g.z_hi)))
             continue;
 
-        if (!have_seed) {
-            // Initial guess: a geometric queue profile at the offered load
-            // on every line (the paper started from uniform); the marginal
-            // projection below scales each line to its exact mass.
-            pi.assign(g.size(), 0.0);
-            const double sigma0 = std::min(0.95, rho);
-            for (std::size_t line = 0; line < g.nx * g.ny; ++line) {
-                double zt = 1.0;
-                double* cur = pi.data() + line * g.nz;
-                for (std::size_t z = 0; z < g.nz; ++z) {
-                    cur[z] = zt;
-                    zt *= sigma0;
-                }
-            }
-        }
-
         const Cuts cuts = box_cuts(g, params);
-        project_marginal(g, marginal, pi, &team.moments);
+        project_marginal(g, marginal, pi, threads, team);
+        std::vector<double>().swap(iterate);  // laid out: free the last box's
 
         std::size_t budget = max_sweeps_eff - total_sweeps;
         if (budget == 0) {
-            normalize(pi);
-            fin.obs = measure_lattice(g, r, cuts, pi);
+            const double scale = normalize(pi);
+            fin.obs = read_observables(g, r, cuts, marginal, team.moments, pi, scale);
             fin.converged = false;
             break;
         }
 
+        const bool seeded = seed.warm != nullptr;  // not the cold profile
         CheckHistory hist;
         if (opts.adaptive && g.z_hi < cap.z_hi) {
             // Coarse pass: settle the observables loosely, then read the
@@ -399,7 +373,7 @@ Solution0Result solve_solution0(const HapParams& params, const Solution0Options&
             // that still needs growing never pays for a tight solve.
             const double coarse_tol = std::max(opts.tol, 1e-6);
             const BoxSolve b = solve_box(g, r, cuts, marginal, pi, coarse_tol, budget,
-                                         have_seed, "coarse", opts.verbose, team, deadline,
+                                         seeded, "coarse", opts.verbose, team, deadline,
                                          hist);
             total_sweeps += b.sweeps;
             sweep_s_total += b.sweep_s;
@@ -408,10 +382,15 @@ Solution0Result solve_solution0(const HapParams& params, const Solution0Options&
                 fin = b;
                 break;
             }
-            have_seed = true;  // the coarse iterate seeds what follows
+            const Grid from = g;
             if (b.obs.boundary_z >= opts.trunc_tol &&
-                grow(make_lattice_grid(g.x_lo, g.x_hi, g.y_hi, std::min(cap.z_hi, g.z_hi * 2))))
+                grow(make_lattice_grid(g.x_lo, g.x_hi, g.y_hi,
+                                       std::min(cap.z_hi, g.z_hi * 2)))) {
+                // The coarse iterate seeds the grown box.
+                pi.swap(iterate);
+                seed = {.warm = &iterate, .warm_box = from, .box = from};
                 continue;
+            }
             // The z shell is below trunc_tol (or max_states refused its
             // growth): this box is final. Its coarse pass may have settled
             // to opts.tol already; otherwise tighten, continuing from the
@@ -423,7 +402,7 @@ Solution0Result solve_solution0(const HapParams& params, const Solution0Options&
             }
         }
 
-        fin = solve_box(g, r, cuts, marginal, pi, opts.tol, budget, have_seed, "final",
+        fin = solve_box(g, r, cuts, marginal, pi, opts.tol, budget, seeded, "final",
                         opts.verbose, team, deadline, hist);
         total_sweeps += fin.sweeps;
         sweep_s_total += fin.sweep_s;

@@ -32,7 +32,6 @@ public:
     Type type() const noexcept { return type_; }
     bool is_null() const noexcept { return type_ == Type::Null; }
     bool is_object() const noexcept { return type_ == Type::Object; }
-    bool is_array() const noexcept { return type_ == Type::Array; }
     bool is_string() const noexcept { return type_ == Type::String; }
     bool is_bool() const noexcept { return type_ == Type::Bool; }
     bool is_number() const noexcept {

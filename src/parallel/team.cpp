@@ -221,6 +221,10 @@ TeamLease::~TeamLease() {
     if (held_) team().give_back();
 }
 
+bool TeamLease::prefers_team() const noexcept {
+    return threads_ > 1 && team().policy.prefers_team();
+}
+
 bool TeamLease::run_timed_raw(std::size_t size, void (*job)(void*, std::size_t), void* ctx) {
     if (threads_ == 1) {
         job(ctx, 1);

@@ -137,6 +137,11 @@ public:
     // Threads run() may use: the helpers plus the caller, 1 when empty.
     std::size_t threads() const noexcept { return threads_; }
 
+    // Whether the team's TeamPolicy currently prefers the team to one
+    // thread: false when the lease is empty or the team has no helpers. For
+    // untimed jobs that follow the policy's choice without feeding it.
+    bool prefers_team() const noexcept;
+
     // Run job(t) once on the calling thread, with t = threads() or 1,
     // whichever the team's TeamPolicy picks for jobs of `size`, and time it
     // for the policy (after waking helpers that may have parked, so a

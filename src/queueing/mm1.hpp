@@ -48,7 +48,6 @@ struct Mm1K {
 
     Mm1K(double arrival_rate, double service_rate, unsigned k);
 
-    double utilization_offered() const noexcept { return lambda / mu; }
     // P(n in system), n in [0, K].
     double p_n(unsigned n) const;
     // Blocking probability = P(K).

@@ -9,6 +9,7 @@
 #include <cstddef>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -354,6 +355,323 @@ TEST(LatticeSweep, ProjectionMomentsEqualAtEveryBlockCount) {
         expect_moments_identical({3, 3, 7, z_hi}, lease);    // nx = 1
     }
     expect_moments_identical({0, 20, 50, 64}, lease);  // a sweep_analytic box
+}
+
+// The serial seed the team seed pass replaced, its oracle: each state
+// zero-padded / cropped onto the box, one clamped secant step over every
+// cell, then the marginal projection. The std::fma marks the multiply-add
+// the shipped build (GCC, -O3 -march=native) fuses.
+void reference_remap(const std::vector<double>& src, const LatticeGrid& from,
+                     const LatticeGrid& to, std::vector<double>& dst) {
+    dst.assign(to.size(), 0.0);
+    const std::size_t y1 = std::min(from.y_hi, to.y_hi);
+    const std::size_t z1 = std::min(from.z_hi, to.z_hi);
+    const std::size_t x1 = std::min(from.x_hi, to.x_hi);
+    for (std::size_t x = std::max(from.x_lo, to.x_lo); x <= x1; ++x)
+        for (std::size_t y = 0; y <= y1; ++y)
+            for (std::size_t z = 0; z <= z1; ++z)
+                dst[to.idx(x, y, z)] = src[from.idx(x, y, z)];
+}
+
+// A lattice on box `b` with values in [0, 1): some cells of one state
+// below the other's, so the secant step clamps.
+std::vector<double> random_state(const LatticeGrid& b, std::uint64_t seed) {
+    hap::sim::RandomStream rng(seed);
+    std::vector<double> pi(b.size());
+    for (double& v : pi) v = rng.uniform(0.0, 1.0);
+    return pi;
+}
+
+struct SeedCase {
+    Box warm;      // the warm state's box; z_hi = 0 with x_hi < x_lo: cold start
+    Box prev;      // the secant's earlier state; x_hi < x_lo: none
+    Box first;     // the box the seed is laid out on first
+    Box target;    // the box it is laid out on at last (first, grown in y or z)
+    double theta;
+};
+
+LatticeGrid grid_of(const Box& b) {
+    return detail::make_lattice_grid(b.x_lo, b.x_hi, b.y_hi, b.z_hi);
+}
+
+// The seed of `c` and its projection, through seed_lattice and the team
+// projection at every thread count the lease has (beside a side job at
+// every other count) and through the serial oracle: identical lattices and
+// line moments.
+void expect_seed_identical(const SeedCase& c, hap::parallel::TeamLease& lease) {
+    const bool cold = c.warm.x_hi < c.warm.x_lo;
+    const bool secant = !cold && c.prev.x_hi >= c.prev.x_lo;
+    const LatticeGrid first = grid_of(c.first);
+    const LatticeGrid g = grid_of(c.target);
+    detail::LatticeSeed seed;
+    seed.sigma = 0.7;
+    std::vector<double> warm, prev;
+    std::vector<double> want;
+    if (cold) {
+        want.resize(g.size());
+        for (std::size_t line = 0; line < g.nx * g.ny; ++line) {
+            double zt = 1.0;
+            for (std::size_t z = 0; z < g.nz; ++z) {
+                want[line * g.nz + z] = zt;
+                zt *= seed.sigma;
+            }
+        }
+    } else {
+        seed.warm_box = grid_of(c.warm);
+        warm = random_state(seed.warm_box, 0x5eedu + seed.warm_box.size());
+        seed.warm = &warm;
+        seed.box = first;
+        std::vector<double> on_first;
+        reference_remap(warm, seed.warm_box, first, on_first);
+        if (secant) {
+            seed.prev_box = grid_of(c.prev);
+            prev = random_state(seed.prev_box, 0x9e11u + seed.prev_box.size());
+            seed.prev = &prev;
+            seed.theta = c.theta;
+            std::vector<double> p;
+            reference_remap(prev, seed.prev_box, first, p);
+            for (std::size_t i = 0; i < on_first.size(); ++i) {
+                const double w = on_first[i];
+                on_first[i] = std::max(0.0, std::fma(c.theta, w - p[i], w));
+            }
+        }
+        reference_remap(on_first, first, g, want);
+    }
+    hap::sim::RandomStream rng(0x3a4u + g.size());
+    std::vector<double> marginal(g.nx * g.ny);
+    for (double& m : marginal) m = rng.uniform(0.0, 1.0) / static_cast<double>(marginal.size());
+    detail::LineMoments want_moments;
+    detail::project_marginal(g, marginal, want, &want_moments);
+
+    for (std::size_t threads = 1; threads <= lease.threads(); ++threads) {
+        std::vector<double> got;
+        int beside_runs = 0;
+        auto beside = [&] { ++beside_runs; };
+        if (threads % 2 == 0)
+            detail::seed_lattice(g, seed, got, threads, &lease, beside);
+        else
+            detail::seed_lattice(g, seed, got, threads, &lease);
+        EXPECT_EQ(beside_runs, threads % 2 == 0 ? 1 : 0);
+        detail::TeamSweep team;
+        team.lease = &lease;
+        detail::project_marginal(g, marginal, got, threads, team);
+        ASSERT_EQ(got.size(), want.size());
+        EXPECT_EQ(std::memcmp(want.data(), got.data(), want.size() * sizeof(double)), 0)
+            << threads << " threads, target x " << c.target.x_lo << ".." << c.target.x_hi
+            << " y_hi " << c.target.y_hi << " z_hi " << c.target.z_hi;
+        EXPECT_EQ(std::memcmp(want_moments.z.data(), team.moments.z.data(),
+                              want_moments.z.size() * sizeof(double)),
+                  0)
+            << threads << " threads";
+        EXPECT_EQ(std::memcmp(want_moments.open.data(), team.moments.open.data(),
+                              want_moments.open.size() * sizeof(double)),
+                  0)
+            << threads << " threads";
+    }
+}
+
+TEST(LatticeSeed, TeamSeedBitEqualToSerialSeed) {
+    hap::parallel::TeamLease lease;
+    const Box none{1, 0, 0, 0};
+    const Box box{0, 20, 50, 64};  // a sweep_analytic box
+    // Warm: the neighbor's box, and boxes that crop and pad it in x, y, z.
+    expect_seed_identical({box, none, box, box, 0.0}, lease);
+    expect_seed_identical({{0, 24, 40, 80}, none, box, box, 0.0}, lease);
+    expect_seed_identical({{2, 18, 60, 30}, none, box, box, 0.0}, lease);
+    // Secant: equal boxes, then a previous state on a box of its own.
+    // A theta that is not a power of two rounds the product on its own.
+    expect_seed_identical({box, box, box, box, 1.0}, lease);
+    expect_seed_identical({box, box, box, box, 1.3}, lease);
+    expect_seed_identical({box, {0, 22, 45, 70}, box, box, 4.0}, lease);
+    expect_seed_identical({{0, 20, 40, 64}, {0, 20, 50, 40}, box, box, 0.7}, lease);
+    // Across box sizes: a z = 60 state onto z = 120, and a seed laid out on
+    // one box, then grown in y (zero-padded past the first box).
+    expect_seed_identical({{0, 20, 50, 60}, none, {0, 20, 50, 120}, {0, 20, 50, 120}, 0.0},
+                          lease);
+    expect_seed_identical({box, {0, 20, 70, 64}, box, {0, 20, 76, 64}, 2.6}, lease);
+    expect_seed_identical({{0, 20, 70, 64}, none, box, {0, 20, 76, 64}, 0.0}, lease);
+    // A z growth: the last box's iterate onto the doubled box.
+    expect_seed_identical({box, none, box, {0, 20, 50, 128}, 0.0}, lease);
+    // Cold: the geometric profile, on a wide box, a pinned-user box and z_hi = 0.
+    expect_seed_identical({none, none, box, box, 0.0}, lease);
+    expect_seed_identical({none, none, {3, 3, 7, 64}, {3, 3, 7, 64}, 0.0}, lease);
+    expect_seed_identical({none, none, {0, 10, 12, 0}, {0, 10, 12, 0}, 0.0}, lease);
+}
+
+// Every field of the read-out within 1e-13 of measure_lattice's (relative;
+// exactly when that is 0).
+void expect_read_out_matches(const LatticeGrid& g, const LatticeRates& r,
+                             const std::vector<double>& marginal, const detail::LineMoments& m,
+                             const std::vector<double>& pi, double scale, const char* what) {
+    for (const detail::TruncationCuts cuts :
+         {detail::TruncationCuts{false, false}, detail::TruncationCuts{true, false},
+          detail::TruncationCuts{false, true}, detail::TruncationCuts{true, true}}) {
+        const detail::LatticeObservables want = detail::measure_lattice(g, r, cuts, pi);
+        const detail::LatticeObservables got =
+            detail::read_observables(g, r, cuts, marginal, m, pi, scale);
+        const auto near = [&](double a, double b, const char* field) {
+            EXPECT_NEAR(a, b, 1e-13 * std::abs(b))
+                << what << " z_hi " << g.z_hi << " cuts " << cuts.x << cuts.y << ": " << field;
+        };
+        near(got.mean_z, want.mean_z, "mean_z");
+        near(got.throughput, want.throughput, "throughput");
+        near(got.busy, want.busy, "busy");
+        near(got.sigma_num, want.sigma_num, "sigma_num");
+        near(got.sigma_den, want.sigma_den, "sigma_den");
+        near(got.mean_x, want.mean_x, "mean_x");
+        near(got.mean_y, want.mean_y, "mean_y");
+        near(got.boundary, want.boundary, "boundary");
+        near(got.boundary_y, want.boundary_y, "boundary_y");
+        EXPECT_EQ(got.boundary_z, want.boundary_z) << what << " z_hi " << g.z_hi;
+    }
+}
+
+// A flat lattice (random lines, a marginal of random masses) projected, and
+// then rescaled as the non-converged exit does.
+void expect_flat_read_out(const Box& b) {
+    const LatticeGrid g = grid_of(b);
+    const LatticeRates r{b.x_lo != b.x_hi, 0.4, 0.2, 0.5, 0.5, 2.0, 10.0};
+    std::vector<double> pi = random_state(g, 0x7e4du + g.size());
+    hap::sim::RandomStream rng(0x11u + g.size());
+    std::vector<double> marginal(g.nx * g.ny);
+    for (double& m : marginal) m = rng.uniform(0.0, 1.0) / static_cast<double>(marginal.size());
+    detail::LineMoments m;
+    detail::project_marginal(g, marginal, pi, &m);
+    expect_read_out_matches(g, r, marginal, m, pi, 1.0, "flat");
+    double total = 0.0;
+    for (const double v : pi) total += v;
+    const double scale = 1.0 / total;
+    for (double& v : pi) v *= scale;
+    expect_read_out_matches(g, r, marginal, m, pi, scale, "flat, rescaled");
+}
+
+TEST(LatticeReadOut, WithinRoundingOfMeasureLattice) {
+    for (const std::size_t z_hi : {0, 1, 64}) {
+        expect_flat_read_out({0, 20, 50, z_hi});
+        expect_flat_read_out({3, 3, 7, z_hi});  // pinned users
+    }
+
+    // A paper_baseline box near its fixed point: one team sweep of a solved
+    // state, projected onto the box's exact marginal.
+    const HapParams p = HapParams::paper_baseline(20.0);
+    Solution0Options o;
+    o.max_users = 20;
+    o.max_apps = 50;
+    o.max_messages = 64;
+    o.keep_state = true;
+    const Solution0Result s = solve_solution0(p, o);
+    ASSERT_TRUE(s.converged);
+    const LatticeGrid g = detail::make_lattice_grid(s.state.x_lo, s.state.x_hi, s.state.y_hi,
+                                                    s.state.z_hi);
+    const ApplicationType& app = p.apps.front();
+    const LatticeRates r{true,
+                         p.user_arrival_rate,
+                         p.user_departure_rate,
+                         static_cast<double>(p.num_app_types()) * app.arrival_rate,
+                         app.departure_rate,
+                         app.total_message_rate(),
+                         app.messages.front().service_rate};
+    ChainBounds mb;
+    mb.max_users = g.x_hi;
+    mb.max_apps_total = g.y_hi;
+    const std::vector<double> marginal = LumpedChain(p, mb).stationary(1e-13).pi;
+    std::vector<double> pi = s.state.pi;
+    hap::parallel::TeamLease lease;
+    detail::TeamSweep team;
+    team.lease = &lease;
+    detail::sweep_and_project(g, r, marginal, pi, true, 1, team);
+    expect_read_out_matches(g, r, marginal, team.moments, pi, 1.0, "paper_baseline");
+}
+
+// A solve's reported answer is the read-out of the lattice it returns,
+// converged or not (the non-converged exit rescales the lattice after the
+// last projection): within 1e-13 of that lattice's observables summed in
+// long double. measure_lattice is no reference here: its one running sum
+// over a 130k-state lattice one sweep from a cold start is 3.5e-13 off.
+void expect_answer_matches_state(const HapParams& p, Solution0Options o) {
+    o.keep_state = true;
+    const Solution0Result s = solve_solution0(p, o);
+    const LatticeGrid g = detail::make_lattice_grid(s.state.x_lo, s.state.x_hi, s.state.y_hi,
+                                                    s.state.z_hi);
+    const double beta = p.apps.front().total_message_rate();
+    long double mean_z = 0.0L, throughput = 0.0L, busy = 0.0L, sigma_num = 0.0L;
+    long double mean_x = 0.0L, mean_y = 0.0L, boundary = 0.0L;
+    for (std::size_t xi = 0; xi < g.nx; ++xi) {
+        for (std::size_t y = 0; y < g.ny; ++y) {
+            const long double arr = static_cast<long double>(y) * beta;
+            // No admission bounds: the x_hi face cuts when users vary.
+            const bool face = (g.nx > 1 && xi + 1 == g.nx) || y == g.y_hi;
+            for (std::size_t z = 0; z < g.nz; ++z) {
+                const long double v = s.state.pi[g.idx(g.x_lo + xi, y, z)];
+                mean_z += v * static_cast<long double>(z);
+                mean_x += v * static_cast<long double>(g.x_lo + xi);
+                mean_y += v * static_cast<long double>(y);
+                if (z > 0) busy += v;
+                if (z < g.z_hi) throughput += v * arr;
+                if (z > 0 && z < g.z_hi) sigma_num += v * arr;
+                if (face || z == g.z_hi) boundary += v;
+            }
+        }
+    }
+    const auto near = [&](double got, long double want, const char* field) {
+        const double w = static_cast<double>(want);
+        EXPECT_NEAR(got, w, 1e-13 * w) << (s.converged ? "converged: " : "not converged: ")
+                                       << field;
+    };
+    near(s.mean_messages, mean_z, "mean_z");
+    near(s.mean_rate, throughput, "throughput");
+    near(s.utilization, busy, "busy");
+    near(s.sigma, sigma_num / throughput, "sigma");
+    near(s.mean_users, mean_x, "mean_x");
+    near(s.mean_apps, mean_y, "mean_y");
+    near(s.truncation_mass, boundary, "boundary");
+}
+
+TEST(LatticeReadOut, SolveAnswersAreTheReturnedLattices) {
+    Solution0Options o;
+    o.max_messages = 120;
+    expect_answer_matches_state(small_hap(), o);
+    o.max_sweeps = 3;  // the non-converged exit
+    expect_answer_matches_state(small_hap(), o);
+    o.max_sweeps = 1;
+    expect_answer_matches_state(HapParams::paper_baseline(20.0), o);
+}
+
+// A modulating-chain throw on the lease holder while the helpers lay out a
+// seed: it reaches the caller as thrown once the helpers are done (the seed
+// is whole), the team still runs jobs, and the lease gives it back. The box
+// is large, so its seed takes milliseconds against the throw's microseconds.
+TEST(LatticeSeed, AChainThrowBesideTheSeedReachesTheCaller) {
+    const LatticeGrid g = detail::make_lattice_grid(0, 20, 150, 600);
+    detail::LatticeSeed seed;
+    seed.sigma = 0.5;
+    std::vector<double> want;
+    detail::seed_lattice(g, seed, want, 1, nullptr);
+    bool was_held = false;
+    {
+        hap::parallel::TeamLease lease;
+        was_held = lease.held();
+        auto chain = [] {
+            ChainBounds mb;
+            mb.max_users = 20;
+            mb.max_apps_total = 0;  // no app level: LumpedChain refuses the box
+            (void)LumpedChain(small_hap(), mb).stationary(1e-10);
+        };
+        std::vector<double> got;
+        try {
+            detail::seed_lattice(g, seed, got, lease.threads(), &lease, chain);
+            ADD_FAILURE() << "the chain's throw was lost";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_STREQ(e.what(), "LumpedChain: max_apps bound is 0");
+        }
+        ASSERT_EQ(got.size(), want.size());
+        EXPECT_EQ(std::memcmp(want.data(), got.data(), want.size() * sizeof(double)), 0);
+        std::vector<double> again;
+        detail::seed_lattice(g, seed, again, lease.threads(), &lease);
+        EXPECT_EQ(std::memcmp(want.data(), again.data(), want.size() * sizeof(double)), 0);
+    }
+    const hap::parallel::TeamLease next;
+    EXPECT_EQ(next.held(), was_held);
 }
 
 // The team-or-alone rule on synthetic costs, no clock: each job's side as
