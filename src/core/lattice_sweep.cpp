@@ -381,26 +381,26 @@ void project_marginal(const LatticeGrid& g, const std::vector<double>& marginal,
 
 LatticeObservables read_observables(const LatticeGrid& g, const LatticeRates& r,
                                     TruncationCuts cuts, const std::vector<double>& marginal,
-                                    const LineMoments& m, const std::vector<double>& pi,
-                                    double scale) {
+                                    const LineMoments& m, const std::vector<double>& pi) {
     const std::size_t last = g.z_hi;
+    const CheckMoments c = sum_line_moments(g, r, m);
     LatticeObservables o;
+    o.mean_z = c.mean_z;
+    o.throughput = c.throughput;
     std::size_t line = 0;
     for (std::size_t x = g.x_lo; x <= g.x_hi; ++x) {
         const double xd = static_cast<double>(x);
         for (std::size_t y = 0; y <= g.y_hi; ++y, ++line) {
             const double yd = static_cast<double>(y);
             const double arr = yd * r.beta;
-            const double mass = marginal[line] * scale;
-            const double open = m.open[line] * scale;  // z < z_hi
+            const double mass = marginal[line];
+            const double open = m.open[line];  // z < z_hi
             const double p0 = pi[line * g.nz];
             const double p_last = pi[line * g.nz + last];
             const bool top_y = y == g.y_hi;
             const bool face = (cuts.x && x == g.x_hi) || (cuts.y && top_y);
-            o.mean_z += m.z[line] * scale;
             o.mean_x += mass * xd;
             o.mean_y += mass * yd;
-            o.throughput = std::fma(open, arr, o.throughput);
             if (last > 0) {  // z = 0 is idle; 0 < z < z_hi also accepts arrivals
                 o.busy += mass - p0;
                 o.sigma_num = std::fma(open - p0, arr, o.sigma_num);

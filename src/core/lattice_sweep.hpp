@@ -118,14 +118,12 @@ CheckMoments sum_line_moments(const LatticeGrid& g, const LatticeRates& r,
 // The observables of a lattice as the marginal projection leaves it, read in
 // O(lines) from what the projection already knows: each line's moments `m`,
 // its mass (the marginal), and its two end states pi[z = 0] and pi[z_hi].
-// `scale` multiplies the moments and the marginal, for a `pi` rescaled since
-// that projection (pi itself is read as it is). E[z] and the throughput are
-// sum_line_moments' bytes when scale is 1, boundary_z is measure_lattice's
-// bytes, and every other field agrees with measure_lattice's to rounding.
+// E[z] and the throughput are sum_line_moments' sums, boundary_z is
+// measure_lattice's bytes, and every other field agrees with
+// measure_lattice's to rounding.
 LatticeObservables read_observables(const LatticeGrid& g, const LatticeRates& r,
                                     TruncationCuts cuts, const std::vector<double>& marginal,
-                                    const LineMoments& m, const std::vector<double>& pi,
-                                    double scale);
+                                    const LineMoments& m, const std::vector<double>& pi);
 
 // Solution 0's stop rule. `change` is the relative change of (delay, E[z])
 // since the last check, `prev_change` the one before it (< 0: none yet).

@@ -40,15 +40,6 @@ Cuts box_cuts(const Grid& g, const HapParams& p) {
             p.max_apps == 0 || g.y_hi < p.max_apps};
 }
 
-// Scale `pi` to unit mass; returns the factor.
-double normalize(std::vector<double>& pi) {
-    double total = 0.0;
-    for (double v : pi) total += v;
-    const double inv = 1.0 / total;
-    for (double& v : pi) v *= inv;
-    return inv;
-}
-
 // Mass of the y == y_hi lines under the modulating marginal, which is every
 // line's mass after projection.
 double y_shell_mass(const Grid& g, const std::vector<double>& marginal) {
@@ -64,72 +55,72 @@ struct BoxSolve {
     double sweep_s = 0.0;  // wall time inside the sweep loop (kernel telemetry)
     bool converged = false;
     bool deadline_hit = false;  // the wall_ms budget backstop fired
-};
-
-// What the stop rule carries from one check on the current box to the
-// next. A box keeps one history across its coarse and final passes, so the
-// final pass's first check already completes a comparison.
-struct CheckHistory {
-    double delay = -1.0;   // < 0: no check on this box yet
-    double mean_z = -1.0;
-    double change = -1.0;  // relative change at the last check; < 0: none yet
+    bool grow = false;          // ended to double z; pi seeds the deeper box
 };
 
 // Sweep `pi` on box `g` until the stop rule's error estimate for the
 // observables (delay, E[z]) drops below `tol`, or the sweep budget runs out.
-// A check follows every forward + reverse pair, and a `seeded` box with no
-// history also checks its projected seed before the first sweep. A check
-// reads the line moments the last projection left in `team`, and so does the
-// read-out of the observables when the pass ends. Continues from the current
-// content of `pi` and of `hist`, so callers can chain calls — a loose coarse
-// solve, then a tight one on the same box — without restarting the iteration
-// or its convergence history.
+// A check follows every forward + reverse pair, and a `seeded` box also
+// checks its projected seed before the first sweep. A check reads the line
+// moments the last projection left in `team`, and so does the read-out of
+// the observables when the pass ends. With `grow_tol` > 0 the box may still
+// grow in z: the first check whose estimate falls below `grow_tol` hands the
+// z shell's mass to `grows`, and the pass ends there when that takes the
+// deeper box, unless the sweeps or the wall time have run out. Otherwise the
+// pass goes on to `tol`, so a box that still needs growing never pays for a
+// tight solve.
+template <class Grows>
 BoxSolve solve_box(const Grid& g, const Rates& r, Cuts cuts,
                    const std::vector<double>& marginal, std::vector<double>& pi, double tol,
-                   std::size_t max_sweeps, bool seeded, const char* pass, bool verbose,
-                   TeamSweep& team, const WallDeadline& deadline, CheckHistory& hist) {
+                   double grow_tol, Grows&& grows, std::size_t max_sweeps, bool seeded,
+                   bool verbose, TeamSweep& team, const WallDeadline& deadline) {
     BoxSolve out;
     const auto loop_start = std::chrono::steady_clock::now();
-    // `scale`: what pi was multiplied by since the last projection.
-    const auto finish = [&](double scale) {
-        out.obs = read_observables(g, r, cuts, marginal, team.moments, pi, scale);
+    const auto finish = [&] {
+        out.obs = read_observables(g, r, cuts, marginal, team.moments, pi);
         out.sweep_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                                     loop_start)
                           .count();
         return out;
     };
-    // One check after sweep s: true when the solve may stop.
+    // The last check's observables and relative changes (< 0: none yet).
+    double last_delay = -1.0;
+    double last_mean_z = -1.0;
+    double change = -1.0;
+    double prev_change = -1.0;
+    // The stop rule at tolerance t; no stop before the box's second check.
+    const auto rule = [&](double t) {
+        return change < 0.0 ? detail::StopDecision{} : detail::stop_rule(change, prev_change, t);
+    };
+    // One check after sweep s: true when the estimate is below tol.
     const auto check = [&](std::size_t s) {
         const detail::CheckMoments m = detail::sum_line_moments(g, r, team.moments);
         const double delay = m.throughput > 0.0 ? m.mean_z / m.throughput : 0.0;
-        const CheckHistory prev = hist;
-        hist.delay = delay;
-        hist.mean_z = m.mean_z;
-        bool stop = false;
-        if (prev.delay >= 0.0) {
-            const double dd = std::abs(delay - prev.delay) / std::max(delay, 1e-12);
-            const double dz = std::abs(m.mean_z - prev.mean_z) / std::max(m.mean_z, 1e-12);
-            hist.change = std::max(dd, dz);
-            const detail::StopDecision d = detail::stop_rule(hist.change, prev.change, tol);
-            out.residual = d.residual;
-            stop = d.stop;
+        if (last_delay >= 0.0) {
+            const double dd = std::abs(delay - last_delay) / std::max(delay, 1e-12);
+            const double dz = std::abs(m.mean_z - last_mean_z) / std::max(m.mean_z, 1e-12);
+            prev_change = change;
+            change = std::max(dd, dz);
         }
+        last_delay = delay;
+        last_mean_z = m.mean_z;
+        const detail::StopDecision d = rule(tol);
+        out.residual = d.residual;
         if (verbose) {
             // Formatted into a buffer so library code never calls the
-            // printf output family (haplint: no-printf-in-library).
-            char rule[64] = "";
-            if (prev.delay >= 0.0)
-                std::snprintf(rule, sizeof(rule), " change %.2e error %.2e", hist.change,
-                              out.residual);
+            // printf output family (haplint: printf-in-library).
+            char est[64] = "";
+            if (change >= 0.0)
+                std::snprintf(est, sizeof(est), " change %.2e error %.2e", change, d.residual);
             char line[200];
             std::snprintf(line, sizeof(line),
-                          "solution0: %s box %zux%zux%zu sweep %zu delay %.8f mean_z %.6f%s\n",
-                          pass, g.nx, g.ny, g.nz, s, delay, m.mean_z, rule);
+                          "solution0: box %zux%zux%zu sweep %zu delay %.8f mean_z %.6f%s\n",
+                          g.nx, g.ny, g.nz, s, delay, m.mean_z, est);
             std::cerr << line;
         }
-        return stop;
+        return d.stop;
     };
-    if (seeded && hist.delay < 0.0) (void)check(0);
+    if (seeded) (void)check(0);
     for (std::size_t s = 1; s <= max_sweeps; ++s) {
         // The lease picks the threads, all of the team's or 1, by timing
         // both; the bytes do not depend on them.
@@ -141,18 +132,21 @@ BoxSolve solve_box(const Grid& g, const Rates& r, Cuts cuts,
             obs::registry().add_counter("solution0.team_fallback");
         if (s % 2 == 0 || s == max_sweeps) {
             out.sweeps = s;
-            if (check(s)) {
-                out.converged = true;
-                return finish(1.0);
+            const bool stop = check(s);
+            if (grow_tol > 0.0 && rule(grow_tol).stop) {
+                grow_tol = 0.0;  // the z shell is read once per box
+                if (s < max_sweeps && !deadline.expired() &&
+                    grows(read_observables(g, r, cuts, marginal, team.moments, pi).boundary_z)) {
+                    out.grow = true;
+                    return finish();
+                }
             }
-            if (deadline.expired()) {
-                out.deadline_hit = true;
-                return finish(1.0);
-            }
+            out.converged = stop;
+            out.deadline_hit = !stop && deadline.expired();
+            if (stop || out.deadline_hit) return finish();
         }
     }
-    out.sweeps = max_sweeps;
-    return finish(normalize(pi));
+    return finish();
 }
 
 }  // namespace
@@ -237,34 +231,28 @@ Solution0Result solve_solution0(const HapParams& params, const Solution0Options&
     Solution0Result res;
     obs::ScopedTimer timer("solution0.solve_s");
 
-    // Budget: tighten the sweep cap, arm the wall backstop, and refuse a
-    // starting box beyond max_states before allocating it (adaptive growths
-    // are suppressed separately below).
+    // Budget: tighten the sweep cap and arm the wall backstop. A box beyond
+    // max_states is refused before it is allocated and flagged: a refused
+    // growth leaves the solve on the box it has, a refused start box leaves
+    // it unseeded and unswept.
     const std::size_t max_sweeps_eff = opts.budget.cap_iterations(opts.max_sweeps);
     const WallDeadline deadline(opts.budget.wall_ms);
-    if (opts.budget.states_exceeded(g.size())) {
-        res.states = g.size();
+    const auto fits = [&](const Grid& ng) {
+        if (!opts.budget.states_exceeded(ng.size())) return true;
         res.budget_exhausted = true;
-        if (obs::enabled()) {
-            obs::registry().add_counter("solution0.budget_exhausted");
-            obs::SolverTelemetry t;
-            t.solver = "solution0";
-            t.truncation = g.z_hi;
-            t.wall_time_s = timer.stop();
-            t.converged = false;
-            obs::registry().record_solver(std::move(t));
-        }
-        return res;
-    }
+        return false;
+    };
+    const bool start_fits = fits(g);
 
     // What each box's first iterate is laid out from (detail::LatticeSeed):
     // a warm state, which the neighboring sweep point demonstrably needed,
     // else a geometric queue profile at the offered load on every line (the
-    // paper started from uniform); after a z growth, the coarse iterate. The
-    // marginal projection that follows scales each line to its exact mass.
+    // paper started from uniform); after a z growth, the last box's
+    // iterate. The marginal projection that follows scales each line to its
+    // exact mass.
     detail::LatticeSeed seed;
     seed.sigma = std::min(0.95, rho);
-    if (opts.warm != nullptr && !opts.warm->empty()) {
+    if (start_fits && opts.warm != nullptr && !opts.warm->empty()) {
         seed.warm = &opts.warm->pi;
         seed.warm_box = make_lattice_grid(opts.warm->x_lo, opts.warm->x_hi, opts.warm->y_hi,
                                           opts.warm->z_hi);
@@ -288,7 +276,7 @@ Solution0Result solve_solution0(const HapParams& params, const Solution0Options&
     // One team lease for every box and check of this solve. A box too
     // narrow to split leaves the team alone; a solve that finds it leased
     // runs on its own thread.
-    const bool splits = detail::sweep_blocks(g.nx, 2) > 1;
+    const bool splits = start_fits && detail::sweep_blocks(g.nx, 2) > 1;
     parallel::TeamLease lease(splits);
     if (splits && !lease.held() && obs::enabled())
         obs::registry().add_counter("solution0.team_busy");
@@ -310,19 +298,12 @@ Solution0Result solve_solution0(const HapParams& params, const Solution0Options&
     double sweep_s_total = 0.0;        // kernel-loop wall time across boxes
     std::uint64_t state_updates = 0;  // sum of sweeps * box states
     BoxSolve fin;
-    // Move to the grown box `ng`. A growth that would blow max_states is
-    // refused and flagged; the solve goes on on the current box.
     const auto grow = [&](const Grid& ng) {
-        if (opts.budget.states_exceeded(ng.size())) {
-            res.budget_exhausted = true;
-            return false;
-        }
         g = ng;
         ++res.box_growths;
         if (obs::enabled()) obs::registry().add_counter("solution0.box_growth_steps");
-        return true;
     };
-    while (true) {
+    while (start_fits) {
         // The box's set-up, off the sweeps' critical path: the team's helpers
         // lay the seed out while the lease holder builds and solves the
         // modulating (x, y) chain, whose exact stationary law LumpedChain
@@ -346,68 +327,38 @@ Solution0Result solve_solution0(const HapParams& params, const Solution0Options&
         // The projection pins every line's mass to the marginal, so the
         // y == y_hi shell's mass is known before any sweep: grow y on the
         // marginal alone (the seed is laid out afresh on the grown box), and
-        // leave only z to the coarse passes.
+        // leave only z to the sweeps.
+        const Grid taller = make_lattice_grid(g.x_lo, g.x_hi,
+                                              std::min(cap.y_hi, (g.y_hi * 3) / 2 + 1), g.z_hi);
         if (opts.adaptive && g.y_hi < cap.y_hi &&
-            y_shell_mass(g, marginal) >= opts.trunc_tol &&
-            grow(make_lattice_grid(g.x_lo, g.x_hi, std::min(cap.y_hi, (g.y_hi * 3) / 2 + 1),
-                                   g.z_hi)))
+            y_shell_mass(g, marginal) >= opts.trunc_tol && fits(taller)) {
+            grow(taller);
             continue;
+        }
 
         const Cuts cuts = box_cuts(g, params);
         project_marginal(g, marginal, pi, threads, team);
         std::vector<double>().swap(iterate);  // laid out: free the last box's
 
-        std::size_t budget = max_sweeps_eff - total_sweeps;
-        if (budget == 0) {
-            const double scale = normalize(pi);
-            fin.obs = read_observables(g, r, cuts, marginal, team.moments, pi, scale);
-            fin.converged = false;
-            break;
-        }
-
-        const bool seeded = seed.warm != nullptr;  // not the cold profile
-        CheckHistory hist;
-        if (opts.adaptive && g.z_hi < cap.z_hi) {
-            // Coarse pass: settle the observables loosely, then read the
-            // z shell's mass off the coarse solution to decide growth. A box
-            // that still needs growing never pays for a tight solve.
-            const double coarse_tol = std::max(opts.tol, 1e-6);
-            const BoxSolve b = solve_box(g, r, cuts, marginal, pi, coarse_tol, budget,
-                                         seeded, "coarse", opts.verbose, team, deadline,
-                                         hist);
-            total_sweeps += b.sweeps;
-            sweep_s_total += b.sweep_s;
-            state_updates += static_cast<std::uint64_t>(b.sweeps) * g.size();
-            if (b.deadline_hit) {
-                fin = b;
-                break;
-            }
-            const Grid from = g;
-            if (b.obs.boundary_z >= opts.trunc_tol &&
-                grow(make_lattice_grid(g.x_lo, g.x_hi, g.y_hi,
-                                       std::min(cap.z_hi, g.z_hi * 2)))) {
-                // The coarse iterate seeds the grown box.
-                pi.swap(iterate);
-                seed = {.warm = &iterate, .warm_box = from, .box = from};
-                continue;
-            }
-            // The z shell is below trunc_tol (or max_states refused its
-            // growth): this box is final. Its coarse pass may have settled
-            // to opts.tol already; otherwise tighten, continuing from the
-            // coarse iterate and its last check.
-            budget = max_sweeps_eff - total_sweeps;
-            if (budget == 0 || (b.converged && b.residual < opts.tol)) {
-                fin = b;
-                break;
-            }
-        }
-
-        fin = solve_box(g, r, cuts, marginal, pi, opts.tol, budget, seeded, "final",
-                        opts.verbose, team, deadline, hist);
+        // One pass, which ends early to double z when the box may still grow
+        // and its z shell holds trunc_tol or more once the observables have
+        // settled to max(tol, 1e-6).
+        const Grid deeper =
+            make_lattice_grid(g.x_lo, g.x_hi, g.y_hi, std::min(cap.z_hi, g.z_hi * 2));
+        const double grow_tol =
+            opts.adaptive && g.z_hi < cap.z_hi ? std::max(opts.tol, 1e-6) : 0.0;
+        fin = solve_box(
+            g, r, cuts, marginal, pi, opts.tol, grow_tol,
+            [&](double shell) { return shell >= opts.trunc_tol && fits(deeper); },
+            max_sweeps_eff - total_sweeps, seed.warm != nullptr, opts.verbose, team, deadline);
         total_sweeps += fin.sweeps;
         sweep_s_total += fin.sweep_s;
         state_updates += static_cast<std::uint64_t>(fin.sweeps) * g.size();
-        break;
+        if (!fin.grow) break;
+        // The iterate seeds the deeper box.
+        pi.swap(iterate);
+        seed = {.warm = &iterate, .warm_box = g, .box = g};
+        grow(deeper);
     }
     // A tightened sweep cap that expired, or the wall backstop firing, is
     // budget exhaustion — distinct from the solver's own max_sweeps limit.

@@ -51,9 +51,11 @@ struct Solution0Options {
     bool verbose = false;          // progress lines on stderr at every check
 
     // Continuation engine. `adaptive` starts from a small (y, z) box and
-    // grows it geometrically until the boundary-shell mass drops below
-    // `trunc_tol` (or the worst-case static bounds above are reached),
-    // warm-starting each grown box from the coarse solution. `warm` seeds
+    // grows it geometrically, up to the worst-case static bounds above,
+    // while a boundary shell holds `trunc_tol` or more: y on the modulating
+    // marginal before any sweep, z at the first check whose error estimate
+    // falls below max(tol, 1e-6), seeding the deeper box from the iterate.
+    // A box whose sweeps or wall time run out is not grown. `warm` seeds
     // the iteration from a previous sweep point's exported state;
     // `keep_state` exports this solve's state for the next point.
     bool adaptive = false;
@@ -88,9 +90,10 @@ struct [[nodiscard]] Solution0Result {
     // x == x_hi unless that face is the model's own max_apps / max_users
     // (real blocking states) or users are pinned (x_lo == x_hi).
     double truncation_mass = 0.0;
-    // The stop rule's last error bound, max(d, d q / (1 - q)) in the terms of
-    // `tol`; the last change d alone while the changes do not contract.
-    // Below tol when the solve converged.
+    // The stop rule's last error bound on the final box, max(d, d q / (1 - q))
+    // in the terms of `tol`; the last change d alone while the changes do not
+    // contract, 0 before the box's second check. Below tol when the solve
+    // converged, whatever capped its sweeps.
     double residual = 0.0;
     std::size_t states = 0;       // final box size
     std::size_t sweeps = 0;       // total sweeps, summed across adaptive boxes

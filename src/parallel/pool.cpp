@@ -19,7 +19,6 @@ struct Pool::Impl {
     std::condition_variable cv;
     std::deque<std::function<void()>> queue;
     std::size_t max_queue = 0;  // 0 = unbounded
-    std::size_t running = 0;    // jobs currently inside job()
     bool stopping = false;      // drop pending jobs, stop after current
     bool draining = false;      // run pending jobs, then stop
     std::vector<std::thread> workers;
@@ -35,16 +34,11 @@ struct Pool::Impl {
                 if (queue.empty()) return;  // draining and nothing left
                 job = std::move(queue.front());
                 queue.pop_front();
-                ++running;
             }
             try {
                 job();
             } catch (...) {
                 if (on_error) on_error(std::current_exception());
-            }
-            {
-                const std::lock_guard<std::mutex> lock(mutex);
-                --running;
             }
         }
     }
@@ -109,15 +103,5 @@ void Pool::drain() {
 }
 
 std::size_t Pool::threads() const noexcept { return impl_->workers.size(); }
-
-std::size_t Pool::depth() const {
-    const std::lock_guard<std::mutex> lock(impl_->mutex);
-    return impl_->queue.size();
-}
-
-std::size_t Pool::active() const {
-    const std::lock_guard<std::mutex> lock(impl_->mutex);
-    return impl_->running;
-}
 
 }  // namespace hap::parallel

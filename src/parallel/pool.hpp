@@ -66,13 +66,6 @@ public:
 
     std::size_t threads() const noexcept;
 
-    // Jobs waiting in the queue, and jobs a worker is currently running.
-    // Snapshots under the pool lock — coherent, but stale the instant it
-    // returns. Only the bounded-queue test reads them; hapd's
-    // hapd.overload.depth_max gauge comes from SolveScheduler, not from here.
-    std::size_t depth() const;
-    std::size_t active() const;
-
 private:
     struct Impl;
     Impl* impl_;  // pimpl: keeps <thread>/<condition_variable> out of the header

@@ -62,14 +62,6 @@ double index_of_dispersion(std::span<const double> arrival_times, double window)
     return mean > 0.0 ? counts.variance() / mean : 0.0;
 }
 
-std::vector<double> idc_curve(std::span<const double> arrival_times,
-                              std::span<const double> windows) {
-    std::vector<double> out;
-    out.reserve(windows.size());
-    for (double w : windows) out.push_back(index_of_dispersion(arrival_times, w));
-    return out;
-}
-
 double interarrival_scv(std::span<const double> arrival_times) {
     if (arrival_times.size() < 3) return 0.0;
     OnlineStats gaps;

@@ -6,7 +6,6 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 namespace hap::stats {
 
@@ -27,10 +26,6 @@ BatchMeansResult batch_means(std::span<const double> samples, std::size_t batche
 // arrivals in windows of length T tiled over the observation span.
 // `arrival_times` must be sorted ascending.
 double index_of_dispersion(std::span<const double> arrival_times, double window);
-
-// IDC curve over several window sizes, for burstiness-vs-timescale plots.
-std::vector<double> idc_curve(std::span<const double> arrival_times,
-                              std::span<const double> windows);
 
 // Peakedness of the interarrival sequence: squared coefficient of variation.
 double interarrival_scv(std::span<const double> arrival_times);

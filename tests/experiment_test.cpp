@@ -90,12 +90,13 @@ TEST(AnalyticSweep, WarmMatchesColdPointByPoint) {
 
 TEST(AnalyticSweep, CoarseHistoryCarriesIntoFinalPass) {
     // The first four points of a Fig. 12 curve under the continuation
-    // settings of the analytic figure sweeps. A box keeps one check history
-    // across its coarse and final passes. Each warm point checks its seed,
-    // settles the coarse pass (1e-6) after two sweep pairs, and its final
-    // pass's first pair completes the next comparison and stops it at tol:
-    // 6 sweeps. The cold point 0 needs 5 pairs for the coarse pass and 2
-    // more for the final one.
+    // settings of the analytic figure sweeps. A box gets one pass with one
+    // check history, which runs on through the check that reads the z
+    // shell. Each warm point checks its seed, reaches the coarse tolerance
+    // (1e-6), where its shell is read and is below trunc_tol, after two
+    // sweep pairs, and the next pair completes the next comparison and
+    // stops it at tol: 6 sweeps. The cold point 0 needs 5 pairs to reach
+    // the coarse tolerance and 2 more to reach tol.
     std::vector<hap::experiment::AnalyticPoint> grid;
     for (int i = 0; i < 4; ++i) {
         hap::experiment::AnalyticPoint pt;

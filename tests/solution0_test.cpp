@@ -502,13 +502,13 @@ TEST(LatticeSeed, TeamSeedBitEqualToSerialSeed) {
 // exactly when that is 0).
 void expect_read_out_matches(const LatticeGrid& g, const LatticeRates& r,
                              const std::vector<double>& marginal, const detail::LineMoments& m,
-                             const std::vector<double>& pi, double scale, const char* what) {
+                             const std::vector<double>& pi, const char* what) {
     for (const detail::TruncationCuts cuts :
          {detail::TruncationCuts{false, false}, detail::TruncationCuts{true, false},
           detail::TruncationCuts{false, true}, detail::TruncationCuts{true, true}}) {
         const detail::LatticeObservables want = detail::measure_lattice(g, r, cuts, pi);
         const detail::LatticeObservables got =
-            detail::read_observables(g, r, cuts, marginal, m, pi, scale);
+            detail::read_observables(g, r, cuts, marginal, m, pi);
         const auto near = [&](double a, double b, const char* field) {
             EXPECT_NEAR(a, b, 1e-13 * std::abs(b))
                 << what << " z_hi " << g.z_hi << " cuts " << cuts.x << cuts.y << ": " << field;
@@ -526,8 +526,7 @@ void expect_read_out_matches(const LatticeGrid& g, const LatticeRates& r,
     }
 }
 
-// A flat lattice (random lines, a marginal of random masses) projected, and
-// then rescaled as the non-converged exit does.
+// A flat lattice (random lines, a marginal of random masses) projected.
 void expect_flat_read_out(const Box& b) {
     const LatticeGrid g = grid_of(b);
     const LatticeRates r{b.x_lo != b.x_hi, 0.4, 0.2, 0.5, 0.5, 2.0, 10.0};
@@ -537,12 +536,7 @@ void expect_flat_read_out(const Box& b) {
     for (double& m : marginal) m = rng.uniform(0.0, 1.0) / static_cast<double>(marginal.size());
     detail::LineMoments m;
     detail::project_marginal(g, marginal, pi, &m);
-    expect_read_out_matches(g, r, marginal, m, pi, 1.0, "flat");
-    double total = 0.0;
-    for (const double v : pi) total += v;
-    const double scale = 1.0 / total;
-    for (double& v : pi) v *= scale;
-    expect_read_out_matches(g, r, marginal, m, pi, scale, "flat, rescaled");
+    expect_read_out_matches(g, r, marginal, m, pi, "flat");
 }
 
 TEST(LatticeReadOut, WithinRoundingOfMeasureLattice) {
@@ -580,12 +574,11 @@ TEST(LatticeReadOut, WithinRoundingOfMeasureLattice) {
     detail::TeamSweep team;
     team.lease = &lease;
     detail::sweep_and_project(g, r, marginal, pi, true, 1, team);
-    expect_read_out_matches(g, r, marginal, team.moments, pi, 1.0, "paper_baseline");
+    expect_read_out_matches(g, r, marginal, team.moments, pi, "paper_baseline");
 }
 
 // A solve's reported answer is the read-out of the lattice it returns,
-// converged or not (the non-converged exit rescales the lattice after the
-// last projection): within 1e-13 of that lattice's observables summed in
+// converged or not: within 1e-13 of that lattice's observables summed in
 // long double. measure_lattice is no reference here: its one running sum
 // over a 130k-state lattice one sweep from a cold start is 3.5e-13 off.
 void expect_answer_matches_state(const HapParams& p, Solution0Options o) {
@@ -993,6 +986,19 @@ TEST(Solution0, SigmaConsistentWithUtilizationOrdering) {
     EXPECT_GT(s0.sigma, s0.utilization);
 }
 
+// The settings of the analytic figure sweeps: an adaptive box under the
+// caps, whose z may grow from 64 up to 300.
+Solution0Options figure_sweep_options() {
+    Solution0Options o;
+    o.adaptive = true;
+    o.max_users = 20;
+    o.max_apps = 50;
+    o.max_messages = 300;
+    o.tol = 1e-7;
+    o.trunc_tol = 1e-9;
+    return o;
+}
+
 TEST(Solution0, ReportsNonConvergenceHonestly) {
     const HapParams p = small_hap();
     Solution0Options o;
@@ -1001,6 +1007,53 @@ TEST(Solution0, ReportsNonConvergenceHonestly) {
     const auto res = solve_solution0(p, o);
     EXPECT_FALSE(res.converged);
     EXPECT_EQ(res.sweeps, 3u);
+
+    // On an adaptive box the error estimate falls below 1e-6, where the z
+    // shell is read, a sweep pair or two before it falls below tol. A sweep
+    // cap that lands in between leaves the answer not converged, whether
+    // the budget or max_sweeps set the cap.
+    const struct {
+        double mu2;
+        std::size_t sweeps;
+    } cases[] = {{20.0, 15}, {20.0, 16}, {24.0, 9}, {24.0, 10}, {28.0, 7}, {28.0, 8}};
+    for (const auto& c : cases) {
+        const HapParams baseline = HapParams::paper_baseline(c.mu2);
+        o = figure_sweep_options();
+        o.budget.max_iterations = c.sweeps;
+        const Solution0Result capped = solve_solution0(baseline, o);
+        EXPECT_FALSE(capped.converged) << c.mu2 << " " << c.sweeps;
+        EXPECT_GE(capped.residual, o.tol) << c.mu2 << " " << c.sweeps;
+        EXPECT_TRUE(capped.budget_exhausted) << c.mu2 << " " << c.sweeps;
+        EXPECT_EQ(capped.sweeps, c.sweeps);
+
+        o = figure_sweep_options();
+        o.max_sweeps = c.sweeps;
+        const Solution0Result short_run = solve_solution0(baseline, o);
+        EXPECT_FALSE(short_run.converged) << c.mu2 << " " << c.sweeps;
+        EXPECT_GE(short_run.residual, o.tol) << c.mu2 << " " << c.sweeps;
+        EXPECT_FALSE(short_run.budget_exhausted) << c.mu2 << " " << c.sweeps;
+        EXPECT_EQ(short_run.sweeps, c.sweeps);
+    }
+}
+
+TEST(Solution0, APassOutOfSweepsKeepsItsBox) {
+    // At mu'' = 17 the z shell of the 64-deep start box holds more than
+    // trunc_tol, but 4 sweeps end the solve before its estimate settles:
+    // the solve returns the swept start box, not an unswept deeper one,
+    // and the lattice it returns has unit mass.
+    Solution0Options o = figure_sweep_options();
+    o.max_sweeps = 4;
+    o.keep_state = true;
+    const Solution0Result s = solve_solution0(HapParams::paper_baseline(17.0), o);
+    EXPECT_FALSE(s.converged);
+    EXPECT_EQ(s.sweeps, 4u);
+    EXPECT_EQ(s.box_growths, 0u);
+    EXPECT_EQ(s.state.z_hi, 64u);
+    EXPECT_EQ(s.states, 69615u);
+    ASSERT_EQ(s.state.pi.size(), s.states);
+    long double mass = 0.0L;
+    for (const double v : s.state.pi) mass += v;
+    EXPECT_NEAR(static_cast<double>(mass - 1.0L), 0.0, 1e-15);
 }
 
 TEST(Solution0, WarmStartMatchesColdAcrossParameterStep) {
