@@ -54,26 +54,24 @@ struct BoxSolve {
     double residual = 0.0;
     double sweep_s = 0.0;  // wall time inside the sweep loop (kernel telemetry)
     bool converged = false;
-    bool deadline_hit = false;  // the wall_ms budget backstop fired
-    bool grow = false;          // ended to double z; pi seeds the deeper box
+    bool grow = false;  // ended to double z; pi seeds the deeper box
 };
 
 // Sweep `pi` on box `g` until the stop rule's error estimate for the
-// observables (delay, E[z]) drops below `tol`, or the sweep budget runs out.
+// observables (delay, E[z]) drops below `tol`, or `max_sweeps` run out.
 // A check follows every forward + reverse pair, and a `seeded` box also
 // checks its projected seed before the first sweep. A check reads the line
 // moments the last projection left in `team`, and so does the read-out of
 // the observables when the pass ends. With `grow_tol` > 0 the box may still
 // grow in z: the first check whose estimate falls below `grow_tol` hands the
 // z shell's mass to `grows`, and the pass ends there when that takes the
-// deeper box, unless the sweeps or the wall time have run out. Otherwise the
-// pass goes on to `tol`, so a box that still needs growing never pays for a
-// tight solve.
+// deeper box, unless the sweeps have run out. Otherwise the pass goes on to
+// `tol`, so a box that still needs growing never pays for a tight solve.
 template <class Grows>
 BoxSolve solve_box(const Grid& g, const Rates& r, Cuts cuts,
                    const std::vector<double>& marginal, std::vector<double>& pi, double tol,
                    double grow_tol, Grows&& grows, std::size_t max_sweeps, bool seeded,
-                   bool verbose, TeamSweep& team, const WallDeadline& deadline) {
+                   bool verbose, TeamSweep& team) {
     BoxSolve out;
     const auto loop_start = std::chrono::steady_clock::now();
     const auto finish = [&] {
@@ -135,15 +133,14 @@ BoxSolve solve_box(const Grid& g, const Rates& r, Cuts cuts,
             const bool stop = check(s);
             if (grow_tol > 0.0 && rule(grow_tol).stop) {
                 grow_tol = 0.0;  // the z shell is read once per box
-                if (s < max_sweeps && !deadline.expired() &&
+                if (s < max_sweeps &&
                     grows(read_observables(g, r, cuts, marginal, team.moments, pi).boundary_z)) {
                     out.grow = true;
                     return finish();
                 }
             }
             out.converged = stop;
-            out.deadline_hit = !stop && deadline.expired();
-            if (stop || out.deadline_hit) return finish();
+            if (stop) return finish();
         }
     }
     return finish();
@@ -231,14 +228,11 @@ Solution0Result solve_solution0(const HapParams& params, const Solution0Options&
     Solution0Result res;
     obs::ScopedTimer timer("solution0.solve_s");
 
-    // Budget: tighten the sweep cap and arm the wall backstop. A box beyond
-    // max_states is refused before it is allocated and flagged: a refused
-    // growth leaves the solve on the box it has, a refused start box leaves
-    // it unseeded and unswept.
-    const std::size_t max_sweeps_eff = opts.budget.cap_iterations(opts.max_sweeps);
-    const WallDeadline deadline(opts.budget.wall_ms);
+    // A box beyond max_states is refused before it is allocated and
+    // flagged: a refused growth leaves the solve on the box it has, a
+    // refused start box leaves it unseeded and unswept.
     const auto fits = [&](const Grid& ng) {
-        if (!opts.budget.states_exceeded(ng.size())) return true;
+        if (opts.max_states == 0 || ng.size() <= opts.max_states) return true;
         res.budget_exhausted = true;
         return false;
     };
@@ -350,7 +344,7 @@ Solution0Result solve_solution0(const HapParams& params, const Solution0Options&
         fin = solve_box(
             g, r, cuts, marginal, pi, opts.tol, grow_tol,
             [&](double shell) { return shell >= opts.trunc_tol && fits(deeper); },
-            max_sweeps_eff - total_sweeps, seed.warm != nullptr, opts.verbose, team, deadline);
+            opts.max_sweeps - total_sweeps, seed.warm != nullptr, opts.verbose, team);
         total_sweeps += fin.sweeps;
         sweep_s_total += fin.sweep_s;
         state_updates += static_cast<std::uint64_t>(fin.sweeps) * g.size();
@@ -360,11 +354,6 @@ Solution0Result solve_solution0(const HapParams& params, const Solution0Options&
         seed = {.warm = &iterate, .warm_box = g, .box = g};
         grow(deeper);
     }
-    // A tightened sweep cap that expired, or the wall backstop firing, is
-    // budget exhaustion — distinct from the solver's own max_sweeps limit.
-    if ((!fin.converged && max_sweeps_eff < opts.max_sweeps) || fin.deadline_hit)
-        res.budget_exhausted = true;
-
     res.states = g.size();
     res.sweeps = total_sweeps;
     res.residual = fin.residual;

@@ -13,7 +13,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "core/budget.hpp"
 #include "core/hap_params.hpp"
 
 namespace hap::core {
@@ -55,9 +54,9 @@ struct Solution0Options {
     // while a boundary shell holds `trunc_tol` or more: y on the modulating
     // marginal before any sweep, z at the first check whose error estimate
     // falls below max(tol, 1e-6), seeding the deeper box from the iterate.
-    // A box whose sweeps or wall time run out is not grown. `warm` seeds
-    // the iteration from a previous sweep point's exported state;
-    // `keep_state` exports this solve's state for the next point.
+    // A box whose sweeps run out is not grown. `warm` seeds the iteration
+    // from a previous sweep point's exported state; `keep_state` exports
+    // this solve's state for the next point.
     bool adaptive = false;
     double trunc_tol = 1e-9;
     const Solution0State* warm = nullptr;
@@ -70,12 +69,12 @@ struct Solution0Options {
     double warm_step = 1.0;
     bool keep_state = false;
 
-    // Resource budget (see core/budget.hpp). max_iterations tightens
-    // max_sweeps; max_states refuses (or stops growing) lattice boxes beyond
-    // the cap; wall_ms is checked at every check, after each sweep pair. A
-    // solve stopped by the budget returns budget_exhausted instead of
-    // hanging.
-    SolveBudget budget;
+    // Cap on a box's states; 0 = none. A start box beyond it is refused
+    // before it is allocated (the solve returns unswept), and an adaptive
+    // growth beyond it is not taken; either sets budget_exhausted. With
+    // max_sweeps and the cap box, this bounds a solve's work by its inputs
+    // alone, never by the clock.
+    std::size_t max_states = 0;
 };
 
 struct [[nodiscard]] Solution0Result {
@@ -103,10 +102,8 @@ struct [[nodiscard]] Solution0Result {
     // converged lattice for the next sweep point.
     bool warm_started = false;
     std::size_t box_growths = 0;
-    // The SolveBudget stopped or constrained this solve: the sweep cap
-    // tightened by max_iterations expired, a needed box (or box growth)
-    // exceeded max_states, or the wall backstop fired. converged may still
-    // be true when only a growth was suppressed.
+    // max_states refused a box: the start box (nothing was swept) or a
+    // growth (the solve stayed on its box, and may still have converged).
     bool budget_exhausted = false;
     Solution0State state;
 };

@@ -80,7 +80,7 @@ std::vector<AnalyticPointResult> run_analytic_sweep(const std::vector<AnalyticPo
         }
         obs::ScopedLabel scope(pt.name);
 
-        // Primary attempt. Injected faults (noconv / budget / throw) are
+        // Primary attempt. Injected faults (noconv / throw) are
         // applied here and ONLY here; the fallback hops below always run
         // clean, which is what makes chain recovery testable.
         Attempt att;
@@ -90,7 +90,6 @@ std::vector<AnalyticPointResult> run_analytic_sweep(const std::vector<AnalyticPo
         } else {
             core::Solution0Options prim = o;
             if (fault_fires(FaultKind::NoConverge, pt.name, 0)) prim.max_sweeps = 1;
-            if (fault_fires(FaultKind::Budget, pt.name, 0)) prim.budget.max_iterations = 1;
             att = try_solve(pt.params, prim);
         }
 
@@ -101,13 +100,13 @@ std::vector<AnalyticPointResult> run_analytic_sweep(const std::vector<AnalyticPo
 
         // Fallback chain: each hop discards more of the machinery that could
         // itself be the failure — first the warm seed, then the adaptive box
-        // (worst-case static geometry, doubled sweep budget).
+        // (worst-case static geometry). Every hop runs under the caller's
+        // max_sweeps and max_states.
         std::size_t hops = 0;
         for (int hop = 1; opts.fallback && !converged && hop <= 2; ++hop) {
             core::Solution0Options fb = opts.solver;
             fb.keep_state = o.keep_state;
             fb.adaptive = hop == 1 ? opts.adaptive : false;
-            if (hop == 2) fb.max_sweeps = opts.solver.max_sweeps * 2;
             if (obs::enabled()) obs::registry().add_counter("experiment.fallback.attempts");
             Attempt a = try_solve(pt.params, fb);
             ++hops;

@@ -2,9 +2,10 @@
 // solved IN GRID ORDER and each solve is seeded with the previous point's
 // converged lattice (warm start) on an adaptively grown truncation box.
 // Neighboring sweep points differ by one small parameter step, so their
-// stationary vectors are nearly identical — the remapped previous state
-// lands the iteration next to the new fixed point and the observable check
-// converges in a handful of sweeps instead of a cold solve's hundreds.
+// stationary vectors are nearly identical — the previous state, laid out on
+// the new box and projected onto its modulating marginal, lands the
+// iteration next to the new fixed point and the observable check converges
+// in a handful of sweeps instead of a cold solve's hundreds.
 //
 // The chain is sequential by design (continuation is a chain, not a
 // fan-out); the simulation sweeps in ExperimentRunner::run_all stay on the
@@ -36,8 +37,9 @@ struct AnalyticSweepOptions {
     bool warm_start = true;  // feed each point the previous converged state
     bool adaptive = true;    // grow the truncation box instead of worst-case
     // Per-point fallback chain on a failed/non-converged primary solve:
-    //   warm -> cold restart -> worst-case box with doubled sweeps -> marked
-    //   degraded. (The modulating marginal needs no hop of its own: its exact
+    //   warm -> cold restart -> worst-case box -> marked degraded, every hop
+    //   under the same solver.max_sweeps and solver.max_states. (The
+    //   modulating marginal needs no hop of its own: its exact
     //   elimination is residual-checked, and Gauss-Seidel takes over inside
     //   LumpedChain::stationary when it declines.)
     // Each hop bumps `experiment.fallback.attempts`; a hop that converges
@@ -87,7 +89,7 @@ struct [[nodiscard]] AnalyticPointResult {
 // point cold-starts) and, when `failures` is given, appends one
 // FailureRecord (stage "analytic", job_index = grid index). Throws
 // std::runtime_error only when EVERY point failed. Injected faults
-// (noconv/budget/throw, see experiment/faultinject.hpp) apply to the primary
+// (noconv/throw, see experiment/faultinject.hpp) apply to the primary
 // attempt only, so the chain's recovery is observable.
 std::vector<AnalyticPointResult> run_analytic_sweep(const std::vector<AnalyticPoint>& grid,
                                                     const AnalyticSweepOptions& opts = {},

@@ -12,7 +12,6 @@ FaultKind kind_from(const std::string& word, const std::string& entry) {
     if (word == "throw") return FaultKind::Throw;
     if (word == "nan") return FaultKind::Nan;
     if (word == "noconv") return FaultKind::NoConverge;
-    if (word == "budget") return FaultKind::Budget;
     if (word == "write") return FaultKind::WriteAbort;
     if (word == "slowloris") return FaultKind::Slowloris;
     if (word == "torn_frame") return FaultKind::TornFrame;
@@ -20,7 +19,7 @@ FaultKind kind_from(const std::string& word, const std::string& entry) {
     if (word == "storm") return FaultKind::Storm;
     throw std::invalid_argument(
         "fault spec: unknown kind in '" + entry +
-        "' (throw|nan|noconv|budget|write|slowloris|torn_frame|stall|storm)");
+        "' (throw|nan|noconv|write|slowloris|torn_frame|stall|storm)");
 }
 
 FaultSpec parse_entry(const std::string& entry) {

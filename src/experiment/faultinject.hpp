@@ -6,7 +6,6 @@
 //   throw@<name>[#rep]   throw std::runtime_error before the job runs
 //   nan@<name>[#rep]     poison the replication's delay accumulator with NaN
 //   noconv@<name>        force the analytic solve to stop non-converged
-//   budget@<name>        force solver budget exhaustion (max_iterations = 1)
 //   write@<name>         abort an atomic_write_file mid-stream (partial tmp)
 //
 // Service (network-chaos) faults, PR 10. For these kinds the optional #N
@@ -28,7 +27,7 @@
 //
 // Matching depends only on (kind, name, rep) — never on thread schedule or
 // wall clock — so an injected fault reproduces bit-identically at any thread
-// count. For the analytic sweep, noconv/budget/throw apply to the PRIMARY
+// count. For the analytic sweep, noconv/throw apply to the PRIMARY
 // solve of a point only; the fallback hops run clean, which is exactly what
 // lets a test prove the fallback chain recovers.
 //
@@ -48,7 +47,6 @@ enum class FaultKind {
     Throw,
     Nan,
     NoConverge,
-    Budget,
     WriteAbort,
     // Service chaos kinds (value-carrying: #N is a parameter, not a rep).
     Slowloris,

@@ -10,12 +10,6 @@ double Mm1::p_n(unsigned n) const {
     return (1.0 - rho) * std::pow(rho, static_cast<double>(n));
 }
 
-double Mm1::delay_cdf(double t) const {
-    HAP_CHECK_FINITE(t);
-    if (t < 0.0) return 0.0;
-    return 1.0 - std::exp(-(mu - lambda) * t);
-}
-
 Mm1K::Mm1K(double arrival_rate, double service_rate, unsigned k)
     : lambda(arrival_rate), mu(service_rate), capacity(k) {
     HAP_CHECK_FINITE(arrival_rate);

@@ -30,8 +30,6 @@ struct Mm1 {
     double mean_number() const { return utilization() / (1.0 - utilization()); }
     // P(number in system == n).
     double p_n(unsigned n) const;
-    // Sojourn-time CDF: P(T <= t) = 1 - e^{-(mu - lambda) t}.
-    double delay_cdf(double t) const;
 
     // Busy-period statistics (standard M/M/1 results): E[B] = 1/(mu-lambda),
     // E[idle] = 1/lambda.

@@ -47,7 +47,7 @@ struct SolvePoint {
 };
 
 // Misses batch in buckets of (family, clamped): clamped misses batch apart
-// so a clamp-budget chain never feeds a full-budget one.
+// so a clamped chain never feeds an unclamped one.
 struct Claim {
     std::string family;
     bool clamped = false;

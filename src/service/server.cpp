@@ -369,9 +369,11 @@ struct Hapd::Impl {
         sweep.export_states = true;
         sweep.solver.tol = opts.tol;
         sweep.solver.trunc_tol = opts.trunc_tol;
-        sweep.solver.max_sweeps = opts.max_sweeps;
+        sweep.solver.max_sweeps = leader.clamped && opts.clamp_sweeps > 0
+                                      ? std::min(opts.max_sweeps, opts.clamp_sweeps)
+                                      : opts.max_sweeps;
+        sweep.solver.max_states = opts.max_states;
         sweep.solver.max_messages = opts.zmax;
-        sweep.solver.budget = leader.clamped ? opts.clamp_budget : opts.budget;
         if (seed.has_value()) {
             sweep.seed = &seed->state;
             sweep.seed_coord = seed->coord;

@@ -9,8 +9,8 @@
 //   exact cache hit  -> the stored result bytes spliced into the reply
 //   miss             -> continuation warm start from the family's nearest
 //                       solved neighbor (run_analytic_sweep seed, PR 4)
-//   no neighbor      -> budgeted cold solve (SolveBudget, PR 5) with the
-//                       full fallback chain
+//   no neighbor      -> cold solve, capped by max_sweeps and max_states,
+//                       with the full fallback chain
 //
 // Concurrent misses in one family coalesce under SolveScheduler
 // (scheduler.hpp), the socket-free owner of the overload ladder, batching and
@@ -41,7 +41,6 @@
 #include <functional>
 #include <string>
 
-#include "core/budget.hpp"
 #include "service/cache.hpp"
 #include "service/protocol.hpp"
 
@@ -57,11 +56,12 @@ struct ServeOptions {
     std::string cache_path;        // persistent cache file; empty = memory-only
 
     // Solver configuration shared by every query (phase-0; never read from
-    // the environment here).
-    core::SolveBudget budget;
+    // the environment here). max_states caps a solve's box
+    // (Solution0Options::max_states; 0 = none).
     double tol = 1e-7;
     double trunc_tol = 1e-9;
     std::size_t max_sweeps = 8000;
+    std::size_t max_states = 0;
     std::size_t zmax = 0;
 
     // A connection must deliver a complete frame at least every
@@ -86,14 +86,14 @@ struct ServeOptions {
     // solve-miss requests. A miss arriving at depth > degrade_depth answers
     // from the nearest cached family neighbor within approx_rel_distance
     // (quality "approx", with the relative distance reported) or, failing
-    // that, solves under clamp_budget (quality "clamped", result not
-    // cached); at depth > shed_depth it is shed with an overloaded frame.
+    // that, solves at min(max_sweeps, clamp_sweeps) sweeps (quality
+    // "clamped", result not cached; clamp_sweeps 0 = no clamp); at depth >
+    // shed_depth it is shed with an overloaded frame.
     // 0 = derived from threads: degrade = threads, shed = 4 * threads.
     std::size_t degrade_depth = 0;
     std::size_t shed_depth = 0;
     double approx_rel_distance = 0.05;
-    core::SolveBudget clamp_budget{/*max_iterations=*/250, /*max_states=*/0,
-                                   /*wall_ms=*/0};
+    std::size_t clamp_sweeps = 250;
 
     std::function<void(const std::string&)> log;  // optional diagnostics sink
 };

@@ -7,20 +7,6 @@
 
 namespace hap::stats {
 
-double autocorrelation(std::span<const double> samples, std::size_t lag) {
-    const std::size_t n = samples.size();
-    if (lag >= n) throw std::invalid_argument("autocorrelation: lag >= size");
-    OnlineStats all;
-    for (double s : samples) all.add(s);
-    const double mean = all.mean();
-    const double denom = all.variance() * static_cast<double>(n);
-    if (denom == 0.0) return 0.0;  // haplint: allow(float-equality) exact-zero variance guard before dividing
-    double num = 0.0;
-    for (std::size_t i = 0; i + lag < n; ++i)
-        num += (samples[i] - mean) * (samples[i + lag] - mean);
-    return num / denom;
-}
-
 BatchMeansResult batch_means(std::span<const double> samples, std::size_t batches) {
     if (batches < 2) throw std::invalid_argument("batch_means: need >= 2 batches");
     const std::size_t n = samples.size();

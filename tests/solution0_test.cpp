@@ -1010,22 +1010,14 @@ TEST(Solution0, ReportsNonConvergenceHonestly) {
 
     // On an adaptive box the error estimate falls below 1e-6, where the z
     // shell is read, a sweep pair or two before it falls below tol. A sweep
-    // cap that lands in between leaves the answer not converged, whether
-    // the budget or max_sweeps set the cap.
+    // cap that lands in between leaves the answer not converged, and the
+    // cap is not a refused box.
     const struct {
         double mu2;
         std::size_t sweeps;
     } cases[] = {{20.0, 15}, {20.0, 16}, {24.0, 9}, {24.0, 10}, {28.0, 7}, {28.0, 8}};
     for (const auto& c : cases) {
         const HapParams baseline = HapParams::paper_baseline(c.mu2);
-        o = figure_sweep_options();
-        o.budget.max_iterations = c.sweeps;
-        const Solution0Result capped = solve_solution0(baseline, o);
-        EXPECT_FALSE(capped.converged) << c.mu2 << " " << c.sweeps;
-        EXPECT_GE(capped.residual, o.tol) << c.mu2 << " " << c.sweeps;
-        EXPECT_TRUE(capped.budget_exhausted) << c.mu2 << " " << c.sweeps;
-        EXPECT_EQ(capped.sweeps, c.sweeps);
-
         o = figure_sweep_options();
         o.max_sweeps = c.sweeps;
         const Solution0Result short_run = solve_solution0(baseline, o);

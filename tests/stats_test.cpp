@@ -150,13 +150,6 @@ TEST(BusyPeriod, MergeEqualsSequentialPassWhenSplitAtBusyEnd) {
     EXPECT_NEAR(first.busy_fraction(), whole.busy_fraction(), 1e-12);
 }
 
-TEST(Series, AutocorrelationOfAlternatingSequence) {
-    std::vector<double> s;
-    for (int i = 0; i < 1000; ++i) s.push_back(i % 2 ? 1.0 : -1.0);
-    EXPECT_NEAR(hap::stats::autocorrelation(s, 1), -1.0, 1e-2);
-    EXPECT_NEAR(hap::stats::autocorrelation(s, 2), 1.0, 1e-2);
-}
-
 TEST(Series, BatchMeansCoversTrueMean) {
     hap::sim::RandomStream rng(11);
     std::vector<double> s;

@@ -4,8 +4,9 @@
 //       lambda-bar / rho and the G/M/1 analysis (Solutions 1 and 2),
 //       against the M/M/1 baseline.
 //   hapctl solve0   [model flags] [--service R] [--zmax N] [--sweeps N]
-//       exact truncated-lattice solve (Solution 0) + matrix-geometric
-//       cross-check on small chains.
+//                   [--tol E] [--verbose] [--budget-states N]
+//       exact truncated-lattice solve (Solution 0); --budget-states refuses
+//       a box of more states (exit 1, "budget exhausted").
 //   hapctl simulate [model flags] [--horizon T] [--seed S] [--buffer K]
 //                   [--arrivals-out FILE]
 //       event-driven simulation; optionally dump the arrival trace.
@@ -18,7 +19,7 @@
 //                   [--threads N] [--buffer K] [--json FILE] [--metrics]
 //                   [--analytic] [--warm-start 0|1] [--trunc-tol E] [--tol E]
 //                   [--checkpoint FILE [--resume]] [--fault-inject SPEC]
-//                   [--budget-iters N] [--budget-states N] [--budget-wall-ms T]
+//                   [--sweeps N] [--budget-states N]
 //       replicated simulation over a parameter grid, fanned across the
 //       experiment thread pool; SPEC is "a,b,c" or "lo:hi:step". --metrics
 //       appends the "hap.obs.metrics/v1" telemetry block to the JSON, which
@@ -33,8 +34,9 @@
 //       --resume restores completed jobs from it and re-runs only the rest —
 //       the merged output is byte-identical to an uninterrupted run.
 //       --fault-inject (or HAP_FAULT_INJECT) injects deterministic faults,
-//       e.g. "throw@lambda=0.5#1,nan@lambda=1"; --budget-* caps Solution 0
-//       work per point (see core/budget.hpp). --threads sizes the
+//       e.g. "throw@lambda=0.5#1,nan@lambda=1"; --sweeps and --budget-states
+//       cap each point's Solution 0 sweeps and box states (every fallback
+//       hop runs under the same caps). --threads sizes the
 //       replication pool; the analytic chain is sequential, so --analytic
 //       rejects it.
 //   hapctl metrics-dump [model flags] [--horizon T] [--reps N] [--solve0]
@@ -142,26 +144,16 @@ int cmd_analyze(const cli::Flags& f) {
     return 0;
 }
 
-// Shared --budget-* parsing (see core/budget.hpp for semantics).
-core::SolveBudget budget_from_flags(const cli::Flags& f) {
-    core::SolveBudget b;
-    b.max_iterations = f.count("budget-iters", 0);
-    b.max_states = f.count("budget-states", 0);
-    b.wall_ms = static_cast<std::uint64_t>(f.count("budget-wall-ms", 0));
-    return b;
-}
-
 int cmd_solve0(const cli::Flags& f) {
     f.reject_unknown(with(kModelFlags, {"zmax", "sweeps", "tol", "verbose",
-                                        "budget-iters", "budget-states",
-                                        "budget-wall-ms"}));
+                                        "budget-states"}));
     const core::HapParams p = model_from_flags(f);
     core::Solution0Options o;
     o.max_messages = f.count("zmax", 0);
     o.max_sweeps = f.count("sweeps", 8000);
     o.tol = f.number("tol", 1e-8);
     o.verbose = f.has("verbose");
-    o.budget = budget_from_flags(f);
+    o.max_states = f.count("budget-states", 0);
     const auto s0 = solve_solution0(p, o);
     std::printf("Solution 0: delay %.5f s, sigma %.4f, utilization %.4f\n",
                 s0.mean_delay, s0.sigma, s0.utilization);
@@ -270,7 +262,7 @@ int cmd_sweep_analytic(const cli::Flags& f, bool metrics) {
     opts.solver.trunc_tol = f.number("trunc-tol", 1e-9);
     opts.solver.max_messages = f.count("zmax", 0);
     opts.solver.max_sweeps = f.count("sweeps", 8000);
-    opts.solver.budget = budget_from_flags(f);
+    opts.solver.max_states = f.count("budget-states", 0);
 
     experiment::JsonWriter json("hapctl_sweep_analytic");
     json.meta("warm_start", experiment::Json::boolean(opts.warm_start));
@@ -357,8 +349,8 @@ int cmd_sweep(const cli::Flags& f) {
                           {"service-grid", "lambda-grid", "reps", "horizon", "warmup",
                            "seed", "threads", "buffer", "json", "metrics", "analytic",
                            "warm-start", "trunc-tol", "tol", "zmax", "sweeps",
-                           "checkpoint", "resume", "fault-inject", "budget-iters",
-                           "budget-states", "budget-wall-ms"}));
+                           "checkpoint", "resume", "fault-inject",
+                           "budget-states"}));
     // --metrics (or HAP_BENCH_METRICS) turns on the observability registry:
     // per-replication telemetry plus a labeled analytic solve per grid point,
     // all appended to the JSON document as the "metrics" block.
@@ -594,8 +586,7 @@ int cmd_admission(const cli::Flags& f) {
 
 int cmd_serve(const cli::Flags& f) {
     f.reject_unknown({"socket", "port", "threads", "cache", "tol", "trunc-tol",
-                      "sweeps", "zmax", "timeout-ms",
-                      "budget-iters", "budget-states", "budget-wall-ms",
+                      "sweeps", "zmax", "timeout-ms", "budget-states",
                       "max-conns", "max-pending", "retry-after-ms",
                       "degrade-depth", "shed-depth", "approx-dist",
                       "clamp-iters"});
@@ -609,7 +600,7 @@ int cmd_serve(const cli::Flags& f) {
     o.max_sweeps = f.count("sweeps", 8000);
     o.zmax = f.count("zmax", 0);
     o.recv_timeout_ms = static_cast<int>(f.count_at_most("timeout-ms", 30000, kIntMax));
-    o.budget = budget_from_flags(f);
+    o.max_states = f.count("budget-states", 0);
     // Overload governor & degradation ladder (DESIGN.md §4l).
     o.max_connections = f.count("max-conns", 0);
     o.max_pending = f.count("max-pending", 16);
@@ -617,7 +608,7 @@ int cmd_serve(const cli::Flags& f) {
     o.degrade_depth = f.count("degrade-depth", 0);
     o.shed_depth = f.count("shed-depth", 0);
     o.approx_rel_distance = f.number("approx-dist", 0.05);
-    o.clamp_budget.max_iterations = f.count("clamp-iters", 250);
+    o.clamp_sweeps = f.count("clamp-iters", 250);
     o.log = [](const std::string& line) {
         std::printf("%s\n", line.c_str());
         std::fflush(stdout);
@@ -697,7 +688,8 @@ void usage() {
     std::printf(
         "hapctl — HAP traffic-model toolkit (SIGCOMM '93 reproduction)\n\n"
         "  hapctl analyze   [model flags]            analytic G/M/1 delay\n"
-        "  hapctl solve0    [model flags] [--zmax N] exact truncated solve\n"
+        "  hapctl solve0    [model flags] [--zmax N --sweeps N --tol E --verbose]\n"
+        "                   [--budget-states N]  exact truncated solve\n"
         "  hapctl simulate  [model flags] [--horizon T --seed S --buffer K]\n"
         "  hapctl fit       --trace FILE [--duty D --burst R]\n"
         "  hapctl admission [model flags] --budget T\n"
@@ -705,7 +697,7 @@ void usage() {
         "                   [--reps N --threads N --horizon T --json FILE --metrics]\n"
         "                   [--analytic [--warm-start 0|1 --trunc-tol E --tol E]]\n"
         "                   [--checkpoint FILE [--resume]] [--fault-inject SPEC]\n"
-        "                   [--budget-iters N --budget-states N --budget-wall-ms T]\n"
+        "                   [--sweeps N --budget-states N]\n"
         "                   (SPEC: \"a,b,c\" or \"lo:hi:step\"; --analytic runs\n"
         "                   Solution 0 as a warm-started continuation chain,\n"
         "                   one point at a time, so it rejects --threads;\n"
@@ -716,8 +708,7 @@ void usage() {
         "                   solver-telemetry JSON document (see DESIGN.md 4e)\n"
         "  hapctl serve     [--socket PATH | --port N] [--threads N]\n"
         "                   [--cache FILE] [--tol E --trunc-tol E --sweeps N\n"
-        "                   --zmax N --timeout-ms T\n"
-        "                   --budget-iters N --budget-states N --budget-wall-ms T]\n"
+        "                   --zmax N --timeout-ms T --budget-states N]\n"
         "                   [--max-conns N --max-pending N --retry-after-ms T\n"
         "                   --degrade-depth N --shed-depth N --approx-dist D\n"
         "                   --clamp-iters N]  resident capacity-planning daemon\n"
